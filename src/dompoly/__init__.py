@@ -33,8 +33,10 @@ from .errors import (
     OracleMismatchError,
 )
 from .formulas import (
+    build_family,
     cg_family_factor,
     closed_form,
+    family_order,
     order_of_H,
     poly_H,
     poly_book,
@@ -50,11 +52,9 @@ from .graphs import (
     MAX_VERTICES,
     FamilySpec,
     Graph,
-    build_family,
     complement,
     corona,
     disjoint_union,
-    family_order,
     join,
     parse_edge_list,
     to_edge_list,

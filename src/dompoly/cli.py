@@ -3,9 +3,9 @@
 Instances come from a named family ("friendship:3"), from a family range
 ("cocktail_party:1..50", the last parameter may be a range), from an
 edge-list file, or for certify from a pair of join operands with a symbolic
-index ("--join H:n,H:n --range 3..20").  Sweeps run instances on a thread
-pool sized by DOMPOLY_THREADS (default: CPU count) and print rows in
-deterministic (family, n) order regardless of completion order.
+index ("--join H:n,H:n --range 3..20").  Join operands are the families with
+a closed form, by name or short alias.  Instances run one after another and
+print in index order.
 
 Exit codes: 0 success, 1 usage or data error, 2 capacity exceeded, 3 solver
 non-convergence, 4 oracle mismatch.
@@ -16,25 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .complexroots import RootSet, find_roots, roots_csv
-from .enumeration import default_threads, domination_polynomial
+from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
-from .formulas import (
-    closed_form,
-    order_of_H,
-    poly_book,
-    poly_cocktail,
-    poly_complement_friendship,
-    poly_complete,
-    poly_friendship,
-    poly_H,
-    poly_join,
-)
-from .graphs import FamilySpec, build_family, parse_edge_list
+from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
+from .graphs import FamilySpec, parse_edge_list
 from .plotting import render_scatter
 from .polynomials import Poly
 from .realroots import certify_cg
@@ -83,9 +72,11 @@ def _apply_parity(values: list[int], odd_only: bool, even_only: bool) -> list[in
     if odd_only and even_only:
         raise _UsageError("--odd-only and --even-only are mutually exclusive")
     if odd_only:
-        return [v for v in values if v % 2 == 1]
-    if even_only:
-        return [v for v in values if v % 2 == 0]
+        values = [v for v in values if v % 2 == 1]
+    elif even_only:
+        values = [v for v in values if v % 2 == 0]
+    if not values:
+        raise _UsageError("no instances left after parity filtering")
     return values
 
 
@@ -93,8 +84,6 @@ def _family_instances(args) -> list[tuple[str, int, FamilySpec]]:
     """(label, n, spec) triples for the requested family sweep."""
     name, fixed, values = _parse_family_arg(args.family)
     values = _apply_parity(values, args.odd_only, args.even_only)
-    if not values:
-        raise _UsageError("no instances left after parity filtering")
     return [(name, v, FamilySpec(name, fixed + (v,))) for v in values]
 
 
@@ -112,40 +101,40 @@ def _edge_list_instance(path: str) -> tuple[str, int, Poly]:
     return Path(path).stem, g.n, domination_polynomial(g)
 
 
-# -- join operand templates ---------------------------------------------------------
+def _instances(args) -> list[tuple[str, int, Poly]]:
+    """(label, n, polynomial) from --join, --edge-list or --family."""
+    if getattr(args, "join", None):
+        return _join_instances(args)
+    if args.edge_list:
+        return [_edge_list_instance(args.edge_list)]
+    return [(name, v, _polynomial_for(spec)) for name, v, spec in _family_instances(args)]
 
-_JOIN_OPERANDS: dict[str, tuple[Callable[[int], Poly], Callable[[int], int]]] = {
-    "H": (poly_H, order_of_H),
-    "h_witness": (poly_H, order_of_H),
-    "B": (poly_book, lambda n: 2 * n + 2),
-    "book": (poly_book, lambda n: 2 * n + 2),
-    "F": (poly_friendship, lambda n: 2 * n + 1),
-    "friendship": (poly_friendship, lambda n: 2 * n + 1),
-    "CF": (poly_complement_friendship, lambda n: 2 * n + 1),
-    "complement_friendship": (poly_complement_friendship, lambda n: 2 * n + 1),
-    "CP": (poly_cocktail, lambda n: 2 * n),
-    "cocktail_party": (poly_cocktail, lambda n: 2 * n),
-    "K": (poly_complete, lambda n: n),
-    "complete": (poly_complete, lambda n: n),
+
+# -- join operands ----------------------------------------------------------------
+
+#: Families with a closed form, keyed by their name and by their short alias.
+_JOIN_NAMES = {
+    key: f for f in FAMILIES.values() if f.closed_form for key in (f.name, f.alias)
 }
 
 
-def _parse_operand(text: str) -> tuple[str, int | None, int]:
-    """"NAME:n", "NAME:n+k" or "NAME:k" -> (name, None for symbolic n, offset)."""
+def _parse_operand(text: str) -> tuple[Family, int | None, int]:
+    """"NAME:n", "NAME:n+k" or "NAME:k" -> (family, None for symbolic n, offset)."""
     name, sep, expr = text.partition(":")
-    if not sep or name not in _JOIN_OPERANDS:
-        known = ", ".join(sorted(_JOIN_OPERANDS))
+    if not sep or name not in _JOIN_NAMES:
+        known = ", ".join(sorted(_JOIN_NAMES))
         raise _UsageError(f"bad join operand {text!r} (families: {known})")
+    family = _JOIN_NAMES[name]
     expr = expr.strip()
     if expr == "n":
-        return name, None, 0
+        return family, None, 0
     if expr.startswith("n+"):
         try:
-            return name, None, int(expr[2:])
+            return family, None, int(expr[2:])
         except ValueError:
             raise _UsageError(f"bad operand index {expr!r}") from None
     try:
-        return name, int(expr), 0
+        return family, int(expr), 0
     except ValueError:
         raise _UsageError(f"bad operand index {expr!r} (use n, n+k, or an integer)") from None
 
@@ -159,18 +148,14 @@ def _join_instances(args) -> list[tuple[str, int, Poly]]:
         raise _UsageError("--join takes exactly two operands, e.g. H:n,H:n")
     parsed = [_parse_operand(op.strip()) for op in ops]
     values = _apply_parity(_parse_range(args.range), args.odd_only, args.even_only)
-    if not values:
-        raise _UsageError("no instances left after parity filtering")
     label = "+".join(op.strip() for op in ops)
     out = []
     for n in values:
-        polys_orders = []
-        for name, fixed, offset in parsed:
+        operands = []
+        for family, fixed, offset in parsed:
             idx = fixed if fixed is not None else n + offset
-            poly_fn, order_fn = _JOIN_OPERANDS[name]
-            polys_orders.append((poly_fn(idx), order_fn(idx)))
-        (p1, o1), (p2, o2) = polys_orders
-        out.append((label, n, poly_join(p1, o1, p2, o2)))
+            operands += [family.closed_form(idx), family.order(idx)]
+        out.append((label, n, poly_join(*operands)))
     return out
 
 
@@ -184,24 +169,16 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _pmap(fn, items: Sequence):
-    threads = default_threads()
-    if threads <= 1 or len(items) <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
 def _cmd_compute(args) -> int:
-    records = []
     if args.edge_list:
         label, order, p = _edge_list_instance(args.edge_list)
-        records.append({"family": label, "params": [order], "coeffs": None, "_poly": p})
+        found = [(label, [order], p)]
     else:
-        for name, v, spec in _family_instances(args):
+        found = []
+        for name, _, spec in _family_instances(args):
             p = _polynomial_for(spec, force_enumeration=args.oracle)
             if args.oracle:
                 expected = closed_form(spec)
@@ -209,32 +186,21 @@ def _cmd_compute(args) -> int:
                     raise OracleMismatchError(
                         f"enumeration disagrees with the closed form for {spec}"
                     )
-            records.append(
-                {"family": name, "params": list(spec.params), "coeffs": None, "_poly": p}
-            )
-    for r in records:
-        r["coeffs"] = [str(c) for c in r.pop("_poly").coeffs]
+            found.append((name, list(spec.params), p))
+    records = [
+        {"family": label, "params": params, "coeffs": [str(c) for c in p.coeffs]}
+        for label, params, p in found
+    ]
     payload = records[0] if len(records) == 1 else records
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
 
 
-def _certificate_rows(args) -> list[tuple[str, int, dict]]:
-    if args.join:
-        instances = _join_instances(args)
-    elif args.edge_list:
-        instances = [_edge_list_instance(args.edge_list)]
-    else:
-        instances = [
-            (name, v, _polynomial_for(spec)) for name, v, spec in _family_instances(args)
-        ]
-
-    def certify(item):
-        label, n, p = item
+def _certificate_rows(args) -> list[dict]:
+    rows = []
+    for label, n, p in _instances(args):
         cert = certify_cg(p)
-        return (
-            label,
-            n,
+        rows.append(
             {
                 "family": label,
                 "n": n,
@@ -242,17 +208,15 @@ def _certificate_rows(args) -> list[tuple[str, int, dict]]:
                 "nonzero_real_root_count": cert.nonzero_real_root_count,
                 "in_cg": cert.in_cg,
                 "evidence": dict(cert.evidence),
-            },
+            }
         )
-
-    rows = _pmap(certify, instances)
-    return sorted(rows, key=lambda r: (r[0], r[1]))
+    return rows
 
 
 def _cmd_certify(args) -> int:
     rows = _certificate_rows(args)
-    lines = [json.dumps(row) for _, _, row in rows]
-    lines.append(json.dumps({"all_in_cg": all(row["in_cg"] for _, _, row in rows)}))
+    lines = [json.dumps(row) for row in rows]
+    lines.append(json.dumps({"all_in_cg": all(row["in_cg"] for row in rows)}))
     _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -260,13 +224,13 @@ def _cmd_certify(args) -> int:
 def _cmd_sweep(args) -> int:
     rows = _certificate_rows(args)
     lines = ["family,n,gamma,nonzero_real_root_count,in_cg"]
-    for _, _, row in rows:
+    for row in rows:
         lines.append(
             f"{row['family']},{row['n']},{row['gamma']},"
             f"{row['nonzero_real_root_count']},{str(row['in_cg']).lower()}"
         )
     _write_output("\n".join(lines) + "\n", args.out)
-    all_in = all(row["in_cg"] for _, _, row in rows)
+    all_in = all(row["in_cg"] for row in rows)
     print(f"all_in_cg: {str(all_in).lower()}", file=sys.stderr)
     return 0
 
@@ -274,26 +238,18 @@ def _cmd_sweep(args) -> int:
 def _root_entries(args) -> list[tuple[str, int, RootSet]]:
     if args.tol < TOL_MIN or args.tol > TOL_MAX:
         raise _UsageError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
-    if args.edge_list:
-        instances = [_edge_list_instance(args.edge_list)]
-    else:
-        instances = [
-            (name, v, _polynomial_for(spec)) for name, v, spec in _family_instances(args)
-        ]
-
-    def solve(item):
-        label, n, p = item
+    entries, failed = [], []
+    for label, n, p in _instances(args):
         try:
-            return label, n, find_roots(p, tol=args.tol, max_iter=args.max_iter)
+            entries.append((label, n, find_roots(p, tol=args.tol, max_iter=args.max_iter)))
         except NonConvergenceError as e:
-            return label, n, e
-
-    entries = _pmap(solve, instances)
-    failed = [(label, n) for label, n, rs in entries if isinstance(rs, NonConvergenceError)]
+            failed.append((label, n, e))
     if failed:
-        listing = ", ".join(f"{label}:{n}" for label, n in sorted(failed))
-        raise NonConvergenceError(f"instances failed to converge: {listing}")
-    return sorted(entries, key=lambda e: (e[0], e[1]))
+        listing = ", ".join(
+            f"{label}:{n} (max correction {e.max_correction:.3e})" for label, n, e in failed
+        )
+        raise NonConvergenceError(f"instances failed to converge: {listing}") from failed[0][2]
+    return entries
 
 
 def _cmd_roots(args) -> int:

@@ -30,7 +30,10 @@ def default_threads() -> int:
     """Worker count: the DOMPOLY_THREADS environment variable, else CPU count."""
     env = os.environ.get("DOMPOLY_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"DOMPOLY_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -1,18 +1,25 @@
-"""Closed forms and composition rules for domination polynomials.
+"""Closed forms, composition rules and the table of named graph families.
 
 Everything here is computed by direct expansion in exact integer arithmetic;
 floating point never enters.  The composition rules take the operand
 polynomials together with the operand orders, and refuse order/degree
 mismatches (the degree of a domination polynomial always equals the order of
 the graph, since the full vertex set dominates).
+
+``FAMILIES`` holds one row per named family: its parameter bounds, graph
+builder, order, closed form and short ``--join`` alias.  ``build_family``,
+``family_order`` and ``closed_form`` read it, and so does the CLI.
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
+from typing import Callable
 
+from . import graphs
 from .enumeration import domination_polynomial
-from .graphs import FamilySpec, build_family
+from .graphs import FamilySpec, Graph
 from .polynomials import Poly, binomial_power
 
 X = Poly.X
@@ -108,8 +115,7 @@ def order_of_H(n: int) -> int:
     """Vertex count of the n-th H-family graph: 4k for n=2k, 4k+3 for n=2k+1."""
     if n < 1:
         raise ValueError("H-family index must be at least 1")
-    k, odd = divmod(n, 2)
-    return 4 * k + 3 if odd else 4 * k
+    return 2 * n + n % 2
 
 
 def cg_family_factor(kind: str, *params: int) -> Poly:
@@ -142,15 +148,90 @@ def cg_family_factor(kind: str, *params: int) -> Poly:
     raise ValueError(f"unknown factor kind {kind!r} (expected K, S, or B2)")
 
 
-#: Families whose polynomial has a closed form, keyed by family name.
-_CLOSED_FORMS = {
-    "complete": poly_complete,
-    "friendship": poly_friendship,
-    "complement_friendship": poly_complement_friendship,
-    "cocktail_party": poly_cocktail,
-    "book": poly_book,
-    "h_witness": poly_H,
+# -- the family table ------------------------------------------------------------
+
+
+def _index_from_1(name: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{name} index must be at least 1")
+
+
+def _cycle_bounds(name: str, n: int) -> None:
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+
+
+def _k_star_bounds(name: str, k: int, n: int) -> None:
+    if k < 1:
+        raise ValueError("k_star clique size must be at least 1")
+    if n < k + 1:
+        raise ValueError("k_star order must be at least clique size + 1")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named parametric family.
+
+    Parameters are nonnegative integers; ``bounds(name, *params)``, when
+    given, raises ValueError for those the family does not accept.
+    ``closed_form`` takes the single index of a one-parameter family, and
+    families that have one are valid ``--join`` operands under their name and
+    ``alias``.
+    """
+
+    name: str
+    arity: int
+    build: Callable[..., Graph]
+    order: Callable[..., int]
+    bounds: Callable[..., None] | None = None
+    closed_form: Callable[[int], Poly] | None = None
+    alias: str | None = None
+
+
+FAMILIES: dict[str, Family] = {
+    f.name: f
+    for f in (
+        # name, arity, builder, order, bounds, closed form, join alias
+        Family("complete", 1, graphs.complete, lambda n: n, None, poly_complete, "K"),
+        Family("complete_bipartite", 2, graphs.complete_bipartite, lambda a, b: a + b),
+        Family("path", 1, graphs.path, lambda n: n),
+        Family("cycle", 1, graphs.cycle, lambda n: n, _cycle_bounds),
+        Family("friendship", 1, graphs.friendship, lambda n: 2 * n + 1,
+               _index_from_1, poly_friendship, "F"),
+        Family("complement_friendship", 1, graphs.complement_friendship, lambda n: 2 * n + 1,
+               _index_from_1, poly_complement_friendship, "CF"),
+        Family("cocktail_party", 1, graphs.cocktail_party, lambda n: 2 * n,
+               _index_from_1, poly_cocktail, "CP"),
+        Family("book", 1, graphs.book, lambda n: 2 * n + 2, _index_from_1, poly_book, "B"),
+        Family("k_star", 2, graphs.k_star, lambda k, n: n, _k_star_bounds),
+        Family("h_witness", 1, graphs.h_witness, order_of_H, _index_from_1, poly_H, "H"),
+    )
 }
+
+
+def _family(spec: FamilySpec) -> Family:
+    """The table row for spec; ValueError when spec is not a valid instance."""
+    row = FAMILIES.get(spec.name)
+    if row is None:
+        known = ", ".join(sorted(FAMILIES))
+        raise ValueError(f"unknown family {spec.name!r} (known: {known})")
+    if len(spec.params) != row.arity:
+        raise ValueError(f"{spec.name} takes {row.arity} parameter(s), got {len(spec.params)}")
+    if any(p < 0 for p in spec.params):
+        raise ValueError(f"{spec.name} parameters must be nonnegative")
+    if row.bounds is not None:
+        row.bounds(spec.name, *spec.params)
+    return row
+
+
+def build_family(spec: FamilySpec) -> Graph:
+    """Construct a named family instance."""
+    return _family(spec).build(*spec.params)
+
+
+def family_order(spec: FamilySpec) -> int:
+    """Vertex count of build_family(spec), without building it."""
+    return _family(spec).order(*spec.params)
 
 
 def closed_form(spec: FamilySpec) -> Poly | None:
@@ -159,7 +240,7 @@ def closed_form(spec: FamilySpec) -> Poly | None:
     Degenerate indices (complete:0, the empty graph) also return None so the
     caller can fall back to enumeration.
     """
-    fn = _CLOSED_FORMS.get(spec.name)
-    if fn is None or any(p < 1 for p in spec.params):
+    fn = _family(spec).closed_form
+    if fn is None or spec.params[0] < 1:
         return None
     return fn(*spec.params)

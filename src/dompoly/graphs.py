@@ -165,19 +165,9 @@ def complement(g: Graph) -> Graph:
 
 
 # -- named families --------------------------------------------------------------
-
-FAMILY_ARITY = {
-    "complete": 1,
-    "complete_bipartite": 2,
-    "path": 1,
-    "cycle": 1,
-    "friendship": 1,
-    "complement_friendship": 1,
-    "cocktail_party": 1,
-    "book": 1,
-    "k_star": 2,
-    "h_witness": 1,
-}
+#
+# One plain constructor per family; parameters are checked against the family
+# table in ``formulas`` by ``build_family``, which also records each order.
 
 
 @dataclass(frozen=True)
@@ -206,110 +196,62 @@ class FamilySpec:
         return f"{self.name}:{','.join(str(p) for p in self.params)}"
 
 
-def _validate_spec(spec: FamilySpec) -> None:
-    arity = FAMILY_ARITY.get(spec.name)
-    if arity is None:
-        known = ", ".join(sorted(FAMILY_ARITY))
-        raise ValueError(f"unknown family {spec.name!r} (known: {known})")
-    if len(spec.params) != arity:
-        raise ValueError(f"{spec.name} takes {arity} parameter(s), got {len(spec.params)}")
-    if any(p < 0 for p in spec.params):
-        raise ValueError(f"{spec.name} parameters must be nonnegative")
-    name, p = spec.name, spec.params
-    if name == "cycle" and p[0] < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    if name in ("friendship", "complement_friendship", "cocktail_party", "book", "h_witness") and p[0] < 1:
-        raise ValueError(f"{name} index must be at least 1")
-    if name == "k_star":
-        k, n = p
-        if k < 1:
-            raise ValueError("k_star clique size must be at least 1")
-        if n < k + 1:
-            raise ValueError("k_star order must be at least clique size + 1")
+def complete(n: int) -> Graph:
+    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
 
 
-def family_order(spec: FamilySpec) -> int:
-    """Vertex count of build_family(spec), without building it."""
-    _validate_spec(spec)
-    name, p = spec.name, spec.params
-    if name == "complete":
-        return p[0]
-    if name == "complete_bipartite":
-        return p[0] + p[1]
-    if name in ("path", "cycle"):
-        return p[0]
-    if name in ("friendship", "complement_friendship"):
-        return 2 * p[0] + 1
-    if name == "cocktail_party":
-        return 2 * p[0]
-    if name == "book":
-        return 2 * p[0] + 2
-    if name == "k_star":
-        return p[1]
-    if name == "h_witness":
-        return 2 * p[0] + (p[0] & 1)
-    raise AssertionError(name)
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 
-def build_family(spec: FamilySpec) -> Graph:
-    """Construct a named family instance.
+def path(n: int) -> Graph:
+    return Graph(n, ((i, i + 1) for i in range(n - 1)))
 
-    Orders: friendship(n) and complement_friendship(n) have 2n+1 vertices,
-    cocktail_party(n) has 2n, book(n) has 2n+2, k_star(k, n) has n, and
-    h_witness(n) has 2n vertices for even n and 2n+1 for odd n.
-    """
-    _validate_spec(spec)
-    name, p = spec.name, spec.params
-    if name == "complete":
-        n = p[0]
-        return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
-    if name == "complete_bipartite":
-        a, b = p
-        return Graph(a + b, ((u, a + v) for u in range(a) for v in range(b)))
-    if name == "path":
-        n = p[0]
-        return Graph(n, ((i, i + 1) for i in range(n - 1)))
-    if name == "cycle":
-        n = p[0]
-        return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-    if name == "friendship":
-        n = p[0]
-        edges = []
-        for i in range(n):
-            a, b = 2 * i + 1, 2 * i + 2
-            edges += [(0, a), (0, b), (a, b)]
-        return Graph(2 * n + 1, edges)
-    if name == "complement_friendship":
-        return complement(build_family(FamilySpec("friendship", p)))
-    if name == "cocktail_party":
-        n = p[0]
-        edges = [
-            (u, v)
-            for u in range(2 * n)
-            for v in range(u + 1, 2 * n)
-            if not (u // 2 == v // 2)
-        ]
-        return Graph(2 * n, edges)
-    if name == "book":
-        n = p[0]
-        edges = [(0, 1)]
-        for i in range(n):
-            a, b = 2 + 2 * i, 3 + 2 * i
-            edges += [(0, a), (a, b), (b, 1)]
-        return Graph(2 * n + 2, edges)
-    if name == "k_star":
-        k, n = p
-        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-        edges += [(u, v) for v in range(k, n) for u in range(k)]
-        return Graph(n, edges)
-    if name == "h_witness":
-        k = p[0] // 2
-        p3 = build_family(FamilySpec("path", (3,)))
-        base = corona(build_family(FamilySpec("path", (k,))), p3) if k else Graph(0)
-        if p[0] % 2:
-            return disjoint_union(base, p3)
-        return base
-    raise AssertionError(name)
+
+def cycle(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def friendship(n: int) -> Graph:
+    """n triangles sharing vertex 0."""
+    edges = []
+    for i in range(n):
+        a, b = 2 * i + 1, 2 * i + 2
+        edges += [(0, a), (0, b), (a, b)]
+    return Graph(2 * n + 1, edges)
+
+
+def complement_friendship(n: int) -> Graph:
+    return complement(friendship(n))
+
+
+def cocktail_party(n: int) -> Graph:
+    """K_{2n} minus the perfect matching {2i, 2i+1}."""
+    edges = [(u, v) for u in range(2 * n) for v in range(u + 1, 2 * n) if u // 2 != v // 2]
+    return Graph(2 * n, edges)
+
+
+def book(n: int) -> Graph:
+    """n 4-cycles sharing the edge (0, 1)."""
+    edges = [(0, 1)]
+    for i in range(n):
+        a, b = 2 + 2 * i, 3 + 2 * i
+        edges += [(0, a), (a, b), (b, 1)]
+    return Graph(2 * n + 2, edges)
+
+
+def k_star(k: int, n: int) -> Graph:
+    """A k-clique plus n - k vertices joined to all of it."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(u, v) for v in range(k, n) for u in range(k)]
+    return Graph(n, edges)
+
+
+def h_witness(n: int) -> Graph:
+    """corona(P_k, P_3) for n = 2k, plus a disjoint P_3 for n = 2k + 1."""
+    k, odd = divmod(n, 2)
+    base = corona(path(k), path(3)) if k else Graph(0)
+    return disjoint_union(base, path(3)) if odd else base
 
 
 # -- edge-list text format --------------------------------------------------------

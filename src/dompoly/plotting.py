@@ -8,6 +8,7 @@ pure function of the input, so plots are reproducible.
 
 from __future__ import annotations
 
+import html
 from typing import Sequence
 
 WIDTH = 800
@@ -94,7 +95,7 @@ def render_scatter(
     if title:
         out.append(
             f'<text x="{WIDTH // 2}" y="{MARGIN - 16}" font-size="14" fill="#222" '
-            f'text-anchor="middle">{title}</text>'
+            f'text-anchor="middle">{html.escape(title, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -20,6 +20,7 @@ from dompoly import cli
 from dompoly.complexroots import circle_deviation, distinct_real_roots, find_roots
 from dompoly.enumeration import domination_number, domination_polynomial
 from dompoly.formulas import (
+    build_family,
     cg_family_factor,
     closed_form,
     order_of_H,
@@ -31,7 +32,7 @@ from dompoly.formulas import (
     poly_friendship,
     poly_join,
 )
-from dompoly.graphs import FamilySpec, build_family, corona, join
+from dompoly.graphs import FamilySpec, corona, join
 from dompoly.polynomials import Poly, binomial_power
 from dompoly.realroots import certify_cg, check_oddness, count_real_roots
 

@@ -1,8 +1,13 @@
 import json
+import re
+import xml.etree.ElementTree as ET
+
+import pytest
 
 from dompoly import cli
-from dompoly.formulas import poly_join, poly_H, order_of_H
-from dompoly.graphs import Graph, to_edge_list
+from dompoly.errors import NonConvergenceError
+from dompoly.formulas import FAMILIES, closed_form, family_order, poly_join, poly_H, order_of_H
+from dompoly.graphs import FamilySpec, Graph, to_edge_list
 from dompoly.polynomials import Poly
 from dompoly.realroots import certify_cg
 
@@ -42,6 +47,22 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--family", "cocktail_party:2", "--oracle")
         assert code == 4
         assert "integrity" in err
+
+    def test_wrong_parameter_count_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "compute", "--family", "complete:1,2")
+        assert code == 1
+        assert err == "error: complete takes 1 parameter(s), got 2\n"
+
+    def test_bad_thread_setting_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("DOMPOLY_THREADS", "abc")
+        path = tmp_path / "k3.txt"
+        path.write_text("3 3\n0 1\n1 2\n0 2\n")
+        code, _, err = run(capsys, "compute", "--edge-list", str(path))
+        assert code == 1
+        assert "DOMPOLY_THREADS" in err and "'abc'" in err
+        # closed forms enumerate nothing, so the setting is never read
+        code, _, _ = run(capsys, "certify", "--family", "friendship:1..3")
+        assert code == 0
 
     def test_capacity_exit_code(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
@@ -89,6 +110,27 @@ class TestCertify:
         rows = [json.loads(line) for line in out.strip().split("\n")]
         assert [r["n"] for r in rows[:-1]] == [2, 4]
         assert rows[-1] == {"all_in_cg": True}
+
+    @pytest.mark.parametrize(
+        "name, operand",
+        [(f.name, key) for f in FAMILIES.values() if f.closed_form for key in (f.name, f.alias)],
+    )
+    def test_every_closed_form_family_is_a_join_operand(self, capsys, name, operand):
+        code, out, _ = run(
+            capsys, "certify", "--join", f"{operand}:n,{operand}:n+1", "--range", "1..4"
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().split("\n")][:-1]
+        assert [r["n"] for r in rows] == [1, 2, 3, 4]
+        for row in rows:
+            a, b = FamilySpec(name, (row["n"],)), FamilySpec(name, (row["n"] + 1,))
+            cert = certify_cg(
+                poly_join(closed_form(a), family_order(a), closed_form(b), family_order(b))
+            )
+            assert row["gamma"] == cert.gamma
+            assert row["nonzero_real_root_count"] == cert.nonzero_real_root_count
+            assert row["in_cg"] == cert.in_cg
+            assert row["evidence"] == dict(cert.evidence)
 
     def test_join_requires_range(self, capsys):
         code, _, err = run(capsys, "certify", "--join", "H:n,H:n")
@@ -145,9 +187,23 @@ class TestRoots:
 
     def test_non_convergence_exit(self, capsys):
         code, _, err = run(
-            capsys, "roots", "--family", "complement_friendship:12", "--max-iter", "2"
+            capsys, "roots", "--family", "complement_friendship:11..12", "--max-iter", "2"
         )
         assert code == 3 and "solver" in err
+        # every failed instance is listed with its largest final correction
+        listed = re.findall(r"complement_friendship:(\d+) \(max correction ([0-9.e+-]+)\)", err)
+        assert [n for n, _ in listed] == ["11", "12"]
+        assert all(float(c) > 0 for _, c in listed)
+
+    def test_non_convergence_keeps_first_failure(self):
+        args = cli.build_parser().parse_args(
+            ["roots", "--family", "complement_friendship:11..12", "--max-iter", "2"]
+        )
+        with pytest.raises(NonConvergenceError) as info:
+            cli._root_entries(args)
+        first = info.value.__cause__
+        assert isinstance(first, NonConvergenceError)
+        assert len(first.roots) == 2 * 11 - 2 and first.max_correction > 0
 
 
 class TestPlot:
@@ -170,6 +226,16 @@ class TestPlot:
         out = tmp_path / "plain.svg"
         run(capsys, "plot", "--family", "complement_friendship:2..4", "--out", str(out))
         assert b"<ellipse" not in out.read_bytes()
+
+    def test_title_is_xml_escaped(self, capsys, tmp_path):
+        path = tmp_path / "a&b.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        out = tmp_path / "fig.svg"
+        code, _, _ = run(capsys, "plot", "--edge-list", str(path), "--out", str(out))
+        assert code == 0
+        root = ET.parse(out).getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b roots (n=3..3)" in titles
 
 
 class TestUsageErrors:

@@ -7,7 +7,8 @@ from dompoly.enumeration import (
     is_dominating,
 )
 from dompoly.errors import CapacityError
-from dompoly.graphs import FamilySpec, Graph, build_family, disjoint_union
+from dompoly.formulas import build_family
+from dompoly.graphs import FamilySpec, Graph, disjoint_union
 from dompoly.polynomials import Poly, binomial_power
 
 from conftest import random_graph

@@ -2,6 +2,8 @@ import pytest
 
 from dompoly.enumeration import domination_polynomial
 from dompoly.formulas import (
+    FAMILIES,
+    build_family,
     cg_family_factor,
     closed_form,
     order_of_H,
@@ -15,7 +17,7 @@ from dompoly.formulas import (
     poly_join,
     poly_union,
 )
-from dompoly.graphs import FamilySpec, build_family, corona, join
+from dompoly.graphs import FamilySpec, corona, join
 from dompoly.polynomials import Poly, binomial_power
 
 from conftest import random_graph
@@ -180,16 +182,10 @@ class TestCgFamilyFactor:
 
 
 class TestClosedFormDispatch:
-    def test_where_defined_matches_enumerator(self):
-        specs = [
-            FamilySpec("complete", (5,)),
-            FamilySpec("friendship", (2,)),
-            FamilySpec("complement_friendship", (2,)),
-            FamilySpec("cocktail_party", (3,)),
-            FamilySpec("book", (2,)),
-            FamilySpec("h_witness", (3,)),
-        ]
-        for spec in specs:
+    @pytest.mark.parametrize("name", [f.name for f in FAMILIES.values() if f.closed_form])
+    def test_where_defined_matches_enumerator(self, name):
+        for n in range(1, 5):
+            spec = FamilySpec(name, (n,))
             assert closed_form(spec) == D(build_family(spec))
 
     def test_undefined_families_return_none(self):

@@ -1,0 +1,152 @@
+"""Golden CLI outputs: every README command plus family, join and error cases.
+
+Each command runs in-process through ``cli.main`` inside a scratch directory
+holding ``graph.txt`` (a copy of ``fixtures/graph.txt``).  Its exit code and
+the sha256 of stdout, stderr and the ``--out`` file must match
+``fixtures/golden_cli.json``, so a refactor that changes any output byte
+fails here.  To re-record after an intended output change, run from the repo
+root:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from dompoly import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden_cli.json"
+
+_README = [
+    "compute --family friendship:2",
+    "compute --family cocktail_party:2 --oracle",
+    "compute --edge-list graph.txt",
+    "certify --family cocktail_party:1..50",
+    "certify --family friendship:1..15 --odd-only",
+    "certify --join H:n,H:n --range 3..20",
+    "sweep --family friendship:1..10",
+    "roots --family complement_friendship:1..30 --out roots.csv",
+    "plot --family complement_friendship:1..30 --circle --out fig.svg",
+]
+
+_EDGE_LIST = [
+    "certify --edge-list graph.txt",
+    "sweep --edge-list graph.txt",
+    "roots --edge-list graph.txt",
+    "plot --edge-list graph.txt --out fig.svg",
+]
+
+_FAMILIES = [
+    "compute --family complete:0..3",
+    "compute --family complete_bipartite:2,3",
+    "compute --family complete_bipartite:0,1..2",
+    "compute --family path:1..5",
+    "compute --family cycle:3..6",
+    "compute --family friendship:1..3",
+    "compute --family complement_friendship:1..3",
+    "compute --family cocktail_party:1..3",
+    "compute --family book:1..3",
+    "compute --family k_star:3,5..9",
+    "compute --family h_witness:1..5",
+    "compute --family h_witness:1..5 --oracle",
+    "compute --family book:1..3 --oracle",
+    "compute --family complement_friendship:1..3 --oracle",
+    "compute --family complete:1..4 --oracle",
+    "compute --family path:3 --oracle",
+]
+
+_JOINS = [
+    "certify --join K:n,CP:n+1 --range 1..6",
+    "certify --join CF:n,F:n --range 1..6",
+    "certify --join complete:n,cocktail_party:n --range 1..6",
+    "certify --join book:n,h_witness:n+1 --range 1..6",
+    "certify --join friendship:n,complement_friendship:n --range 1..6",
+    "certify --join H:n+1,B:n --range 3..12",
+    "certify --join K:2,B:n --range 1..5 --odd-only",
+    "sweep --join CP:n,H:n --range 1..6",
+]
+
+_ERRORS = [
+    "compute --family nonsense:3",
+    "compute --family cycle:2",
+    "compute --family friendship:0",
+    "compute --family h_witness:0",
+    "compute --family k_star:0,3",
+    "compute --family k_star:3,3",
+    "compute --family path:-1",
+    "compute --family friendship",
+    "certify --join Z:n,H:n --range 1..2",
+    "certify --join K:0,K:n --range 1..2",
+    "certify --join CF:n,H:n --range 0..2",
+    "certify --join H:n,B:x --range 1..2",
+    "certify --join H:n --range 1..2",
+    "certify --join path:n,H:n --range 1..2",
+]
+
+COMMANDS = _README + _EDGE_LIST + _FAMILIES + _JOINS + _ERRORS
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_command(command: str, workdir: Path) -> dict:
+    """Run one command line in workdir; exit code and output digests."""
+    shutil.copy(FIXTURES / "graph.txt", workdir / "graph.txt")
+    argv = command.split()
+    out_path = workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+    finally:
+        os.chdir(cwd)
+    return {
+        "exit": code,
+        "stdout": _sha(stdout.getvalue().encode()),
+        "stderr": _sha(stderr.getvalue().encode()),
+        "out": _sha(out_path.read_bytes()) if out_path else None,
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_every_command_is_recorded(golden):
+    assert sorted(golden) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_output_matches_golden(command, golden, tmp_path):
+    assert run_command(command, tmp_path) == golden[command]
+
+
+def _record() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        results = {}
+        for i, command in enumerate(COMMANDS):
+            workdir = Path(tmp) / str(i)
+            workdir.mkdir()
+            results[command] = run_command(command, workdir)
+    GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(results)} commands in {GOLDEN}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(__doc__)
+    _record()

@@ -1,16 +1,17 @@
+import itertools
+
 import pytest
 
 from dompoly.enumeration import domination_polynomial
 from dompoly.errors import CapacityError, EdgeListParseError
+from dompoly.formulas import FAMILIES, build_family, family_order
 from dompoly.graphs import (
     MAX_VERTICES,
     FamilySpec,
     Graph,
-    build_family,
     complement,
     corona,
     disjoint_union,
-    family_order,
     join,
     parse_edge_list,
     to_edge_list,
@@ -78,22 +79,21 @@ class TestFamilies:
     def test_book_1_is_c4(self):
         assert fingerprint(fam("book", 1)) == fingerprint(fam("cycle", 4))
 
-    def test_orders_match_family_order(self):
-        specs = [
-            FamilySpec("complete", (6,)),
-            FamilySpec("complete_bipartite", (2, 3)),
-            FamilySpec("path", (5,)),
-            FamilySpec("cycle", (7,)),
-            FamilySpec("friendship", (4,)),
-            FamilySpec("complement_friendship", (4,)),
-            FamilySpec("cocktail_party", (3,)),
-            FamilySpec("book", (3,)),
-            FamilySpec("k_star", (2, 6)),
-            FamilySpec("h_witness", (4,)),
-            FamilySpec("h_witness", (5,)),
-        ]
-        for spec in specs:
-            assert build_family(spec).n == family_order(spec)
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_orders_match_family_order(self, name):
+        # every instance the bounds accept with all parameters below 7
+        checked = 0
+        for params in itertools.product(range(7), repeat=FAMILIES[name].arity):
+            spec = FamilySpec(name, params)
+            try:
+                order = family_order(spec)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    build_family(spec)
+                continue
+            assert build_family(spec).n == order
+            checked += 1
+        assert checked >= 4
 
     def test_h_witness_orders(self):
         assert build_family(FamilySpec("h_witness", (1,))).n == 3

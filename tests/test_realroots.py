@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from dompoly.enumeration import domination_polynomial
-from dompoly.formulas import poly_cocktail, poly_friendship, poly_union
-from dompoly.graphs import FamilySpec, build_family
+from dompoly.formulas import build_family, poly_cocktail, poly_friendship, poly_union
+from dompoly.graphs import FamilySpec
 from dompoly.polynomials import Poly
 from dompoly.realroots import (
     certify_cg,
