@@ -236,7 +236,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _root_entries(args) -> list[tuple[str, int, RootSet]]:
-    if args.tol < TOL_MIN or args.tol > TOL_MAX:
+    if not TOL_MIN <= args.tol <= TOL_MAX:
         raise _UsageError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     entries, failed = [], []
     for label, n, p in _instances(args):

@@ -396,6 +396,8 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     into a failure.  Non-convergence raises, carrying the best iterate; it is
     never returned silently as converged.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol}")
     if tol < _MIN_TOL:
         raise ValueError(f"tolerance below {_MIN_TOL} is not achievable in doubles")
     if max_iter < 1:

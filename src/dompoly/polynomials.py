@@ -11,6 +11,7 @@ hundred, where exactness matters and asymptotics do not.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -156,17 +157,21 @@ class Poly:
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def taylor_shift(self, s: int) -> "Poly":
-        """The polynomial y -> self(y + s), by repeated synthetic division.
+        """The polynomial y -> self(y + s), exactly; the roots move by -s.
 
-        Exact for integer s; the roots move by -s.
+        self(y + s) = g(y/s + 1) with g(t) = self(s*t), and the shift by 1 is
+        repeated synthetic division, which needs additions only: each pass is
+        a running sum that itertools.accumulate does without a Python-level
+        loop.  The final division by s**i is exact.
         """
         s = operator.index(s)
-        a = list(self.coeffs)
-        if s:
-            for i in range(len(a) - 1):
-                for j in range(len(a) - 2, i - 1, -1):
-                    a[j] += s * a[j + 1]
-        return Poly(a)
+        if not s or len(self.coeffs) < 2:
+            return self
+        powers = list(itertools.accumulate([1] + [s] * self.degree, operator.mul))
+        b = [c * w for c, w in zip(self.coeffs, powers)][::-1]
+        for m in range(len(b), 1, -1):
+            b[:m] = itertools.accumulate(b[:m])
+        return Poly(c // w for c, w in zip(reversed(b), powers))
 
     # -- evaluation ----------------------------------------------------------
 

@@ -1,27 +1,40 @@
-"""Exact real-root counting and certification via Sturm chains.
+"""Exact real-root counting and certification.
 
-Everything runs over arbitrary-precision integers: remainders are computed as
-pseudo-remainders with a positive multiplier (|lc|^(delta+1)) and reduced to
-their primitive part at each step, which keeps coefficient growth manageable
-up to degrees of a few hundred while preserving the sign sequence exactly.
-Signs at the infinities come from leading coefficients, so no sample points
-are ever needed.
+`certify_cg` counts the distinct negative roots of a domination polynomial
+by Descartes-rule bisection (Vincent-Collins-Akritas; Collins and Akritas
+1976, Rouillier and Zimmermann 2004).  The deflated polynomial is first
+reduced to its squarefree part s -- itself, when a gcd modulo a word-size
+prime proves it squarefree -- and the roots of s(-x) are scaled into (0, 1)
+by a power of two.  Each interval is tested by the sign variations of
+(x+1)**d p(1/(x+1)) and split with 2**d p(x/2) and its Taylor shift by 1, so
+every number stays an integer.  Each root found comes with an isolating
+interval, or the exact root itself, which the certificate reports as a
+witness that one exact evaluation checks.
+
+`sturm_sequence` and `count_real_roots` count roots on arbitrary intervals
+with Sturm chains: pseudo-remainders with a positive multiplier
+(|lc|^(delta+1)), reduced to their primitive part at each step, which keeps
+the sign sequence exact.  The certifier uses a chain only as the gcd of its
+squarefree fallback, so `count_real_roots` serves as its independent oracle
+in the tests.  Signs at the infinities come from leading coefficients; signs
+at rationals num/den from den**d p(num/den), evaluated over the integers.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from .polynomials import Poly
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
-
-_EVIDENCE_POINTS = ("minus_inf", "minus_one", "zero", "plus_inf")
 
 
 def _content(p: Poly) -> int:
@@ -112,14 +125,21 @@ def sturm_sequence(p: Poly) -> list[Poly]:
 
 
 def _sign_at(p: Poly, x) -> int:
+    """Sign of p at x, exactly: +-inf, or a rational x = num/den evaluated as
+    den**deg(p) * p(num/den) by Horner over the integers (den > 0)."""
     if isinstance(x, float) and math.isinf(x):
         lc = p.coeffs[-1]
         s = 1 if lc > 0 else -1
         if x < 0 and p.degree % 2:
             s = -s
         return s
-    v = p.eval_exact(x)
-    return (v > 0) - (v < 0)
+    x = Fraction(x)
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * num + c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
 def _variations(chain: list[Poly], x) -> int:
@@ -163,9 +183,148 @@ def count_real_roots(p: Poly, left=NEG_INF, right=POS_INF) -> int:
     chain = _counting_chain(p)
     # V(a) - V(b) counts roots in (a, b]; V is right-continuous at chain zeros.
     count = _variations(chain, lo) - _variations(chain, hi)
-    if isinstance(hi, Fraction) and chain[0].eval_exact(hi) == 0:
+    if isinstance(hi, Fraction) and _sign_at(chain[0], hi) == 0:
         count -= 1
     return count
+
+
+# -- certification by Descartes-rule bisection ---------------------------------
+
+#: A word-size prime for the squarefree test; products of two residues fit int64.
+_PRIME = (1 << 31) - 1
+
+
+def _trim(r: np.ndarray) -> np.ndarray:
+    """r without trailing zeros (np.trim_zeros costs more at these sizes)."""
+    n = r.size
+    while n and not r[n - 1]:
+        n -= 1
+    return r[:n]
+
+
+def _rem_mod_prime(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Remainder of a modulo b over GF(_PRIME); b[-1] is nonzero."""
+    r = a.copy()
+    db = b.size - 1
+    inv = pow(int(b[-1]), -1, _PRIME)
+    for top in range(r.size - 1, db - 1, -1):
+        c = int(r[top]) * inv % _PRIME
+        if c:
+            r[top - db : top + 1] = (r[top - db : top + 1] - c * b) % _PRIME
+    return _trim(r[:db])
+
+
+def _squarefree_mod_prime(p: Poly) -> bool:
+    """True when p mod _PRIME has no repeated factor, so that p has none.
+
+    A repeated factor f**2 of p over the integers has lc(f) | lc(p) (Gauss's
+    lemma).  When the prime does not divide lc(p), f keeps its degree mod the
+    prime and divides both p and p' there, so gcd(p, p') mod the prime is
+    not constant.  False means only that this test cannot tell.
+    """
+    if p.coeffs[-1] % _PRIME == 0:
+        return False
+    a = np.array([c % _PRIME for c in p.coeffs], dtype=np.int64)
+    b = _trim(np.array([i * c % _PRIME for i, c in enumerate(p.coeffs)][1:], dtype=np.int64))
+    while b.size:
+        a, b = b, _rem_mod_prime(a, b)
+    return a.size == 1
+
+
+def _squarefree_part(p: Poly) -> tuple[Poly, bool]:
+    """(s, fallback): s has the distinct roots of p, each once.
+
+    s is p itself when the modular test proves p squarefree; otherwise
+    (fallback True) it is p divided by gcd(p, p'), the last element of the
+    Sturm chain (a unit when p is squarefree after all).
+    """
+    if _squarefree_mod_prime(p):
+        return p, False
+    chain = sturm_sequence(p)
+    return _exact_div(chain[0], chain[-1]), True
+
+
+def _sign_variations(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(map(operator.ne, signs, signs[1:]))
+
+
+def _descartes_test(p: Poly) -> int:
+    """Sign variations of (x+1)**d p(1/(x+1)).
+
+    It bounds the number of roots of p in the open interval (0, 1), with the
+    same parity, and is exact when it reads 0 or 1.
+    """
+    return _sign_variations(Poly(reversed(p.coeffs)).taylor_shift(1).coeffs)
+
+
+def _unit_interval_roots(p: Poly) -> tuple[list, list, int, int]:
+    """Isolate the roots of squarefree p in (0, 1) by Descartes bisection.
+
+    A node (c, k) is the interval (c/2**k, (c+1)/2**k) with its polynomial
+    mapped onto (0, 1).  Returns the isolating nodes, the exact roots as
+    (c, k) for c/2**k, the node count and the depth.  A root on a split
+    point shows as a zero constant term of the right half; it is divided out
+    and marks the adjacent halves, which are split on until their interval
+    is free of it, so no isolating interval ends at a root.
+    """
+    isolated, exact = [], []
+    nodes = depth = 0
+    stack = [(0, 0, p, False, False)]
+    while stack:
+        c, k, f, left_root, right_root = stack.pop()
+        nodes += 1
+        depth = max(depth, k)
+        v = _descartes_test(f)
+        if v == 0:
+            continue
+        if v == 1 and not (left_root or right_root):
+            isolated.append((c, k))
+            continue
+        d = f.degree
+        left = _primitive(Poly(a << (d - i) for i, a in enumerate(f.coeffs)))
+        right = left.taylor_shift(1)
+        mid_root = right.coeffs[0] == 0
+        if mid_root:
+            exact.append((2 * c + 1, k + 1))
+            right = Poly(right.coeffs[1:])
+        stack.append((2 * c + 1, k + 1, right, mid_root, right_root))
+        stack.append((2 * c, k + 1, left, left_root, mid_root))
+    return isolated, exact, nodes, depth
+
+
+def _scaled_below_one(r: Poly) -> tuple[int, Poly]:
+    """(e, r(2**e x) made primitive) for the least e >= 0 that puts every
+    positive root of r below 1.
+
+    r has no root at or beyond 2**e when r(2**e (x + 1)) has a nonzero
+    constant term and no sign variation.  That holds as soon as 2**e exceeds
+    the real part of every root of r, so the loop ends; for domination
+    polynomials, whose roots crowd around -1, it ends after a few tries
+    with a far tighter bound than Fujiwara's.
+    """
+    e = 0
+    while True:
+        unit = _primitive(Poly(a << (e * i) for i, a in enumerate(r.coeffs)))
+        beyond = unit.taylor_shift(1).coeffs
+        if beyond[0] and _sign_variations(beyond) == 0:
+            return e, unit
+        e += 1
+
+
+def _negative_root_witnesses(s: Poly) -> tuple[list[tuple[Fraction, Fraction]], dict]:
+    """One pair (a, b), a <= b <= 0, per distinct negative root of squarefree s.
+
+    a < b isolates one root with s(a) * s(b) < 0; a == b is a root.  The
+    roots of s(-x) are scaled into (0, 1) by a power of two, so the
+    endpoints are dyadic rationals.
+    """
+    e, unit = _scaled_below_one(Poly(-a if i % 2 else a for i, a in enumerate(s.coeffs)))
+    isolated, exact, nodes, depth = _unit_interval_roots(unit)
+    scale = Fraction(1 << e)
+    pairs = [(-scale * Fraction(c + 1, 1 << k), -scale * Fraction(c, 1 << k)) for c, k in isolated]
+    pairs += [(-scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
+    return sorted(pairs), {"nodes": nodes, "max_depth": depth, "bound_exponent": e}
 
 
 @dataclass(frozen=True)
@@ -174,14 +333,20 @@ class CgCertificate:
 
     gamma is the multiplicity of the zero root (the domination number);
     in_cg is True when every nonzero root is complex, i.e. the graph lies in
-    the class of graphs with no nonzero real domination roots.  evidence holds
-    the Sturm sign-variation counts behind the verdict.
+    the class of graphs with no nonzero real domination roots.  evidence is
+    {"witnesses": [[a, b], ...]}, rational endpoints as decimal strings, one
+    pair per distinct nonzero real root (see certify_cg); it is empty when
+    in_cg is True.  stats counts the work and is left out of to_json:
+    "nodes" (intervals tested), "max_depth" (bisection levels),
+    "bound_exponent" (e of the root bound 2**e) and "squarefree_fallback"
+    (whether the exact gcd ran).
     """
 
     gamma: int
     nonzero_real_root_count: int
     in_cg: bool
-    evidence: Mapping[str, int]
+    evidence: Mapping[str, list]
+    stats: Mapping[str, int | bool]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -198,9 +363,12 @@ def certify_cg(p: Poly) -> CgCertificate:
     """Certify (exactly) whether p has any nonzero real root.
 
     p must look like a domination polynomial: integer coefficients, none
-    negative.  The zero root is deflated first; the count is of distinct
-    nonzero real roots.  Nonnegative coefficients rule out positive roots,
-    which is re-verified from the chain as a sanity check.
+    negative, so it has no positive root.  The zero root is deflated first;
+    the count is of distinct negative roots, found by Descartes-rule
+    bisection on the squarefree part s of the deflated polynomial.  Each
+    root comes with a witness [a, b], a < b <= 0 with s(a) * s(b) < 0, or
+    a == b with s(a) == 0, checked here by exact evaluation before return.
+    s is the deflated polynomial itself unless that has a repeated factor.
     """
     if p.is_zero:
         raise ValueError("zero polynomial is not a domination polynomial")
@@ -209,21 +377,17 @@ def certify_cg(p: Poly) -> CgCertificate:
     gamma = p.zero_root_multiplicity()
     q = p.deflate_zero()
     if q.degree <= 0:
-        evidence = {k: 0 for k in _EVIDENCE_POINTS}
-        return CgCertificate(gamma, 0, True, evidence)
-    chain = _counting_chain(q)
-    evidence = {
-        "minus_inf": _variations(chain, NEG_INF),
-        "minus_one": _variations(chain, Fraction(-1)),
-        "zero": _variations(chain, Fraction(0)),
-        "plus_inf": _variations(chain, POS_INF),
-    }
-    count = evidence["minus_inf"] - evidence["plus_inf"]
-    if evidence["zero"] - evidence["plus_inf"] != 0:
-        raise AssertionError(
-            "positive real root reported for a polynomial with nonnegative coefficients"
-        )
-    return CgCertificate(gamma, count, count == 0, evidence)
+        stats = {"nodes": 0, "max_depth": 0, "bound_exponent": 0, "squarefree_fallback": False}
+        return CgCertificate(gamma, 0, True, {"witnesses": []}, stats)
+    s, fallback = _squarefree_part(q)
+    pairs, stats = _negative_root_witnesses(s)
+    for a, b in pairs:
+        sa, sb = _sign_at(s, a), _sign_at(s, b)
+        if not (b <= 0 and (sa * sb < 0 if a < b else a == b and sa == 0)):
+            raise AssertionError(f"certifier witness [{a}, {b}] fails its exact check")
+    evidence = {"witnesses": [[str(a), str(b)] for a, b in pairs]}
+    stats["squarefree_fallback"] = fallback
+    return CgCertificate(gamma, len(pairs), not pairs, evidence, stats)
 
 
 def check_oddness(p: Poly) -> bool:

@@ -5,7 +5,8 @@ lines.  Criteria 6 and 7 cover the full stated ranges.  Every instance is
 certified with `certify_cg`; the instances that exact arithmetic refutes (the
 seven mixed-parity H/B joins and the S_{3,2} iterated coronas) are asserted
 refuted, each with rational endpoints a < b < 0 at which the polynomial, or
-the factor it is a power of, changes sign.  Those refutations are printed as
+the factor it is a power of, changes sign, and each witness interval the
+certifier reports is checked the same way.  Those refutations are printed as
 findings, and the smallest refuted instance of each criterion is
 brute-forced from its graph (see README, "Install and test").
 """
@@ -169,23 +170,38 @@ def check_verdicts(num, cases):
     Otherwise it is (w, a, b): certify_cg must refute p, and w -- p itself or
     a polynomial that p is a power of -- must change sign on the rational
     interval (a, b) with a < b < 0, an exact witness of a nonzero real root
-    that shares no code with the Sturm certifier.  Each refutation is printed
-    as a finding.
+    that shares no code with the certifier.  Every witness pair [a, b] the
+    certifier reports must hold as well, checked on w without its zero root:
+    a sign change when a < b <= 0, a root when a == b.  Each refutation and
+    each certifier witness is printed as a finding.
     """
     failures = []
     for label, p, refutation in cases:
-        in_cg = certify_cg(p).in_cg
+        cert = certify_cg(p)
         if refutation is None:
-            if not in_cg:
+            if not cert.in_cg:
                 failures.append(label)
             continue
         w, a, b = refutation
-        if in_cg:
+        if cert.in_cg:
             failures.append(f"{label}: certified in_cg despite a refutation witness")
         elif not (a < b < 0 and w.eval_exact(a) * w.eval_exact(b) < 0):
             failures.append(f"{label}: no sign change on ({a}, {b})")
         else:
             print(f"[criterion {num:2d}] finding: {label} has a real root in ({a}, {b})")
+        witnesses = cert.evidence["witnesses"]
+        count = cert.nonzero_real_root_count
+        if len(witnesses) != count:
+            failures.append(f"{label}: {len(witnesses)} certifier witnesses for {count} roots")
+        q = w.deflate_zero()
+        for lo, hi in witnesses:
+            lo, hi = Fraction(lo), Fraction(hi)
+            if lo < hi <= 0 and q.eval_exact(lo) * q.eval_exact(hi) < 0:
+                print(f"[criterion {num:2d}] finding: {label}: certifier witness ({lo}, {hi})")
+            elif lo == hi <= 0 and q.eval_exact(lo) == 0:
+                print(f"[criterion {num:2d}] finding: {label}: certifier witness root {lo}")
+            else:
+                failures.append(f"{label}: certifier witness [{lo}, {hi}] fails its check")
     return failures
 
 

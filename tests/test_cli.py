@@ -130,7 +130,8 @@ class TestCertify:
             assert row["gamma"] == cert.gamma
             assert row["nonzero_real_root_count"] == cert.nonzero_real_root_count
             assert row["in_cg"] == cert.in_cg
-            assert row["evidence"] == dict(cert.evidence)
+            assert row["evidence"] == {"witnesses": cert.evidence["witnesses"]}
+            assert len(row["evidence"]["witnesses"]) == cert.nonzero_real_root_count
 
     def test_join_requires_range(self, capsys):
         code, _, err = run(capsys, "certify", "--join", "H:n,H:n")
@@ -184,6 +185,11 @@ class TestRoots:
         assert code == 1 and "tol" in err
         code, _, err = run(capsys, "roots", "--family", "complete:3", "--tol", "1e-3")
         assert code == 1 and "tol" in err
+
+    @pytest.mark.parametrize("command", ["roots", "plot"])
+    def test_nan_tolerance_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", "friendship:3", "--tol", "nan")
+        assert code == 1 and "--tol" in err and out == ""
 
     def test_non_convergence_exit(self, capsys):
         code, _, err = run(

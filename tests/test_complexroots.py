@@ -78,6 +78,13 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(Poly([1, 1]), max_iter=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # every comparison with NaN is false, so it would pass the bounds
+        # and the residual gate alike
+        with pytest.raises(ValueError, match="finite"):
+            find_roots(poly_friendship(3), tol=tol)
+
     def test_non_convergence_carries_best_iterate(self):
         with pytest.raises(NonConvergenceError) as exc:
             find_roots(poly_complement_friendship(12), max_iter=2)

@@ -1,8 +1,10 @@
 """Golden CLI outputs: every README command plus family, join and error cases.
 
-Each command runs in-process through ``cli.main`` inside a scratch directory
-holding ``graph.txt`` (a copy of ``fixtures/graph.txt``).  Its exit code and
-the sha256 of stdout, stderr and the ``--out`` file must match
+The README commands are read from the code blocks of README.md, so a command
+added or changed there fails until it is recorded.  Each command runs
+in-process through ``cli.main`` inside a temporary directory holding
+``graph.txt`` (a copy of ``fixtures/graph.txt``).  Its exit code and the
+sha256 of stdout, stderr and the ``--out`` file must match
 ``fixtures/golden_cli.json``, so a refactor that changes any output byte
 fails here.  To re-record after an intended output change, run from the repo
 root:
@@ -27,17 +29,22 @@ from dompoly import cli
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden_cli.json"
 
-_README = [
-    "compute --family friendship:2",
-    "compute --family cocktail_party:2 --oracle",
-    "compute --edge-list graph.txt",
-    "certify --family cocktail_party:1..50",
-    "certify --family friendship:1..15 --odd-only",
-    "certify --join H:n,H:n --range 3..20",
-    "sweep --family friendship:1..10",
-    "roots --family complement_friendship:1..30 --out roots.csv",
-    "plot --family complement_friendship:1..30 --circle --out fig.svg",
-]
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """The `dompoly ...` lines of README's code blocks, without the program
+    name and the trailing comment, so the golden set follows the README."""
+    commands, fenced = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("dompoly "):
+            commands.append(" ".join(line.partition("#")[0].split()[1:]))
+    return commands
+
+
+_README = _readme_commands()
 
 _EDGE_LIST = [
     "certify --edge-list graph.txt",
@@ -73,6 +80,8 @@ _JOINS = [
     "certify --join friendship:n,complement_friendship:n --range 1..6",
     "certify --join H:n+1,B:n --range 3..12",
     "certify --join K:2,B:n --range 1..5 --odd-only",
+    "certify --join F:n,F:n+1 --range 1..4",
+    "certify --join K:n,K:n --range 1..4",
     "sweep --join CP:n,H:n --range 1..6",
 ]
 

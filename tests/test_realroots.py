@@ -4,9 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dompoly.enumeration import domination_polynomial
-from dompoly.formulas import build_family, poly_cocktail, poly_friendship, poly_union
+from dompoly.formulas import (
+    FAMILIES,
+    build_family,
+    closed_form,
+    family_order,
+    order_of_H,
+    poly_book,
+    poly_cocktail,
+    poly_friendship,
+    poly_H,
+    poly_join,
+    poly_union,
+)
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import Poly
 from dompoly.realroots import (
@@ -130,12 +144,47 @@ class TestCertifyCg:
 
     def test_evidence_fields_and_json(self):
         cert = certify_cg(poly_cocktail(3))
-        assert set(cert.evidence) == {"minus_inf", "minus_one", "zero", "plus_inf"}
+        assert cert.evidence == {"witnesses": []}
         obj = json.loads(cert.to_json())
-        assert obj["gamma"] == 2
-        assert obj["in_cg"] is True
-        assert obj["nonzero_real_root_count"] == 0
-        assert set(obj["evidence"]) == {"minus_inf", "minus_one", "zero", "plus_inf"}
+        assert obj == {
+            "gamma": 2,
+            "nonzero_real_root_count": 0,
+            "in_cg": True,
+            "evidence": {"witnesses": []},
+        }
+
+    def test_witnesses_isolate_the_negative_roots(self):
+        # P_3: x(x^2 + 3x + 1), roots (-3 +- sqrt5)/2
+        cert = certify_cg(Poly([0, 1, 3, 1]))
+        witnesses = json.loads(cert.to_json())["evidence"]["witnesses"]
+        assert witnesses == cert.evidence["witnesses"]
+        assert len(witnesses) == 2
+        q = Poly([1, 3, 1])
+        for a, b in witnesses:
+            a, b = Fraction(a), Fraction(b)
+            assert a < b <= 0 and q.eval_exact(a) * q.eval_exact(b) < 0
+
+    def test_exact_root_witness_and_neighbours(self):
+        # F_2 + F_3 has the root -2 exactly, and another root just above it
+        p = poly_join(poly_friendship(2), 5, poly_friendship(3), 7)
+        cert = certify_cg(p)
+        q = p.deflate_zero()
+        assert cert.evidence["witnesses"][0] == ["-2", "-2"]
+        assert q.eval_exact(-2) == 0
+        for a, b in cert.evidence["witnesses"][1:]:
+            a, b = Fraction(a), Fraction(b)
+            assert q.eval_exact(a) * q.eval_exact(b) < 0  # neither endpoint is a root
+
+    def test_stats(self):
+        cert = certify_cg(poly_friendship(4))
+        assert cert.stats["nodes"] >= 1 and cert.stats["max_depth"] >= 0
+        assert cert.stats["squarefree_fallback"] is False
+        assert "stats" not in json.loads(cert.to_json())
+        # a square takes the exact squarefree path and keeps the verdict
+        squared = certify_cg(poly_friendship(4) ** 2)
+        assert squared.stats["squarefree_fallback"] is True
+        assert squared.nonzero_real_root_count == cert.nonzero_real_root_count
+        assert certify_cg(Poly([0, 0, 1])).stats["nodes"] == 0
 
     def test_product_rule(self, rng):
         for _ in range(10):
@@ -181,3 +230,76 @@ class TestSturmScale:
             p = domination_polynomial(build_family(spec))
             cert = certify_cg(p)
             assert cert.gamma == p.zero_root_multiplicity()
+
+
+def _negative_root_count(p: Poly) -> int:
+    """The Sturm count the certifier must reproduce."""
+    return count_real_roots(p.deflate_zero(), -INF, 0)
+
+
+#: Nonnegative factors of degree 1..5; nonnegative products stay nonnegative.
+_factors = st.lists(st.integers(0, 12), min_size=2, max_size=6).filter(
+    lambda cs: cs[-1] > 0 and any(cs[:-1])
+)
+
+
+class TestDescartesAgainstSturm:
+    """The Descartes certifier counts what the Sturm chain counts."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        factors=st.lists(_factors, min_size=1, max_size=5),
+        squared=st.lists(_factors, max_size=1),
+        exact=st.tuples(st.booleans(), st.booleans()),
+        gamma=st.integers(0, 3),
+    )
+    def test_random_nonnegative_polynomials(self, factors, squared, exact, gamma):
+        # (x + 2) and (2x + 1) put exact roots on bisection points; squared
+        # factors take the exact squarefree fallback
+        p = X**gamma * Poly([2, 1]) ** exact[0] * Poly([1, 2]) ** exact[1]
+        for cs in factors:
+            p = p * Poly(cs)
+        for cs in squared:
+            p = p * Poly(cs) ** 2
+        if p.degree > 40:
+            return
+        cert = certify_cg(p)
+        q = p.deflate_zero()
+        assert cert.gamma == p.zero_root_multiplicity()
+        assert cert.nonzero_real_root_count == _negative_root_count(p)
+        witnesses = [(Fraction(a), Fraction(b)) for a, b in cert.evidence["witnesses"]]
+        assert witnesses == sorted(witnesses)
+        for a, b in witnesses:
+            if a == b:
+                assert q.eval_exact(a) == 0
+            else:
+                assert a < b <= 0 and count_real_roots(q, a, b) == 1
+
+    @pytest.mark.parametrize("operand", ["F", "K"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_root_at_minus_two(self, operand, n):
+        family = {"F": "friendship", "K": "complete"}[operand]
+        a, b = (FamilySpec(family, (m,)) for m in ((n, n + 1) if operand == "F" else (n, n)))
+        p = poly_join(closed_form(a), family_order(a), closed_form(b), family_order(b))
+        assert p.eval_exact(-2) == 0
+        assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p)
+
+    @pytest.mark.parametrize("name", [f.name for f in FAMILIES.values() if f.closed_form])
+    def test_closed_form_families(self, name):
+        for n in range(1, 21):
+            p = closed_form(FamilySpec(name, (n,)))
+            assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p), n
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            lambda n: (poly_H(n + 1), order_of_H(n + 1), poly_book(n), 2 * n + 2),
+            lambda n: (poly_H(n), order_of_H(n), poly_H(n), order_of_H(n)),
+            lambda n: (poly_book(n), 2 * n + 2, poly_book(n), 2 * n + 2),
+        ],
+        ids=["H:n+1,B:n", "H:n,H:n", "B:n,B:n"],
+    )
+    def test_benchmark_join_patterns(self, pattern):
+        for n in range(3, 33):
+            p = poly_join(*pattern(n))
+            assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p), n
