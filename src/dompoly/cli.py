@@ -14,6 +14,7 @@ non-convergence, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -325,6 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: building it costs far more
+    than one parse, and parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _validate_source(args) -> None:
     sources = [bool(args.family), bool(args.edge_list), bool(getattr(args, "join", None))]
     if sum(sources) != 1:
@@ -332,8 +340,7 @@ def _validate_source(args) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate_source(args)
         return args.func(args)

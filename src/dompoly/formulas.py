@@ -36,6 +36,8 @@ def poly_join(dg: Poly, n: int, dh: Poly, m: int) -> Poly:
     """Domination polynomial of the join from the operands' polynomials.
 
     ((1+x)**n - 1) * ((1+x)**m - 1) + dg + dh, for operands of order n and m.
+    The product is expanded as (1+x)**(n+m) - (1+x)**n - (1+x)**m + 1, so no
+    two polynomials are multiplied.
     """
     n, m = operator.index(n), operator.index(m)
     if n < 1 or m < 1:
@@ -44,7 +46,7 @@ def poly_join(dg: Poly, n: int, dh: Poly, m: int) -> Poly:
         raise ValueError(
             f"operand degrees ({dg.degree}, {dh.degree}) must equal orders ({n}, {m})"
         )
-    return (binomial_power(n) - 1) * (binomial_power(m) - 1) + dg + dh
+    return binomial_power(n + m) - binomial_power(n) - binomial_power(m) + 1 + dg + dh
 
 
 def poly_corona(n: int, dh: Poly, m: int) -> Poly:

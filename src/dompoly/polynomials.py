@@ -7,13 +7,25 @@ to share between threads; every operation returns a new ``Poly``.
 
 Multiplication is schoolbook: the degrees in play here are at most a few
 hundred, where exactness matters and asymptotics do not.
+
+Powers are not computed by multiplying.  Every closed form is a power of a
+small polynomial, and ``p**k`` is built coefficient by coefficient by J.C.P.
+Miller's recurrence (Knuth, TAOCP Vol. 2, §4.7).  Write p = x^s·r with
+r_0 != 0 and m = deg r, and let a = r^k.  Then r·a' = k·r'·a, since
+a' = k·r^(k-1)·r'.  Comparing the coefficients of x^(j-1) gives a_0 = r_0^k and
+
+    j·r_0·a_j = Σ_{i=1..min(j,m)} ((k+1)·i - j)·r_i·a_(j-i),   j = 1..m·k.
+
+The right-hand side is j·r_0 times the integer a_j, so the division is exact;
+``__pow__`` checks that it is.  Each coefficient costs m products of a
+coefficient of r by one of a, O(m·deg) in all, where repeated squaring makes
+O(deg²) products of two large coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from typing import Iterable
 
@@ -141,17 +153,31 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Poly":
+        """self**k by Miller's recurrence (see the module docstring).
+
+        Each a_j comes from the m coefficients before it, and each division
+        by j·r_0 is checked to be exact.
+        """
         k = operator.index(k)
         if k < 0:
             raise ValueError("polynomial power must be nonnegative")
-        result = Poly.ONE
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        if k == 0:
+            return Poly.ONE
+        if not self.coeffs:
+            return Poly.ZERO
+        s = self.zero_root_multiplicity()
+        r = self.coeffs[s:]
+        r0, m = r[0], len(r) - 1
+        a = [r0**k]
+        for j in range(1, m * k + 1):
+            acc = 0
+            for i in range(1, min(j, m) + 1):
+                acc += ((k + 1) * i - j) * r[i] * a[j - i]
+            q, rem = divmod(acc, j * r0)
+            if rem:
+                raise ArithmeticError(f"inexact division in Miller's recurrence at x^{j}")
+            a.append(q)
+        return Poly([0] * (s * k) + a)
 
     def derivative(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
@@ -232,8 +258,15 @@ Poly.X = Poly((0, 1))
 
 
 def binomial_power(n: int) -> Poly:
-    """(1 + x)**n with exact binomial coefficients."""
+    """(1 + x)**n with exact binomial coefficients.
+
+    C(n, k+1) = C(n, k)·(n-k)/(k+1), exactly, up to the middle of the row,
+    and the rest is the mirror image.
+    """
     n = operator.index(n)
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    return Poly(math.comb(n, k) for k in range(n + 1))
+    row = [1]
+    for k in range(n // 2):
+        row.append(row[-1] * (n - k) // (k + 1))
+    return Poly(row + row[: (n + 1) // 2][::-1])

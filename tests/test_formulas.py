@@ -131,6 +131,60 @@ class TestNamedFamilies:
             fn(0)
 
 
+#: The closed forms written out in plain int arithmetic, sharing no code with Poly.
+_UNEXPANDED = {
+    poly_H: lambda t, n: (t**3 + 3 * t**2 + t) ** (n % 2)
+    * (t**4 + 4 * t**3 + 6 * t**2 + 2 * t) ** (n // 2),
+    poly_friendship: lambda t, n: (t * t + 2 * t) ** n + t * (1 + t) ** (2 * n),
+    poly_book: lambda t, n: (t * t + 2 * t) ** n * (2 * t + 1)
+    + t * t * (t + 1) ** (2 * n)
+    - 2 * t**n,
+    poly_complement_friendship: lambda t, n: t * ((1 + t) ** (2 * n) - (1 + 2 * n * t)),
+    poly_cocktail: lambda t, n: (1 + t) ** (2 * n) - (1 + 2 * n * t),
+}
+
+
+class TestLargeClosedForms:
+    @pytest.mark.parametrize("fn", list(_UNEXPANDED), ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("n", [100, 129, 256, 386])
+    def test_matches_unexpanded_formula(self, fn, n):
+        p = fn(n)
+        for t in (1, 2, -3, 7):
+            assert p.eval_exact(t) == _UNEXPANDED[fn](t, n)
+
+
+class TestNoProductsInPowers:
+    """Powers and joins make a fixed handful of Poly products, whatever n:
+    a return to repeated squaring (about 2·log2(n) products) fails here."""
+
+    @pytest.fixture
+    def mul_calls(self, monkeypatch):
+        calls = []
+        mul = Poly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counted)
+        monkeypatch.setattr(Poly, "__rmul__", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: poly_H(300),
+            lambda: poly_friendship(300),
+            lambda: poly_book(300),
+            lambda: poly_join(poly_H(33), order_of_H(33), poly_book(32), 2 * 32 + 2),
+        ],
+        ids=["H300", "friendship300", "book300", "join_H33_B32"],
+    )
+    def test_product_count_is_small(self, mul_calls, build):
+        build()
+        assert len(mul_calls) <= 6
+
+
 class TestUnion:
     def test_cocktail_plus_isolated(self):
         c4 = D(fam("cycle", 4))

@@ -144,6 +144,25 @@ def test_output_matches_golden(command, golden, tmp_path):
     assert run_command(command, tmp_path) == golden[command]
 
 
+def test_parser_is_built_once_and_reused(golden, tmp_path, capsys):
+    """main keeps one parser for the process; a run after an argparse error
+    still gives the golden bytes, and build_parser still returns a new one."""
+    cli._parser.cache_clear()
+    assert cli.build_parser() is not cli.build_parser()
+    first = "compute --family friendship:1..3"
+    assert run_command(first, tmp_path) == golden[first]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--family", "friendship:2", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    for command in (
+        "certify --join H:n+1,B:n --range 3..12",
+        "roots --family complement_friendship:1..30 --out roots.csv",
+    ):
+        assert run_command(command, tmp_path) == golden[command]
+    assert cli._parser.cache_info().misses == 1
+
+
 def _record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         results = {}

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dompoly.polynomials import Poly, binomial_power
 
@@ -49,7 +51,7 @@ def pascal_row(n):
     return row
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 40, 100])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 100, 101, 401])
 def test_binomial_power_against_pascal_recurrence(n):
     assert list(binomial_power(n).coeffs) == pascal_row(n)
 
@@ -128,6 +130,27 @@ def test_pow_matches_repeated_multiplication():
         for k in range(7):
             assert p**k == acc
             acc = acc * p
+
+
+@st.composite
+def power_bases(draw):
+    """x^s·(r_0 + r_1 x + ...): zero roots, either sign of r_0, zero and
+    negative interior coefficients, monomials, and the zero polynomial."""
+    if draw(st.integers(0, 9)) == 0:
+        return Poly.ZERO
+    s = draw(st.integers(0, 3))
+    r0 = draw(st.integers(-9, 9).filter(bool))
+    rest = draw(st.lists(st.integers(-5, 5), max_size=5))
+    return Poly([0] * s + [r0] + rest)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(p=power_bases(), k=st.integers(0, 40))
+def test_pow_property_against_repeated_multiplication(p, k):
+    acc = Poly.ONE
+    for _ in range(k):
+        acc = acc * p
+    assert p**k == acc
 
 
 def test_derivative():
