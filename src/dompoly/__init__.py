@@ -10,11 +10,9 @@ numerically for plotting and limit-curve analysis.
 
 from .complexroots import (
     CircleDeviation,
-    PowerForm,
     RootSet,
     boundary_real_part_roots,
     circle_deviation,
-    complement_friendship_power_form,
     distinct_real_roots,
     find_roots,
     has_positive_real_part,
@@ -36,8 +34,6 @@ from .formulas import (
     build_family,
     cg_family_factor,
     closed_form,
-    family_order,
-    order_of_H,
     poly_H,
     poly_book,
     poly_cocktail,
@@ -81,7 +77,6 @@ __all__ = [
     "NonConvergenceError",
     "OracleMismatchError",
     "Poly",
-    "PowerForm",
     "RootSet",
     "SUBSET_CAP",
     "binomial_power",
@@ -93,19 +88,16 @@ __all__ = [
     "circle_deviation",
     "closed_form",
     "complement",
-    "complement_friendship_power_form",
     "corona",
     "count_real_roots",
     "disjoint_union",
     "distinct_real_roots",
     "domination_number",
     "domination_polynomial",
-    "family_order",
     "find_roots",
     "has_positive_real_part",
     "is_dominating",
     "join",
-    "order_of_H",
     "parse_edge_list",
     "poly_H",
     "poly_book",

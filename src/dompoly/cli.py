@@ -7,8 +7,8 @@ index ("--join H:n,H:n --range 3..20").  Join operands are the families with
 a closed form, by name or short alias.  Instances run one after another and
 print in index order.
 
-Exit codes: 0 success, 1 usage or data error, 2 capacity exceeded, 3 solver
-non-convergence, 4 oracle mismatch.
+Exit codes: 0 success, 1 usage or data error (argparse's own included), 2
+capacity exceeded, 3 solver non-convergence, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -152,11 +152,11 @@ def _join_instances(args) -> list[tuple[str, int, Poly]]:
     label = "+".join(op.strip() for op in ops)
     out = []
     for n in values:
-        operands = []
-        for family, fixed, offset in parsed:
-            idx = fixed if fixed is not None else n + offset
-            operands += [family.closed_form(idx), family.order(idx)]
-        out.append((label, n, poly_join(*operands)))
+        dg, dh = (
+            family.closed_form(fixed if fixed is not None else n + offset)
+            for family, fixed, offset in parsed
+        )
+        out.append((label, n, poly_join(dg, dh)))
     return out
 
 
@@ -283,8 +283,15 @@ def _add_source_options(sub, join_ok: bool = False) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of exiting, so main returns exit code 1."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dompoly",
         description="Exact domination polynomials: compute, certify, locate roots, plot.",
     )
@@ -337,11 +344,15 @@ def _validate_source(args) -> None:
     sources = [bool(args.family), bool(args.edge_list), bool(getattr(args, "join", None))]
     if sum(sources) != 1:
         raise _UsageError("exactly one of --family, --edge-list, --join is required")
+    if getattr(args, "range", None) and not args.join:
+        raise _UsageError("--range applies only to --join")
+    if args.edge_list and (args.odd_only or args.even_only):
+        raise _UsageError("--odd-only and --even-only do not apply to --edge-list")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         _validate_source(args)
         return args.func(args)
     except _UsageError as e:

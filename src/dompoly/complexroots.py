@@ -33,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CapacityError, NonConvergenceError
-from .polynomials import Poly, binomial_power
+from .polynomials import Poly
 
 try:
     from gmpy2 import mpz as _mpz
@@ -68,7 +68,6 @@ class RootSet:
     zero_multiplicity: int
     roots: tuple[tuple[float, float, float], ...]
     tolerance: float
-    coeff_scale_log2: int = 0
 
     def complex_roots(self) -> list[complex]:
         return [complex(re, im) for re, im, _ in self.roots]
@@ -407,7 +406,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     zero_mult = p.zero_root_multiplicity()
     q = p.deflate_zero()
     if q.degree == 0:
-        return RootSet(zero_mult, (), tol, 0)
+        return RootSet(zero_mult, (), tol)
     scale, c = _scaled_coefficients(q)
     exact = _ExactEvaluator(q.coeffs)
     shift = _centroid_shift(q)
@@ -419,7 +418,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         z, reported = _solve(q, exact, scale, c, 0, tol, max_iter)
     order = np.lexsort((z.imag, z.real))
     roots = tuple((float(z[i].real), float(z[i].imag), float(reported[i])) for i in order)
-    return RootSet(zero_mult, roots, tol, scale)
+    return RootSet(zero_mult, roots, tol)
 
 
 def distinct_real_roots(rs: RootSet) -> list[float]:
@@ -460,41 +459,6 @@ def has_positive_real_part(rs: RootSet) -> bool:
 def boundary_real_part_roots(rs: RootSet) -> tuple[tuple[float, float, float], ...]:
     """Roots whose real part sits within the guard band around zero."""
     return tuple(r for r in rs.roots if abs(r[0]) <= REAL_PART_GUARD)
-
-
-@dataclass(frozen=True)
-class PowerForm:
-    """Exponential-family decomposition f_n = a1 * l1**n + a2 * l2**n.
-
-    Families of this shape have computable limit curves for their root sets,
-    which is how the limit circle of the complement-of-friendship family is
-    analyzed.
-    """
-
-    alpha1: Poly
-    lambda1: Poly
-    alpha2: Poly
-    lambda2: Poly
-    n: int
-
-    def reconstruct(self) -> Poly:
-        return self.alpha1 * self.lambda1**self.n + self.alpha2 * self.lambda2**self.n
-
-
-def complement_friendship_power_form(n: int) -> PowerForm:
-    """The complement-of-friendship polynomial as x*((x+1)^2)^n - (x + 2n x^2).
-
-    reconstruct() equals the closed form exactly for every n >= 1.
-    """
-    if n < 1:
-        raise ValueError("index must be at least 1")
-    return PowerForm(
-        alpha1=Poly.X,
-        lambda1=binomial_power(2),
-        alpha2=Poly((0, -1, -2 * n)),
-        lambda2=Poly.ONE,
-        n=n,
-    )
 
 
 CSV_HEADER = "family,n,re,im,residual"

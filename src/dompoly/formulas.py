@@ -1,14 +1,13 @@
 """Closed forms, composition rules and the table of named graph families.
 
 Everything here is computed by direct expansion in exact integer arithmetic;
-floating point never enters.  The composition rules take the operand
-polynomials together with the operand orders, and refuse order/degree
-mismatches (the degree of a domination polynomial always equals the order of
-the graph, since the full vertex set dominates).
+floating point never enters.  The composition rules read each operand's order
+off its polynomial: the degree of a domination polynomial always equals the
+order of the graph, since the full vertex set dominates.
 
 ``FAMILIES`` holds one row per named family: its parameter bounds, graph
-builder, order, closed form and short ``--join`` alias.  ``build_family``,
-``family_order`` and ``closed_form`` read it, and so does the CLI.
+builder, closed form and short ``--join`` alias.  ``build_family`` and
+``closed_form`` read it, and so does the CLI.
 """
 
 from __future__ import annotations
@@ -32,33 +31,28 @@ def poly_complete(n: int) -> Poly:
     return binomial_power(n) - 1
 
 
-def poly_join(dg: Poly, n: int, dh: Poly, m: int) -> Poly:
+def poly_join(dg: Poly, dh: Poly) -> Poly:
     """Domination polynomial of the join from the operands' polynomials.
 
-    ((1+x)**n - 1) * ((1+x)**m - 1) + dg + dh, for operands of order n and m.
-    The product is expanded as (1+x)**(n+m) - (1+x)**n - (1+x)**m + 1, so no
-    two polynomials are multiplied.
+    ((1+x)**n - 1) * ((1+x)**m - 1) + dg + dh, where the operand orders n and
+    m are the degrees of dg and dh.  The product is expanded as
+    (1+x)**(n+m) - (1+x)**n - (1+x)**m + 1, so no two polynomials are
+    multiplied.
     """
-    n, m = operator.index(n), operator.index(m)
+    n, m = dg.degree, dh.degree
     if n < 1 or m < 1:
         raise ValueError("join closed form needs nonempty operands")
-    if dg.degree != n or dh.degree != m:
-        raise ValueError(
-            f"operand degrees ({dg.degree}, {dh.degree}) must equal orders ({n}, {m})"
-        )
     return binomial_power(n + m) - binomial_power(n) - binomial_power(m) + 1 + dg + dh
 
 
-def poly_corona(n: int, dh: Poly, m: int) -> Poly:
-    """Domination polynomial of g∘h: (x*(1+x)**m + dh)**n.
+def poly_corona(n: int, dh: Poly) -> Poly:
+    """Domination polynomial of g∘h: (x*(1+x)**m + dh)**n, m the degree of dh.
 
     Depends on g only through its order n; the edge set of g is irrelevant.
     """
-    n, m = operator.index(n), operator.index(m)
+    n, m = operator.index(n), dh.degree
     if n < 1 or m < 1:
         raise ValueError("corona closed form needs nonempty operands")
-    if dh.degree != m:
-        raise ValueError(f"operand degree {dh.degree} must equal order {m}")
     return (X * binomial_power(m) + dh) ** n
 
 
@@ -111,13 +105,6 @@ def poly_H(n: int) -> Poly:
     k, odd = divmod(n, 2)
     p = _H_EVEN_FACTOR**k
     return _H_ODD_FACTOR * p if odd else p
-
-
-def order_of_H(n: int) -> int:
-    """Vertex count of the n-th H-family graph: 4k for n=2k, 4k+3 for n=2k+1."""
-    if n < 1:
-        raise ValueError("H-family index must be at least 1")
-    return 2 * n + n % 2
 
 
 def cg_family_factor(kind: str, *params: int) -> Poly:
@@ -184,7 +171,6 @@ class Family:
     name: str
     arity: int
     build: Callable[..., Graph]
-    order: Callable[..., int]
     bounds: Callable[..., None] | None = None
     closed_form: Callable[[int], Poly] | None = None
     alias: str | None = None
@@ -193,20 +179,18 @@ class Family:
 FAMILIES: dict[str, Family] = {
     f.name: f
     for f in (
-        # name, arity, builder, order, bounds, closed form, join alias
-        Family("complete", 1, graphs.complete, lambda n: n, None, poly_complete, "K"),
-        Family("complete_bipartite", 2, graphs.complete_bipartite, lambda a, b: a + b),
-        Family("path", 1, graphs.path, lambda n: n),
-        Family("cycle", 1, graphs.cycle, lambda n: n, _cycle_bounds),
-        Family("friendship", 1, graphs.friendship, lambda n: 2 * n + 1,
-               _index_from_1, poly_friendship, "F"),
-        Family("complement_friendship", 1, graphs.complement_friendship, lambda n: 2 * n + 1,
+        # name, arity, builder, bounds, closed form, join alias
+        Family("complete", 1, graphs.complete, None, poly_complete, "K"),
+        Family("complete_bipartite", 2, graphs.complete_bipartite),
+        Family("path", 1, graphs.path),
+        Family("cycle", 1, graphs.cycle, _cycle_bounds),
+        Family("friendship", 1, graphs.friendship, _index_from_1, poly_friendship, "F"),
+        Family("complement_friendship", 1, graphs.complement_friendship,
                _index_from_1, poly_complement_friendship, "CF"),
-        Family("cocktail_party", 1, graphs.cocktail_party, lambda n: 2 * n,
-               _index_from_1, poly_cocktail, "CP"),
-        Family("book", 1, graphs.book, lambda n: 2 * n + 2, _index_from_1, poly_book, "B"),
-        Family("k_star", 2, graphs.k_star, lambda k, n: n, _k_star_bounds),
-        Family("h_witness", 1, graphs.h_witness, order_of_H, _index_from_1, poly_H, "H"),
+        Family("cocktail_party", 1, graphs.cocktail_party, _index_from_1, poly_cocktail, "CP"),
+        Family("book", 1, graphs.book, _index_from_1, poly_book, "B"),
+        Family("k_star", 2, graphs.k_star, _k_star_bounds),
+        Family("h_witness", 1, graphs.h_witness, _index_from_1, poly_H, "H"),
     )
 }
 
@@ -229,11 +213,6 @@ def _family(spec: FamilySpec) -> Family:
 def build_family(spec: FamilySpec) -> Graph:
     """Construct a named family instance."""
     return _family(spec).build(*spec.params)
-
-
-def family_order(spec: FamilySpec) -> int:
-    """Vertex count of build_family(spec), without building it."""
-    return _family(spec).order(*spec.params)
 
 
 def closed_form(spec: FamilySpec) -> Poly | None:

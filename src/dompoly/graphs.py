@@ -77,9 +77,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(_bits(self.adj[v]))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographic order."""
         for u in range(self.n):
@@ -167,7 +164,7 @@ def complement(g: Graph) -> Graph:
 # -- named families --------------------------------------------------------------
 #
 # One plain constructor per family; parameters are checked against the family
-# table in ``formulas`` by ``build_family``, which also records each order.
+# table in ``formulas`` by ``build_family``.
 
 
 @dataclass(frozen=True)
@@ -179,18 +176,6 @@ class FamilySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(operator.index(p) for p in self.params))
-
-    @classmethod
-    def from_string(cls, text: str) -> "FamilySpec":
-        """Parse the CLI form "name:p1,p2"."""
-        name, sep, rest = text.partition(":")
-        if not sep or not name:
-            raise ValueError(f"expected 'name:p1,p2', got {text!r}")
-        try:
-            params = tuple(int(p) for p in rest.split(","))
-        except ValueError:
-            raise ValueError(f"non-integer parameter in {text!r}") from None
-        return cls(name, params)
 
     def __str__(self) -> str:
         return f"{self.name}:{','.join(str(p) for p in self.params)}"

@@ -208,17 +208,6 @@ class Poly:
             acc = acc * t + c
         return acc
 
-    def eval_complex(self, z: complex) -> complex:
-        """Horner evaluation in complex floating point (round-to-nearest).
-
-        Coefficients are converted with float(); values beyond the double
-        range raise OverflowError.
-        """
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
-        return acc
-
     # -- zero root ------------------------------------------------------------
 
     def zero_root_multiplicity(self) -> int:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,6 +12,29 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def inclusion_exclusion_coeffs(g: Graph) -> list[int]:
+    """D(G, x) = Σ_{U⊆V} (-1)^|U| (1+x)^(n-|N[U]|), coefficients ascending.
+
+    S dominates unless it misses N[v] for some v, and the sets S missing
+    N[v] for every v in U are the subsets of V - N[U].  An oracle that shares
+    no code with the enumerator or the closed forms: neighbourhoods come from
+    the edge list, and (1+x)^k is expanded by math.comb.
+    """
+    n = g.n
+    closed = [1 << v for v in range(n)]
+    for u, v in g.edges():
+        closed[u] |= 1 << v
+        closed[v] |= 1 << u
+    signed = [0] * (n + 1)  # Σ (-1)^|U| over the U with n - |N[U]| = k
+    signed[n] = 1  # U = ∅
+    cover = [0] * (1 << n)
+    for u in range(1, 1 << n):
+        low = u & -u
+        cover[u] = cover[u ^ low] | closed[low.bit_length() - 1]
+        signed[n - cover[u].bit_count()] += -1 if u.bit_count() % 2 else 1
+    return [sum(c * math.comb(k, i) for k, c in enumerate(signed)) for i in range(n + 1)]
 
 
 def expand_from_roots(root_set, lead: int) -> list[float]:

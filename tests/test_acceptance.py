@@ -24,7 +24,6 @@ from dompoly.formulas import (
     build_family,
     cg_family_factor,
     closed_form,
-    order_of_H,
     poly_H,
     poly_book,
     poly_cocktail,
@@ -101,9 +100,7 @@ def test_criterion_2_join_theorem_random_pairs():
     for i in range(50):
         g = random_graph(rng.randint(1, 6), rng)
         h = random_graph(rng.randint(1, 6), rng)
-        formula = poly_join(
-            domination_polynomial(g), g.n, domination_polynomial(h), h.n
-        )
+        formula = poly_join(domination_polynomial(g), domination_polynomial(h))
         if formula != domination_polynomial(join(g, h)):
             failures.append(f"pair {i}")
     report(2, "join formula exact on 50 random pairs (orders <= 6)", failures)
@@ -115,7 +112,7 @@ def test_criterion_3_corona_theorem_random_pairs():
     for i in range(30):
         g = random_graph(rng.randint(1, 3), rng)
         h = random_graph(rng.randint(1, 3), rng)
-        formula = poly_corona(g.n, domination_polynomial(h), h.n)
+        formula = poly_corona(g.n, domination_polynomial(h))
         if formula != domination_polynomial(corona(g, h)):
             failures.append(f"pair {i}")
     # independence from the base's edge set at fixed order
@@ -226,23 +223,23 @@ def test_criterion_6_join_families_as_stated():
         cases.append((label, p, witness and (p, *witness)))
 
     for n in range(3, 21):
-        check(f"H_{n}+H_{n}", poly_join(poly_H(n), order_of_H(n), poly_H(n), order_of_H(n)))
+        check(f"H_{n}+H_{n}", poly_join(poly_H(n), poly_H(n)))
     for n in range(3, 11):
         check(
             f"H_{n + 1}+B_{n}",
-            poly_join(poly_H(n + 1), order_of_H(n + 1), poly_book(n), 2 * n + 2),
+            poly_join(poly_H(n + 1), poly_book(n)),
         )
     for n in range(1, 12, 2):
-        check(f"B_{n}+B_{n}", poly_join(poly_book(n), 2 * n + 2, poly_book(n), 2 * n + 2))
+        check(f"B_{n}+B_{n}", poly_join(poly_book(n), poly_book(n)))
     for n in range(2, 11, 2):
         check(
             f"B_{n + 1}+B_{n}",
-            poly_join(poly_book(n + 1), 2 * n + 4, poly_book(n), 2 * n + 2),
+            poly_join(poly_book(n + 1), poly_book(n)),
         )
     for n in range(4, 11):
         check(
             f"B_{n + 1}+H_{n}",
-            poly_join(poly_book(n + 1), 2 * n + 4, poly_H(n), order_of_H(n)),
+            poly_join(poly_book(n + 1), poly_H(n)),
         )
     failures = check_verdicts(6, cases)
     labels = {label for label, _, _ in cases}
@@ -251,9 +248,7 @@ def test_criterion_6_join_families_as_stated():
     ]
     # the smallest refuted join, brute-forced from its 21-vertex graph
     g = join(build_family(FamilySpec("h_witness", (5,))), build_family(FamilySpec("book", (4,))))
-    if g.n != 21 or domination_polynomial(g) != poly_join(
-        poly_H(5), order_of_H(5), poly_book(4), 10
-    ):
+    if g.n != 21 or domination_polynomial(g) != poly_join(poly_H(5), poly_book(4)):
         failures.append("H_5+B_4: closed form differs from enumeration of the join graph")
     report(
         6,
@@ -381,7 +376,7 @@ def test_criterion_10_structural_invariants():
             failures.append(f"random {i}: gamma mismatch")
     for n in range(3, 12):
         polys.append(
-            (f"H_{n}+H_{n}", poly_join(poly_H(n), order_of_H(n), poly_H(n), order_of_H(n)))
+            (f"H_{n}+H_{n}", poly_join(poly_H(n), poly_H(n)))
         )
     for label, p in polys:
         if not check_oddness(p):
@@ -398,7 +393,7 @@ def test_criterion_11_solver_quality():
         ("complement_friendship(25)", poly_complement_friendship(25)),
         ("book(25)", poly_book(25)),
         ("friendship(15)", poly_friendship(15)),
-        ("H_12+H_12", poly_join(poly_H(12), 24, poly_H(12), 24)),
+        ("H_12+H_12", poly_join(poly_H(12), poly_H(12))),
     ]
     rng = random.Random(2025_11)
     for i in range(4):

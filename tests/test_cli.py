@@ -6,7 +6,7 @@ import pytest
 
 from dompoly import cli
 from dompoly.errors import NonConvergenceError
-from dompoly.formulas import FAMILIES, closed_form, family_order, poly_join, poly_H, order_of_H
+from dompoly.formulas import FAMILIES, closed_form, poly_join, poly_H
 from dompoly.graphs import FamilySpec, Graph, to_edge_list
 from dompoly.polynomials import Poly
 from dompoly.realroots import certify_cg
@@ -102,7 +102,7 @@ class TestCertify:
         assert rows[-1] == {"all_in_cg": True}
         for row in rows[:-1]:
             n = row["n"]
-            p = poly_join(poly_H(n), order_of_H(n), poly_H(n), order_of_H(n))
+            p = poly_join(poly_H(n), poly_H(n))
             assert row["in_cg"] == certify_cg(p).in_cg
 
     def test_join_offset_operand(self, capsys):
@@ -124,9 +124,7 @@ class TestCertify:
         assert [r["n"] for r in rows] == [1, 2, 3, 4]
         for row in rows:
             a, b = FamilySpec(name, (row["n"],)), FamilySpec(name, (row["n"] + 1,))
-            cert = certify_cg(
-                poly_join(closed_form(a), family_order(a), closed_form(b), family_order(b))
-            )
+            cert = certify_cg(poly_join(closed_form(a), closed_form(b)))
             assert row["gamma"] == cert.gamma
             assert row["nonzero_real_root_count"] == cert.nonzero_real_root_count
             assert row["in_cg"] == cert.in_cg
@@ -270,3 +268,46 @@ class TestUsageErrors:
     def test_bad_join_operand(self, capsys):
         code, _, err = run(capsys, "certify", "--join", "Z:n,H:n", "--range", "1..2")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "--bogus"], "unrecognized arguments: --bogus"),
+            (["roots", "--family", "path:3", "--tol", "abc"], "invalid float value: 'abc'"),
+            (["roots", "--family", "path:3", "--max-iter", "1.5"], "invalid int value: '1.5'"),
+            (["bogus"], "invalid choice: 'bogus'"),
+            ([], "the following arguments are required: command"),
+        ],
+        ids=["unknown-option", "bad-tol", "bad-max-iter", "unknown-subcommand", "no-subcommand"],
+    )
+    def test_argparse_errors_return_1(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["certify", "--family", "path:3", "--range", "1..5"], "--range applies only to --join"),
+            (["sweep", "--family", "path:3..4", "--range", "1..5"], "--range applies only to --join"),
+            (["certify", "--edge-list", "g.txt", "--odd-only"], "do not apply to --edge-list"),
+            (["roots", "--edge-list", "g.txt", "--even-only"], "do not apply to --edge-list"),
+        ],
+    )
+    def test_ignored_options_are_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    def test_process_exit_status_of_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["dompoly", "compute", "--bogus"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entry_point()
+        assert exc.value.code == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["roots", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dompoly")

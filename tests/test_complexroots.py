@@ -7,7 +7,6 @@ from dompoly.complexroots import (
     CSV_HEADER,
     boundary_real_part_roots,
     circle_deviation,
-    complement_friendship_power_form,
     distinct_real_roots,
     find_roots,
     has_positive_real_part,
@@ -17,8 +16,6 @@ from dompoly.errors import NonConvergenceError
 from dompoly.formulas import poly_book, poly_complement_friendship, poly_friendship
 from dompoly.polynomials import Poly, binomial_power
 from dompoly.realroots import count_real_roots
-
-X = Poly.X
 
 
 class TestFindRoots:
@@ -197,30 +194,6 @@ class TestRealPartQueries:
         assert len(boundary_real_part_roots(rs)) == 2
         just_boundary = RootSet(0, ((5e-10, 1.0, 0.0),), 1e-12)
         assert not has_positive_real_part(just_boundary)
-
-
-class TestPowerForm:
-    def test_fields(self):
-        form = complement_friendship_power_form(3)
-        assert form.alpha1 == X
-        assert form.lambda1 == Poly([1, 2, 1])
-        assert form.alpha2 == Poly([0, -1, -6])
-        assert form.lambda2 == Poly.ONE
-        assert form.n == 3
-
-    def test_reconstruct_n1_is_x_cubed(self):
-        assert complement_friendship_power_form(1).reconstruct() == Poly([0, 0, 0, 1])
-
-    def test_reconstruct_n2(self):
-        assert complement_friendship_power_form(2).reconstruct() == Poly([0, 0, 0, 6, 4, 1])
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 9, 30])
-    def test_reconstruct_matches_closed_form(self, n):
-        assert complement_friendship_power_form(n).reconstruct() == poly_complement_friendship(n)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            complement_friendship_power_form(0)
 
 
 class TestRootsCsv:

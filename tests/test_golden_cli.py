@@ -100,6 +100,13 @@ _ERRORS = [
     "certify --join H:n,B:x --range 1..2",
     "certify --join H:n --range 1..2",
     "certify --join path:n,H:n --range 1..2",
+    "certify --family path:3 --range 1..5",
+    "certify --edge-list graph.txt --odd-only",
+    "compute --bogus",
+    "roots --tol abc",
+    "roots --max-iter 1.5",
+    "bogus",
+    "",  # no subcommand
 ]
 
 COMMANDS = _README + _EDGE_LIST + _FAMILIES + _JOINS + _ERRORS
@@ -151,9 +158,7 @@ def test_parser_is_built_once_and_reused(golden, tmp_path, capsys):
     assert cli.build_parser() is not cli.build_parser()
     first = "compute --family friendship:1..3"
     assert run_command(first, tmp_path) == golden[first]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["compute", "--family", "friendship:2", "--no-such-flag"])
-    assert exc.value.code == 2
+    assert cli.main(["compute", "--family", "friendship:2", "--no-such-flag"]) == 1
     assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
     for command in (
         "certify --join H:n+1,B:n --range 3..12",

@@ -84,12 +84,6 @@ def test_eval_exact_over_rationals():
     assert isinstance(v, Fraction)
 
 
-def test_eval_complex_quadratic_root():
-    p = Poly([6, 4, 1])
-    z = complex(-2, 2**0.5)
-    assert abs(p.eval_complex(z)) < 1e-9
-
-
 def test_zero_root_multiplicity_and_deflate():
     p = Poly([0, 0, 0, 6, 4, 1])  # x^5 + 4x^4 + 6x^3
     assert p.zero_root_multiplicity() == 3

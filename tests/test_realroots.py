@@ -12,8 +12,6 @@ from dompoly.formulas import (
     FAMILIES,
     build_family,
     closed_form,
-    family_order,
-    order_of_H,
     poly_book,
     poly_cocktail,
     poly_friendship,
@@ -166,7 +164,7 @@ class TestCertifyCg:
 
     def test_exact_root_witness_and_neighbours(self):
         # F_2 + F_3 has the root -2 exactly, and another root just above it
-        p = poly_join(poly_friendship(2), 5, poly_friendship(3), 7)
+        p = poly_join(poly_friendship(2), poly_friendship(3))
         cert = certify_cg(p)
         q = p.deflate_zero()
         assert cert.evidence["witnesses"][0] == ["-2", "-2"]
@@ -280,7 +278,7 @@ class TestDescartesAgainstSturm:
     def test_root_at_minus_two(self, operand, n):
         family = {"F": "friendship", "K": "complete"}[operand]
         a, b = (FamilySpec(family, (m,)) for m in ((n, n + 1) if operand == "F" else (n, n)))
-        p = poly_join(closed_form(a), family_order(a), closed_form(b), family_order(b))
+        p = poly_join(closed_form(a), closed_form(b))
         assert p.eval_exact(-2) == 0
         assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p)
 
@@ -293,9 +291,9 @@ class TestDescartesAgainstSturm:
     @pytest.mark.parametrize(
         "pattern",
         [
-            lambda n: (poly_H(n + 1), order_of_H(n + 1), poly_book(n), 2 * n + 2),
-            lambda n: (poly_H(n), order_of_H(n), poly_H(n), order_of_H(n)),
-            lambda n: (poly_book(n), 2 * n + 2, poly_book(n), 2 * n + 2),
+            lambda n: (poly_H(n + 1), poly_book(n)),
+            lambda n: (poly_H(n), poly_H(n)),
+            lambda n: (poly_book(n), poly_book(n)),
         ],
         ids=["H:n+1,B:n", "H:n,H:n", "B:n,B:n"],
     )
