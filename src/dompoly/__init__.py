@@ -1,8 +1,9 @@
 """Exact domination polynomials of graphs.
 
 Computes D(G, x) = sum_i d(G, i) x^i, the generating polynomial counting
-dominating sets by size, three ways: brute-force enumeration (the oracle),
-closed forms for named families, and composition rules for joins, coronas and
+dominating sets by size, three ways: exact counting on the graph itself (a
+frontier dynamic program with a subset sweep as fallback; the oracle), closed
+forms for named families, and composition rules for joins, coronas and
 disjoint unions.  On top of that it certifies, in exact integer arithmetic,
 which polynomials have no nonzero real roots, and locates the complex roots
 numerically for plotting and limit-curve analysis.

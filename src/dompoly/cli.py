@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument(
         "--oracle",
         action="store_true",
-        help="force brute-force enumeration and cross-check the closed form",
+        help="count dominating sets from the graph and cross-check the closed form",
     )
     p_compute.set_defaults(func=_cmd_compute)
 
@@ -348,6 +348,8 @@ def _validate_source(args) -> None:
         raise _UsageError("--range applies only to --join")
     if args.edge_list and (args.odd_only or args.even_only):
         raise _UsageError("--odd-only and --even-only do not apply to --edge-list")
+    if args.edge_list and getattr(args, "oracle", False):
+        raise _UsageError("--oracle does not apply to --edge-list: no closed form to check")
 
 
 def main(argv: Sequence[str] | None = None) -> int:

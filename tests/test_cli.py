@@ -6,8 +6,8 @@ import pytest
 
 from dompoly import cli
 from dompoly.errors import NonConvergenceError
-from dompoly.formulas import FAMILIES, closed_form, poly_join, poly_H
-from dompoly.graphs import FamilySpec, Graph, to_edge_list
+from dompoly.formulas import FAMILIES, build_family, closed_form, poly_join, poly_H
+from dompoly.graphs import FamilySpec, join, to_edge_list
 from dompoly.polynomials import Poly
 from dompoly.realroots import certify_cg
 
@@ -53,23 +53,14 @@ class TestCompute:
         assert code == 1
         assert err == "error: complete takes 1 parameter(s), got 2\n"
 
-    def test_bad_thread_setting_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("DOMPOLY_THREADS", "abc")
-        path = tmp_path / "k3.txt"
-        path.write_text("3 3\n0 1\n1 2\n0 2\n")
-        code, _, err = run(capsys, "compute", "--edge-list", str(path))
-        assert code == 1
-        assert "DOMPOLY_THREADS" in err and "'abc'" in err
-        # closed forms enumerate nothing, so the setting is never read
-        code, _, _ = run(capsys, "certify", "--family", "friendship:1..3")
-        assert code == 0
-
     def test_capacity_exit_code(self, capsys, tmp_path):
+        # the 82-vertex join H_20+B_20 exceeds the frontier budget under every order
+        h, b = (build_family(FamilySpec(name, (20,))) for name in ("h_witness", "book"))
         path = tmp_path / "big.txt"
-        path.write_text(to_edge_list(Graph(29)))
+        path.write_text(to_edge_list(join(h, b)))
         code, _, err = run(capsys, "compute", "--edge-list", str(path))
         assert code == 2
-        assert "capacity" in err
+        assert "capacity" in err and "state budget" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -292,6 +283,7 @@ class TestUsageErrors:
             (["sweep", "--family", "path:3..4", "--range", "1..5"], "--range applies only to --join"),
             (["certify", "--edge-list", "g.txt", "--odd-only"], "do not apply to --edge-list"),
             (["roots", "--edge-list", "g.txt", "--even-only"], "do not apply to --edge-list"),
+            (["compute", "--edge-list", "g.txt", "--oracle"], "--oracle does not apply"),
         ],
     )
     def test_ignored_options_are_rejected(self, capsys, argv, message):

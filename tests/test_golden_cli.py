@@ -102,6 +102,7 @@ _ERRORS = [
     "certify --join path:n,H:n --range 1..2",
     "certify --family path:3 --range 1..5",
     "certify --edge-list graph.txt --odd-only",
+    "compute --edge-list graph.txt --oracle",
     "compute --bogus",
     "roots --tol abc",
     "roots --max-iter 1.5",

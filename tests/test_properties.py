@@ -1,22 +1,46 @@
-"""Property tests on random graphs of at most 12 vertices.
+"""Property tests on random graphs of at most 12 vertices, and beyond.
 
 Hypothesis draws the graphs with ``derandomize=True``, so the suite stays
 deterministic.  The composition rules are checked against enumeration of the
-composed graph, and enumeration against the inclusion–exclusion oracle of
-``conftest`` and the brute-force domination number.
+composed graph.  Three counting methods that share no code are checked
+against each other: the frontier DP, the subset sweep and the
+inclusion–exclusion oracle of ``conftest``; the DP also against the sweep on
+fixed graphs of 20-28 vertices, and against every closed form at sizes the
+sweep cannot reach.  Poly JSON and edge-list text must round-trip.
 """
 
+import contextlib
+import io
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dompoly.enumeration import domination_number, domination_polynomial, is_dominating
+from dompoly import cli
+from dompoly.enumeration import (
+    domination_number,
+    domination_polynomial,
+    frontier_polynomial,
+    is_dominating,
+    subset_sweep,
+)
 from dompoly.formulas import FAMILIES, build_family, closed_form, poly_corona, poly_join, poly_union
-from dompoly.graphs import FamilySpec, Graph, corona, disjoint_union, join
+from dompoly.graphs import (
+    FamilySpec,
+    Graph,
+    complete_bipartite,
+    corona,
+    disjoint_union,
+    join,
+    parse_edge_list,
+    to_edge_list,
+)
+from dompoly.polynomials import Poly
 
-from conftest import inclusion_exclusion_coeffs
+from conftest import inclusion_exclusion_coeffs, random_graph
 
 D = domination_polynomial
 
@@ -91,7 +115,26 @@ def test_domination_number_is_smallest_dominating_size(g):
 @examples
 @given(graphs())
 def test_enumeration_matches_inclusion_exclusion(g):
-    assert list(D(g).coeffs) == inclusion_exclusion_coeffs(g)
+    expected = inclusion_exclusion_coeffs(g)
+    assert list(D(g).coeffs) == expected
+    assert list(frontier_polynomial(g).coeffs) == expected
+    assert list(subset_sweep(g).coeffs) == expected
+
+
+#: (vertices, edge probability, seed): sparse and dense graphs of 20-28
+#: vertices, where the sweep takes 5 ms to 0.6 s.
+LARGE_GRAPHS = [(20, 0.15, 1), (22, 0.5, 2), (24, 0.85, 3), (26, 0.25, 5), (27, 0.5, 6), (28, 0.12, 8)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_graph(n, random.Random(seed), p) for n, p, seed in LARGE_GRAPHS]
+    + [complete_bipartite(13, 14)],
+    ids=[f"G({n},{p})" for n, p, _ in LARGE_GRAPHS] + ["K13,14"],
+)
+def test_frontier_matches_sweep_on_large_graphs(g):
+    p = frontier_polynomial(g)
+    assert p is not None and p == subset_sweep(g)
 
 
 @pytest.mark.parametrize("name", [f.name for f in FAMILIES.values() if f.closed_form])
@@ -105,3 +148,29 @@ def test_closed_forms_match_inclusion_exclusion(name):
         assert list(closed_form(spec).coeffs) == inclusion_exclusion_coeffs(g), spec
         checked += 1
     assert checked >= 5
+
+
+@pytest.mark.parametrize("n", [50, 100])
+@pytest.mark.parametrize("name", [f.name for f in FAMILIES.values() if f.closed_form])
+def test_oracle_checks_closed_forms_beyond_the_sweep(name, n):
+    """compute --oracle counts the family graph itself (50-202 vertices, all
+    past the sweep's cap) and would exit 4 on a mismatch."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["compute", "--family", f"{name}:{n}", "--oracle"])
+    assert code == 0
+    spec = FamilySpec(name, (n,))
+    assert Poly(int(c) for c in json.loads(out.getvalue())["coeffs"]) == closed_form(spec)
+
+
+@examples
+@given(st.lists(st.integers(-(10**40), 10**40), max_size=30))
+def test_poly_json_round_trip(coeffs):
+    p = Poly(coeffs)
+    assert Poly.from_json(p.to_json()) == p
+
+
+@examples
+@given(graphs(max_n=24))
+def test_edge_list_round_trip(g):
+    assert parse_edge_list(to_edge_list(g)) == g
