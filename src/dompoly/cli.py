@@ -81,34 +81,34 @@ def _apply_parity(values: list[int], odd_only: bool, even_only: bool) -> list[in
     return values
 
 
-def _family_instances(args) -> list[tuple[str, int, FamilySpec]]:
-    """(label, n, spec) triples for the requested family sweep."""
-    name, fixed, values = _parse_family_arg(args.family)
-    values = _apply_parity(values, args.odd_only, args.even_only)
-    return [(name, v, FamilySpec(name, fixed + (v,))) for v in values]
+def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
+    """(label, params, polynomial) from --join, --edge-list or --family.
 
-
-def _polynomial_for(spec: FamilySpec, force_enumeration: bool = False) -> Poly:
-    if not force_enumeration:
-        p = closed_form(spec)
-        if p is not None:
-            return p
-    return domination_polynomial(build_family(spec))
-
-
-def _edge_list_instance(path: str) -> tuple[str, int, Poly]:
-    text = Path(path).read_text(encoding="utf-8")
-    g = parse_edge_list(text)
-    return Path(path).stem, g.n, domination_polynomial(g)
-
-
-def _instances(args) -> list[tuple[str, int, Poly]]:
-    """(label, n, polynomial) from --join, --edge-list or --family."""
+    Each instance is listed under its index params[-1].  With --oracle
+    (compute only), family polynomials are counted on the graph and checked
+    against the closed form where there is one.
+    """
     if getattr(args, "join", None):
         return _join_instances(args)
     if args.edge_list:
-        return [_edge_list_instance(args.edge_list)]
-    return [(name, v, _polynomial_for(spec)) for name, v, spec in _family_instances(args)]
+        path = Path(args.edge_list)
+        g = parse_edge_list(path.read_text(encoding="utf-8"))
+        return [(path.stem, (g.n,), domination_polynomial(g))]
+    name, fixed, values = _parse_family_arg(args.family)
+    out = []
+    for v in _apply_parity(values, args.odd_only, args.even_only):
+        spec = FamilySpec(name, fixed + (v,))
+        if getattr(args, "oracle", False):
+            p = domination_polynomial(build_family(spec))
+            expected = closed_form(spec)
+            if expected is not None and expected != p:
+                raise OracleMismatchError(f"enumeration disagrees with the closed form for {spec}")
+        else:
+            p = closed_form(spec)
+            if p is None:
+                p = domination_polynomial(build_family(spec))
+        out.append((name, spec.params, p))
+    return out
 
 
 # -- join operands ----------------------------------------------------------------
@@ -140,8 +140,8 @@ def _parse_operand(text: str) -> tuple[Family, int | None, int]:
         raise _UsageError(f"bad operand index {expr!r} (use n, n+k, or an integer)") from None
 
 
-def _join_instances(args) -> list[tuple[str, int, Poly]]:
-    """(label, n, joined polynomial) for --join T1,T2 over --range."""
+def _join_instances(args) -> list[tuple[str, tuple[int], Poly]]:
+    """(label, (n,), joined polynomial) for --join T1,T2 over --range."""
     if not args.range:
         raise _UsageError("--join requires --range a..b")
     ops = args.join.split(",")
@@ -156,7 +156,7 @@ def _join_instances(args) -> list[tuple[str, int, Poly]]:
             family.closed_form(fixed if fixed is not None else n + offset)
             for family, fixed, offset in parsed
         )
-        out.append((label, n, poly_join(dg, dh)))
+        out.append((label, (n,), poly_join(dg, dh)))
     return out
 
 
@@ -174,23 +174,9 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _cmd_compute(args) -> int:
-    if args.edge_list:
-        label, order, p = _edge_list_instance(args.edge_list)
-        found = [(label, [order], p)]
-    else:
-        found = []
-        for name, _, spec in _family_instances(args):
-            p = _polynomial_for(spec, force_enumeration=args.oracle)
-            if args.oracle:
-                expected = closed_form(spec)
-                if expected is not None and expected != p:
-                    raise OracleMismatchError(
-                        f"enumeration disagrees with the closed form for {spec}"
-                    )
-            found.append((name, list(spec.params), p))
     records = [
-        {"family": label, "params": params, "coeffs": [str(c) for c in p.coeffs]}
-        for label, params, p in found
+        {"family": label, "params": list(params), "coeffs": [str(c) for c in p.coeffs]}
+        for label, params, p in _instances(args)
     ]
     payload = records[0] if len(records) == 1 else records
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
@@ -199,7 +185,7 @@ def _cmd_compute(args) -> int:
 
 def _certificate_rows(args) -> list[dict]:
     rows = []
-    for label, n, p in _instances(args):
+    for label, (*_, n), p in _instances(args):
         cert = certify_cg(p)
         rows.append(
             {
@@ -240,7 +226,7 @@ def _root_entries(args) -> list[tuple[str, int, RootSet]]:
     if not TOL_MIN <= args.tol <= TOL_MAX:
         raise _UsageError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
     entries, failed = [], []
-    for label, n, p in _instances(args):
+    for label, (*_, n), p in _instances(args):
         try:
             entries.append((label, n, find_roots(p, tol=args.tol, max_iter=args.max_iter)))
         except NonConvergenceError as e:
@@ -352,26 +338,26 @@ def _validate_source(args) -> None:
         raise _UsageError("--oracle does not apply to --edge-list: no closed form to check")
 
 
+#: How main reports a failure: (exception, exit code, stderr prefix), most
+#: specific first, since CapacityError is a ValueError.
+_FAILURES = (
+    (CapacityError, 2, "capacity error"),
+    (NonConvergenceError, 3, "solver error"),
+    (OracleMismatchError, 4, "integrity error"),
+    (ValueError, 1, "error"),
+    (OSError, 1, "error"),
+)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         _validate_source(args)
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except CapacityError as e:
-        print(f"capacity error: {e}", file=sys.stderr)
-        return 2
-    except NonConvergenceError as e:
-        print(f"solver error: {e}", file=sys.stderr)
-        return 3
-    except OracleMismatchError as e:
-        print(f"integrity error: {e}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except tuple(kind for kind, _, _ in _FAILURES) as e:
+        code, prefix = next((c, p) for kind, c, p in _FAILURES if isinstance(e, kind))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 def entry_point() -> None:

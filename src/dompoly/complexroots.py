@@ -17,10 +17,11 @@ Every root must then pass an exact residual gate evaluated on the original
 coefficients; if the shifted basis fails to converge or to pass the gate, the
 roots are solved again in the original basis.
 
-Multiple roots are not certified; they converge linearly and are reported as
-tight clusters.  All iterations are deterministic: fixed initial guesses,
-no randomness, and the exact path returns identical bits with or without
-gmpy2 installed (gmpy2 only makes it faster).
+Multiple roots are not certified; they converge only linearly.  Up to 4-fold
+they are reported as tight clusters; from 5-fold on the iteration does not
+converge and NonConvergenceError is raised (every nonzero root of the
+h_witness(10) polynomial is 5-fold).  All iterations are deterministic:
+fixed initial guesses, no randomness.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ import numpy as np
 
 from .errors import CapacityError, NonConvergenceError
 from .polynomials import Poly
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # exactness is unaffected, only speed
-    _mpz = int
 
 #: Roots with |re| at or below this band are treated as imaginary-axis cases.
 REAL_PART_GUARD = 1e-9
@@ -106,9 +102,9 @@ def _scaled_float(c: int, down: int) -> float:
 def _float_to_fixed(x: float, fbits: int):
     """x * 2**fbits as an integer; exact whenever the shift is nonnegative."""
     if x == 0.0:
-        return _mpz(0)
+        return 0
     m, e = math.frexp(x)
-    v = _mpz(int(m * (1 << 53)))
+    v = int(m * (1 << 53))
     shift = fbits + e - 53
     return v << shift if shift >= 0 else v >> (-shift)
 
@@ -140,7 +136,7 @@ class _ExactEvaluator:
     """
 
     def __init__(self, coeffs: tuple[int, ...]):
-        self._coeffs = [_mpz(c) for c in coeffs]
+        self._coeffs = coeffs
         self._deg = len(coeffs) - 1
         self._tables: dict[int, list] = {}
 
@@ -160,8 +156,8 @@ class _ExactEvaluator:
         cf = self._table(fbits)
         zr = _float_to_fixed(z.real, fbits)
         zi = _float_to_fixed(z.imag, fbits)
-        pr, pi = cf[-1], _mpz(0)
-        dr, di = _mpz(0), _mpz(0)
+        pr, pi = cf[-1], 0
+        dr = di = 0
         for c in reversed(cf[:-1]):
             nr, ni = (dr * zr - di * zi) >> fbits, (dr * zi + di * zr) >> fbits
             dr, di = nr + pr, ni + pi

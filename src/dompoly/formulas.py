@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import graphs
-from .enumeration import domination_polynomial
 from .graphs import FamilySpec, Graph
 from .polynomials import Poly, binomial_power
 
@@ -110,31 +109,33 @@ def poly_H(n: int) -> Poly:
 def cg_family_factor(kind: str, *params: int) -> Poly:
     """Base factor x*(1+x)**m + D(H) for the iterated-corona families G∘H.
 
-    Raising the factor to the order of G gives the corona polynomial, so the
-    whole iterated family is generated by powers of this one polynomial.
+    The factor is D(K_1∘H); raising it to the order of G gives the corona
+    polynomial, so the whole iterated family is generated by powers of this
+    one polynomial.  D(H) comes from closed forms, never from the graph.
 
     kind "K": H = K_order, order must be even.
-    kind "S": H = S_{k,n-k} (a k-clique plus n-k vertices joined to it),
-              n must be odd; its polynomial comes from the enumerator.
-    kind "B2": H = the two-page book graph; polynomial from the enumerator.
+    kind "S": H = S_{k,n-k}, a k-clique joined to n-k isolated vertices;
+              n must be odd.
+    kind "B2": H = the two-page book graph.
     """
     if kind == "K":
         (order,) = params
         if order < 2 or order % 2:
             raise ValueError(f"kind K needs an even clique order >= 2, got {order}")
-        return X * binomial_power(order) + poly_complete(order)
-    if kind == "S":
+        dh = poly_complete(order)
+    elif kind == "S":
         k, n = params
         if n % 2 == 0:
             raise ValueError(f"kind S needs odd order n, got {n}")
-        dh = domination_polynomial(build_family(FamilySpec("k_star", (k, n))))
-        return X * binomial_power(n) + dh
-    if kind == "B2":
+        _k_star_bounds("k_star", k, n)
+        dh = poly_join(poly_complete(k), X ** (n - k))
+    elif kind == "B2":
         if params:
             raise ValueError("kind B2 takes no parameters")
-        dh = domination_polynomial(build_family(FamilySpec("book", (2,))))
-        return X * binomial_power(6) + dh
-    raise ValueError(f"unknown factor kind {kind!r} (expected K, S, or B2)")
+        dh = poly_book(2)
+    else:
+        raise ValueError(f"unknown factor kind {kind!r} (expected K, S, or B2)")
+    return poly_corona(1, dh)
 
 
 # -- the family table ------------------------------------------------------------

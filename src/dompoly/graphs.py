@@ -10,6 +10,7 @@ Graphs are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -44,33 +45,6 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self.closed = tuple(m | (1 << v) for v, m in enumerate(adj))
-
-    @classmethod
-    def from_masks(cls, n: int, adj_masks: Iterable[int]) -> "Graph":
-        """Build from adjacency bitmasks; validates symmetry and no self-loops."""
-        masks = tuple(adj_masks)
-        if len(masks) != n:
-            raise ValueError("need exactly one adjacency mask per vertex")
-        g = cls.__new__(cls)
-        full = (1 << n) - 1
-        for v, m in enumerate(masks):
-            if m & ~full:
-                raise ValueError(f"mask of vertex {v} references vertices >= {n}")
-            if m >> v & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-        for v, m in enumerate(masks):
-            u = m
-            while u:
-                w = (u & -u).bit_length() - 1
-                if not masks[w] >> v & 1:
-                    raise ValueError(f"asymmetric adjacency between {v} and {w}")
-                u &= u - 1
-        if n > MAX_VERTICES:
-            raise CapacityError(f"{n} vertices exceeds the cap of {MAX_VERTICES}")
-        g.n = n
-        g.adj = masks
-        g.closed = tuple(m | (1 << v) for v, m in enumerate(masks))
-        return g
 
     # -- queries -------------------------------------------------------------
 
@@ -121,11 +95,9 @@ def join(g: Graph, h: Graph) -> Graph:
     n, m = g.n, h.n
     if n + m > MAX_VERTICES:
         raise CapacityError(f"join would have {n + m} vertices (cap {MAX_VERTICES})")
-    g_side = (1 << n) - 1
-    h_side = ((1 << m) - 1) << n
-    masks = [g.adj[v] | h_side for v in range(n)]
-    masks += [(h.adj[u] << n) | g_side for u in range(m)]
-    return Graph.from_masks(n + m, masks)
+    shifted = ((n + u, n + v) for u, v in h.edges())
+    across = ((u, n + w) for u in range(n) for w in range(m))
+    return Graph(n + m, itertools.chain(g.edges(), shifted, across))
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -151,14 +123,15 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
         raise CapacityError(
             f"union would have {g.n + h.n} vertices (cap {MAX_VERTICES})"
         )
-    masks = list(g.adj) + [m << g.n for m in h.adj]
-    return Graph.from_masks(g.n + h.n, masks)
+    shifted = ((g.n + u, g.n + v) for u, v in h.edges())
+    return Graph(g.n + h.n, itertools.chain(g.edges(), shifted))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    masks = [full ^ m ^ (1 << v) for v, m in enumerate(g.adj)]
-    return Graph.from_masks(g.n, masks)
+    # each vertex u with the mask of its non-neighbours v > u
+    later = ((u, (full ^ c) >> (u + 1) << (u + 1)) for u, c in enumerate(g.closed))
+    return Graph(g.n, ((u, v) for u, rest in later for v in _bits(rest)))
 
 
 # -- named families --------------------------------------------------------------

@@ -147,18 +147,6 @@ def _variations(chain: list[Poly], x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _counting_chain(p: Poly) -> list[Poly]:
-    """Sturm chain suitable for counting distinct roots.
-
-    When the chain bottoms out at a nonconstant gcd (repeated roots), divide
-    it out and rebuild on the squarefree part; distinct roots are unchanged.
-    """
-    chain = sturm_sequence(p)
-    if chain[-1].degree > 0:
-        chain = sturm_sequence(_exact_div(chain[0], chain[-1]))
-    return chain
-
-
 def _to_endpoint(value):
     if isinstance(value, float):
         if math.isnan(value):
@@ -180,7 +168,7 @@ def count_real_roots(p: Poly, left=NEG_INF, right=POS_INF) -> int:
         raise ValueError(f"invalid interval: need left < right, got ({left}, {right})")
     if p.degree <= 0:
         return 0
-    chain = _counting_chain(p)
+    chain = sturm_sequence(_squarefree_part(p)[0])
     # V(a) - V(b) counts roots in (a, b]; V is right-continuous at chain zeros.
     count = _variations(chain, lo) - _variations(chain, hi)
     if isinstance(hi, Fraction) and _sign_at(chain[0], hi) == 0:

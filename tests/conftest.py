@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from dompoly.formulas import poly_H, poly_book, poly_join
 from dompoly.graphs import Graph
+from dompoly.polynomials import Poly
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -12,6 +14,20 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def criterion_6_joins() -> list[tuple[str, Poly]]:
+    """(label, D) for every H/B join pattern that acceptance criterion 6 states."""
+    operands = [(("H", n), ("H", n)) for n in range(3, 21)]
+    operands += [(("H", n + 1), ("B", n)) for n in range(3, 11)]
+    operands += [(("B", n), ("B", n)) for n in range(1, 12, 2)]
+    operands += [(("B", n + 1), ("B", n)) for n in range(2, 11, 2)]
+    operands += [(("B", n + 1), ("H", n)) for n in range(4, 11)]
+    closed = {"H": poly_H, "B": poly_book}
+    return [
+        (f"{a}_{i}+{b}_{j}", poly_join(closed[a](i), closed[b](j)))
+        for (a, i), (b, j) in operands
+    ]
 
 
 def inclusion_exclusion_coeffs(g: Graph) -> list[int]:

@@ -36,7 +36,7 @@ from dompoly.graphs import FamilySpec, corona, join
 from dompoly.polynomials import Poly, binomial_power
 from dompoly.realroots import certify_cg, check_oddness, count_real_roots
 
-from conftest import expand_from_roots, random_graph
+from conftest import criterion_6_joins, expand_from_roots, random_graph
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "fixtures" / "complement_friendship_calibration.json").read_text()
@@ -217,30 +217,9 @@ JOIN_WITNESSES = {
 
 def test_criterion_6_join_families_as_stated():
     cases = []
-
-    def check(label, p):
+    for label, p in criterion_6_joins():
         witness = JOIN_WITNESSES.get(label)
         cases.append((label, p, witness and (p, *witness)))
-
-    for n in range(3, 21):
-        check(f"H_{n}+H_{n}", poly_join(poly_H(n), poly_H(n)))
-    for n in range(3, 11):
-        check(
-            f"H_{n + 1}+B_{n}",
-            poly_join(poly_H(n + 1), poly_book(n)),
-        )
-    for n in range(1, 12, 2):
-        check(f"B_{n}+B_{n}", poly_join(poly_book(n), poly_book(n)))
-    for n in range(2, 11, 2):
-        check(
-            f"B_{n + 1}+B_{n}",
-            poly_join(poly_book(n + 1), poly_book(n)),
-        )
-    for n in range(4, 11):
-        check(
-            f"B_{n + 1}+H_{n}",
-            poly_join(poly_book(n + 1), poly_H(n)),
-        )
     failures = check_verdicts(6, cases)
     labels = {label for label, _, _ in cases}
     failures += [

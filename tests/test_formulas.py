@@ -209,7 +209,7 @@ class TestCgFamilyFactor:
         for m in (2, 4, 6):
             assert cg_family_factor("K", m) == binomial_power(m + 1) - 1
 
-    def test_b2_factor_uses_enumerator(self):
+    def test_b2_factor_matches_enumerator(self):
         db2 = D(fam("book", 2))
         assert cg_family_factor("B2") == X * binomial_power(6) + db2
 

@@ -106,6 +106,7 @@ _ERRORS = [
     "compute --bogus",
     "roots --tol abc",
     "roots --max-iter 1.5",
+    "roots --family h_witness:10",  # 5-fold roots: the solver does not converge
     "bogus",
     "",  # no subcommand
 ]

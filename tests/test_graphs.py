@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from dompoly.enumeration import domination_polynomial
@@ -182,6 +184,37 @@ class TestCombinators:
         assert complement(fam("cycle", 4)).edge_count() == 2
         g = complement(fam("friendship", 3))
         assert fingerprint(g) == fingerprint(fam("complement_friendship", 3))
+
+    def test_exact_adjacency_against_definitions(self, rng):
+        """Each combinator's adjacency masks equal those of its definition,
+        built here from plain edge lists; h's vertex i becomes g.n + i."""
+
+        def masks(n, edges):
+            adj = [0] * n
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            return tuple(adj)
+
+        def random_edges(n):
+            p = rng.random()
+            return [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+
+        for n, m in [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(40)] + [(70, 65)]:
+            g_edges, h_edges = random_edges(n), random_edges(m)
+            g, h = Graph(n, g_edges), Graph(m, h_edges)
+            shifted = [(n + u, n + v) for u, v in h_edges]
+            across = [(u, n + w) for u in range(n) for w in range(m)]
+            non_edges = set(itertools.combinations(range(n), 2)) - set(g_edges)
+            cases = [
+                (join(g, h), n + m, g_edges + shifted + across),
+                (disjoint_union(g, h), n + m, g_edges + shifted),
+                (complement(g), n, non_edges),
+            ]
+            for result, order, edges in cases:
+                assert result.n == order
+                assert result.adj == masks(order, edges)
+                assert result.closed == tuple(a | 1 << v for v, a in enumerate(result.adj))
 
     def test_join_capacity(self):
         big = Graph(MAX_VERTICES // 2 + 1)
