@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .complexroots import RootSet, find_roots, roots_csv
+from .complexroots import MIN_TOL, RootSet, find_roots, roots_csv
 from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
 from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
@@ -29,7 +29,7 @@ from .plotting import render_scatter
 from .polynomials import Poly
 from .realroots import certify_cg
 
-TOL_MIN, TOL_MAX = 1e-14, 1e-6
+TOL_MAX = 1e-6
 
 
 class _UsageError(ValueError):
@@ -39,7 +39,7 @@ class _UsageError(ValueError):
 # -- instance sources ------------------------------------------------------------
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> range:
     """Inclusive "a..b", or a single integer."""
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
@@ -49,14 +49,15 @@ def _parse_range(text: str) -> list[int]:
             raise _UsageError(f"bad range {text!r}, expected a..b") from None
         if lo > hi:
             raise _UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
-        return [int(text)]
+        v = int(text)
     except ValueError:
         raise _UsageError(f"bad integer {text!r}") from None
+    return range(v, v + 1)
 
 
-def _parse_family_arg(text: str) -> tuple[str, tuple[int, ...], list[int]]:
+def _parse_family_arg(text: str) -> tuple[str, tuple[int, ...], range]:
     """"name:p1,...,range" -> (name, fixed params, values of the last param)."""
     name, sep, rest = text.partition(":")
     if not sep or not name or not rest:
@@ -69,13 +70,11 @@ def _parse_family_arg(text: str) -> tuple[str, tuple[int, ...], list[int]]:
     return name, fixed, _parse_range(parts[-1])
 
 
-def _apply_parity(values: list[int], odd_only: bool, even_only: bool) -> list[int]:
+def _apply_parity(values: range, odd_only: bool, even_only: bool) -> range:
     if odd_only and even_only:
         raise _UsageError("--odd-only and --even-only are mutually exclusive")
-    if odd_only:
-        values = [v for v in values if v % 2 == 1]
-    elif even_only:
-        values = [v for v in values if v % 2 == 0]
+    if odd_only or even_only:
+        values = values[(values.start + odd_only) % 2 :: 2]
     if not values:
         raise _UsageError("no instances left after parity filtering")
     return values
@@ -184,20 +183,10 @@ def _cmd_compute(args) -> int:
 
 
 def _certificate_rows(args) -> list[dict]:
-    rows = []
-    for label, (*_, n), p in _instances(args):
-        cert = certify_cg(p)
-        rows.append(
-            {
-                "family": label,
-                "n": n,
-                "gamma": cert.gamma,
-                "nonzero_real_root_count": cert.nonzero_real_root_count,
-                "in_cg": cert.in_cg,
-                "evidence": dict(cert.evidence),
-            }
-        )
-    return rows
+    return [
+        {"family": label, "n": n, **certify_cg(p).record()}
+        for label, (*_, n), p in _instances(args)
+    ]
 
 
 def _cmd_certify(args) -> int:
@@ -223,8 +212,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _root_entries(args) -> list[tuple[str, int, RootSet]]:
-    if not TOL_MIN <= args.tol <= TOL_MAX:
-        raise _UsageError(f"--tol must lie in [{TOL_MIN}, {TOL_MAX}]")
+    if not MIN_TOL <= args.tol <= TOL_MAX:
+        raise _UsageError(f"--tol must lie in [{MIN_TOL}, {TOL_MAX}]")
     entries, failed = [], []
     for label, (*_, n), p in _instances(args):
         try:

@@ -11,7 +11,9 @@ The iteration state lives in complex doubles, but the Newton step p/p' is
 computed adaptively: plain vectorized Horner while its running error bound
 shows the double value is trustworthy, and exact fixed-point integer Horner
 on the shifted integer coefficients once cancellation eats the double
-significand.  In the shifted basis that fallback is rare.
+significand.  In the shifted basis that fallback is rare.  Conversions
+between exact integers and doubles are Python's own correctly rounded ones
+(int / int, math.log2 of an int, float.as_integer_ratio).
 
 Every root must then pass an exact residual gate evaluated on the original
 coefficients; if the shifted basis fails to converge or to pass the gate, the
@@ -45,7 +47,8 @@ NEAR_REAL_IM = 1e-9
 #: Radius used to merge root clusters stemming from multiple roots.
 CLUSTER_RADIUS = 1e-6
 
-_MIN_TOL = 1e-14
+#: Smallest accepted tolerance: below it the double iterates cannot settle.
+MIN_TOL = 1e-14
 
 #: Margin factor on the running error bound of the double-precision Horner.
 _NOISE_MARGIN = 64.0
@@ -78,52 +81,10 @@ class CircleDeviation:
 # -- big-integer <-> float plumbing ------------------------------------------------
 
 
-def _log2_abs(c: int) -> float:
-    a = abs(c)
-    bl = a.bit_length()
-    if bl <= 53:
-        return math.log2(a)
-    return math.log2(a >> (bl - 53)) + (bl - 53)
-
-
-def _scaled_float(c: int, down: int) -> float:
-    """c / 2**down as a float, safe for integers beyond the double range."""
-    if c == 0:
-        return 0.0
-    sign = -1.0 if c < 0 else 1.0
-    a = abs(c)
-    bl = a.bit_length()
-    if bl > 64:
-        a >>= bl - 64
-        down -= bl - 64
-    return sign * math.ldexp(float(a), -down)
-
-
-def _float_to_fixed(x: float, fbits: int):
-    """x * 2**fbits as an integer; exact whenever the shift is nonnegative."""
-    if x == 0.0:
-        return 0
-    m, e = math.frexp(x)
-    v = int(m * (1 << 53))
-    shift = fbits + e - 53
-    return v << shift if shift >= 0 else v >> (-shift)
-
-
-def _int_ratio_to_float(num, den) -> float:
-    """num / den as a float for big integers (den > 0)."""
-    if num == 0:
-        return 0.0
-    sign = -1.0 if num < 0 else 1.0
-    num = abs(num)
-    shift = 64 - (num.bit_length() - den.bit_length())
-    if shift >= 0:
-        q = (num << shift) // den
-    else:
-        q = num // (den << (-shift))
-    try:
-        return sign * math.ldexp(float(q), -shift)
-    except OverflowError:
-        return sign * math.inf
+def _float_to_fixed(x: float, fbits: int) -> int:
+    """floor(x * 2**fbits), exactly."""
+    num, den = x.as_integer_ratio()
+    return (num << fbits) // den
 
 
 class _ExactEvaluator:
@@ -173,18 +134,20 @@ class _ExactEvaluator:
         if den == 0:
             # exactly at a critical point: take a deterministic small step
             return complex(2.0**-20 * (1.0 + abs(z)), 0.0)
-        return complex(
-            _int_ratio_to_float(pr * dr + pi * di, den),
-            _int_ratio_to_float(pi * dr - pr * di, den),
-        )
+        step = []
+        for num in (pr * dr + pi * di, pi * dr - pr * di):
+            try:
+                step.append(num / den)
+            except OverflowError:  # beyond the double range
+                step.append(math.inf if num > 0 else -math.inf)
+        return complex(*step)
 
     def abs_value_scaled(self, z: complex, down: int) -> float:
         """|p(z)| / 2**down as a float."""
         fbits = self.fbits_for(z)
         pr, pi, _, _ = self._horner_pair(z, fbits)
-        return math.hypot(
-            _scaled_float(int(pr), fbits + down), _scaled_float(int(pi), fbits + down)
-        )
+        scale = 1 << (fbits + down)
+        return math.hypot(pr / scale, pi / scale)
 
 
 # -- double-precision helpers ---------------------------------------------------
@@ -200,7 +163,8 @@ def _scaled_coefficients(p: Poly) -> tuple[int, np.ndarray]:
             "coefficient dynamic range exceeds double precision; scale the"
             " family index down"
         )
-    return k, np.array([_scaled_float(c, k) for c in p.coeffs], dtype=np.float64)
+    scale = 1 << k
+    return k, np.array([c / scale for c in p.coeffs], dtype=np.float64)
 
 
 def _initial_guesses(p: Poly) -> np.ndarray:
@@ -212,7 +176,7 @@ def _initial_guesses(p: Poly) -> np.ndarray:
     upper root bounds are astronomically loose (binomial-heavy coefficients).
     """
     d = p.degree
-    radius = 2.0 ** ((_log2_abs(p.coeffs[0]) - _log2_abs(p.coeffs[-1])) / d)
+    radius = 2.0 ** ((math.log2(abs(p.coeffs[0])) - math.log2(abs(p.coeffs[-1]))) / d)
     angles = 2.0 * np.pi * np.arange(d) / d + 0.4
     return radius * np.exp(1j * angles)
 
@@ -393,8 +357,8 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol}")
-    if tol < _MIN_TOL:
-        raise ValueError(f"tolerance below {_MIN_TOL} is not achievable in doubles")
+    if tol < MIN_TOL:
+        raise ValueError(f"tolerance below {MIN_TOL} is not achievable in doubles")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     if p.is_zero or p.degree < 1:

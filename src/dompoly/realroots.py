@@ -324,8 +324,8 @@ class CgCertificate:
     the class of graphs with no nonzero real domination roots.  evidence is
     {"witnesses": [[a, b], ...]}, rational endpoints as decimal strings, one
     pair per distinct nonzero real root (see certify_cg); it is empty when
-    in_cg is True.  stats counts the work and is left out of to_json:
-    "nodes" (intervals tested), "max_depth" (bisection levels),
+    in_cg is True.  stats counts the work and is left out of record() and
+    to_json(): "nodes" (intervals tested), "max_depth" (bisection levels),
     "bound_exponent" (e of the root bound 2**e) and "squarefree_fallback"
     (whether the exact gcd ran).
     """
@@ -336,15 +336,17 @@ class CgCertificate:
     evidence: Mapping[str, list]
     stats: Mapping[str, int | bool]
 
+    def record(self) -> dict:
+        """The verdict as a JSON-ready dict: every field but stats."""
+        return {
+            "gamma": self.gamma,
+            "nonzero_real_root_count": self.nonzero_real_root_count,
+            "in_cg": self.in_cg,
+            "evidence": dict(self.evidence),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma": self.gamma,
-                "nonzero_real_root_count": self.nonzero_real_root_count,
-                "in_cg": self.in_cg,
-                "evidence": dict(self.evidence),
-            }
-        )
+        return json.dumps(self.record())
 
 
 def certify_cg(p: Poly) -> CgCertificate:

@@ -250,6 +250,30 @@ class TestUsageErrors:
         code, _, err = run(capsys, "certify", "--family", "complete:5..2")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "family, message",
+        [
+            ("bogus:1..1000000000000", "unknown family 'bogus'"),
+            ("friendship:0..1000000000000", "friendship index must be at least 1"),
+        ],
+    )
+    def test_huge_range_fails_on_its_first_instance(self, capsys, family, message):
+        # ranges stay lazy, so the first bad instance ends the run at once
+        code, out, err = run(capsys, "compute", "--family", family)
+        assert (code, out) == (1, "")
+        assert message in err
+
+    @pytest.mark.parametrize("lo, hi", [(1, 9), (2, 9), (-3, 4), (-4, 3), (5, 5), (6, 6)])
+    def test_parity_slices_match_filters(self, lo, hi):
+        values = range(lo, hi + 1)
+        for odd_only, even_only, keep in ((True, False, 1), (False, True, 0)):
+            expected = [v for v in values if v % 2 == keep]
+            if expected:
+                assert list(cli._apply_parity(values, odd_only, even_only)) == expected
+            else:
+                with pytest.raises(ValueError, match="no instances left"):
+                    cli._apply_parity(values, odd_only, even_only)
+
     def test_conflicting_parity_flags(self, capsys):
         code, _, err = run(
             capsys, "certify", "--family", "complete:1..4", "--odd-only", "--even-only"

@@ -1,10 +1,15 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dompoly.complexroots import (
     CSV_HEADER,
+    _ExactEvaluator,
+    _float_to_fixed,
     boundary_real_part_roots,
     circle_deviation,
     distinct_real_roots,
@@ -107,6 +112,43 @@ class TestFindRoots:
     def test_deterministic(self):
         p = poly_book(7)
         assert find_roots(p) == find_roots(p)
+
+
+conversions = settings(derandomize=True, max_examples=300, deadline=None)
+
+#: Any finite double up to 1e300 in magnitude, with subnormals drawn on their own.
+_doubles = st.floats(-1e300, 1e300) | st.floats(-2.0**-1022, 2.0**-1022)
+
+#: Integers of up to about 1300 bits, so that ratios span the double range.
+_big_ints = st.builds(lambda m, e: m << e, st.integers(-(2**80), 2**80), st.integers(0, 1200))
+
+
+class TestExactConversions:
+    @conversions
+    @given(_doubles, st.integers(0, 2048))
+    @example(5e-324, 96)
+    @example(-5e-324, 96)
+    @example(-1e300, 0)
+    def test_float_to_fixed_is_exact_floor(self, x, fbits):
+        assert _float_to_fixed(x, fbits) == math.floor(Fraction(x) * 2**fbits)
+
+    @conversions
+    @given(_big_ints, _big_ints.filter(bool))
+    @example(1 << 1100, 3)
+    @example(-(1 << 1100), 3)
+    @example(1, 1 << 1100)
+    @example(-1, 1 << 1100)
+    def test_newton_step_ratio_is_correctly_rounded(self, a, b):
+        # at z = 0 the Newton step of a + b*x is exactly a / b
+        step = _ExactEvaluator((a, b)).newton_step(0j)
+        exact = Fraction(a, b)
+        assert step.imag == 0.0
+        if abs(exact) >= 2**1024 - 2**970:  # rounds beyond the largest double
+            assert step.real == (math.inf if exact > 0 else -math.inf)
+        elif abs(exact) <= Fraction(1, 2**1075):  # rounds below the smallest subnormal
+            assert step.real == 0.0
+        else:
+            assert abs(Fraction(step.real) - exact) <= Fraction(math.ulp(step.real)) / 2
 
 
 class TestReconstruction:

@@ -70,6 +70,21 @@ class TestCountRealRoots:
         assert count_real_roots(q, -2, 1) == 1
         assert count_real_roots(q, -2, 2) == 2
 
+    def test_float_endpoints(self):
+        p = Poly([1, 3, 1])  # roots near -2.618 and -0.382
+        assert count_real_roots(p, -3.0, -0.5) == 1
+        assert count_real_roots(p, -INF, INF) == 2
+        assert count_real_roots(p, -0.25, INF) == 0
+
+    def test_invalid_endpoints(self):
+        p = Poly([1, 3, 1])
+        with pytest.raises(ValueError, match="NaN"):
+            count_real_roots(p, float("nan"), 0)
+        with pytest.raises(ValueError, match="NaN"):
+            count_real_roots(p, -1, float("nan"))
+        with pytest.raises(TypeError, match="endpoint"):
+            count_real_roots(p, "-1", 0)
+
     def test_rational_endpoints(self):
         p = Poly([1, 3, 1])
         assert count_real_roots(p, Fraction(-1, 2), 0) == 1
