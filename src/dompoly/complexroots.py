@@ -1,23 +1,21 @@
 """Numerical location of complex roots and limit-circle analytics.
 
-Roots are found by simultaneous Aberth-Ehrlich iteration: every approximation
-is updated with a Newton step corrected by the repulsion of its siblings.
-The iteration runs in a shifted basis: the polynomial is rewritten exactly as
-q(y + s), s the integer nearest the root centroid.  For a domination
-polynomial s is almost always -1, and D(G, y - 1) = sum_U (-1)^|U|
-y^(n - |N[U]|) has small signed counts as coefficients, where the monomial
-basis has binomial coefficients beyond 10^100 that cancel near the roots.
-The iteration state lives in complex doubles, but the Newton step p/p' is
-computed adaptively: plain vectorized Horner while its running error bound
-shows the double value is trustworthy, and exact fixed-point integer Horner
-on the shifted integer coefficients once cancellation eats the double
-significand.  In the shifted basis that fallback is rare.  Conversions
-between exact integers and doubles are Python's own correctly rounded ones
-(int / int, math.log2 of an int, float.as_integer_ratio).
-
-Every root must then pass an exact residual gate evaluated on the original
-coefficients; if the shifted basis fails to converge or to pass the gate, the
-roots are solved again in the original basis.
+Roots are found by simultaneous Aberth-Ehrlich iteration (Newton steps
+corrected by the repulsion of the sibling approximations) on the shifted basis
+b(y) = q(y + s), rewritten exactly, s the integer nearest the root centroid.
+For a domination polynomial s is almost always -1, and D(G, y - 1) =
+sum_U (-1)^|U| y^(n - |N[U]|) has small signed counts as coefficients, where
+the monomial basis has binomial coefficients beyond 10^100 that cancel near
+the roots.  The iteration state lives in complex doubles; a Newton step uses
+vectorized double Horner while its running error bound shows the value is
+trustworthy, and fixed-point integer Horner on b once cancellation eats the
+double significand (rare in the shifted basis).  Every root z must then pass
+a residual gate: the same fixed-point Horner evaluates q(z) = b(z - s) at the
+exactly formed point z - s, and the gate adds a proven bound on its
+truncation error.  If the shifted basis fails to converge or to pass the
+gate, the roots are solved again in the original basis.  Conversions between
+exact integers and doubles are Python's own correctly rounded ones, and no
+evaluation is cached between points.
 
 Multiple roots are not certified; they converge only linearly.  Up to 4-fold
 they are reported as tight clusters; from 5-fold on the iteration does not
@@ -31,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -59,9 +57,10 @@ class RootSet:
     """Nonzero roots of a polynomial, with the exactly-deflated zero root.
 
     Each root is (re, im, residual) where residual = |p(z)| / (||p||_1 *
-    max(1, |z|)^deg), a scale-free backward-error measure evaluated with the
-    exact coefficients; every residual is at most `tolerance`.  For real
-    input the list is conjugate-symmetric.
+    max(1, |z|)^deg), a scale-free backward error with p(z) evaluated in fixed
+    point on the shifted integer coefficients; every residual, plus a proven
+    bound on that truncation, is at most `tolerance`.  For real input the list
+    is conjugate-symmetric.
     """
 
     zero_multiplicity: int
@@ -87,67 +86,64 @@ def _float_to_fixed(x: float, fbits: int) -> int:
     return (num << fbits) // den
 
 
-class _ExactEvaluator:
-    """Newton steps and values of an integer polynomial in fixed point.
+def _fbits_for(deg: int, z: complex) -> int:
+    """Fixed-point scale 2**fbits for Horner at z: the truncation of each step
+    (one unit in the last place) stays below 2**-90 after amplification by the
+    remaining multiplications, fbits = 96 + deg*log2|z| for |z| > 1."""
+    az = abs(z)
+    extra = 0 if az <= 1.0 else int(deg * math.log2(az)) + 1
+    return 96 + 64 * ((extra + 63) // 64)
 
-    Scale 2**fbits is chosen per point so that the truncation of each Horner
-    step (one unit in the last place) stays below 2**-90 after amplification
-    by the remaining multiplications: fbits = 96 + deg*log2|z| for |z| > 1.
-    Shifted coefficient tables are cached per quantized fbits level.
-    """
 
-    def __init__(self, coeffs: tuple[int, ...]):
-        self._coeffs = coeffs
-        self._deg = len(coeffs) - 1
-        self._tables: dict[int, list] = {}
+def _fixed_horner(
+    coeffs: Sequence[int], xr: int, xi: int, fbits: int, derivative: bool = False
+) -> tuple[int, int, int, int]:
+    """coeffs and, if asked, its derivative at x = (xr + i*xi) / 2**fbits in
+    fixed point, (re, im, d_re, d_im) * 2**fbits.  Each step floors each
+    component of a product once, by less than a unit, and later steps multiply
+    that error by x: the value is off by less than _truncation_bound units
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1)."""
+    pr, pi = coeffs[-1] << fbits, 0
+    dr = di = 0
+    for c in reversed(coeffs[:-1]):
+        if derivative:
+            dr, di = ((dr * xr - di * xi) >> fbits) + pr, ((dr * xi + di * xr) >> fbits) + pi
+        pr, pi = ((pr * xr - pi * xi) >> fbits) + (c << fbits), (pr * xi + pi * xr) >> fbits
+    return pr, pi, dr, di
 
-    def fbits_for(self, z: complex) -> int:
-        az = abs(z)
-        extra = 0 if az <= 1.0 else int(self._deg * math.log2(az)) + 1
-        return 96 + 64 * ((extra + 63) // 64)
 
-    def _table(self, fbits: int) -> list:
-        t = self._tables.get(fbits)
-        if t is None:
-            t = [c << fbits for c in self._coeffs]
-            self._tables[fbits] = t
-        return t
+def _truncation_bound(deg: int, r: np.ndarray) -> np.ndarray:
+    """sqrt(2) * sum_{j<deg} r**j: the error of _fixed_horner at |x| = r."""
+    return math.sqrt(2.0) * _abs_eval(np.ones(deg), r)
 
-    def _horner_pair(self, z: complex, fbits: int):
-        cf = self._table(fbits)
-        zr = _float_to_fixed(z.real, fbits)
-        zi = _float_to_fixed(z.imag, fbits)
-        pr, pi = cf[-1], 0
-        dr = di = 0
-        for c in reversed(cf[:-1]):
-            nr, ni = (dr * zr - di * zi) >> fbits, (dr * zi + di * zr) >> fbits
-            dr, di = nr + pr, ni + pi
-            nr, ni = (pr * zr - pi * zi) >> fbits, (pr * zi + pi * zr) >> fbits
-            pr, pi = nr + c, ni
-        return pr, pi, dr, di
 
-    def newton_step(self, z: complex) -> complex:
-        """p(z)/p'(z) rounded to a complex double."""
-        fbits = self.fbits_for(z)
-        pr, pi, dr, di = self._horner_pair(z, fbits)
-        den = dr * dr + di * di
-        if den == 0:
-            # exactly at a critical point: take a deterministic small step
-            return complex(2.0**-20 * (1.0 + abs(z)), 0.0)
-        step = []
-        for num in (pr * dr + pi * di, pi * dr - pr * di):
-            try:
-                step.append(num / den)
-            except OverflowError:  # beyond the double range
-                step.append(math.inf if num > 0 else -math.inf)
-        return complex(*step)
+def _newton_step(coeffs: Sequence[int], z: complex) -> complex:
+    """p(z)/p'(z) of the integer polynomial coeffs, rounded to a complex double."""
+    fbits = _fbits_for(len(coeffs) - 1, z)
+    xr, xi = _float_to_fixed(z.real, fbits), _float_to_fixed(z.imag, fbits)
+    pr, pi, dr, di = _fixed_horner(coeffs, xr, xi, fbits, derivative=True)
+    den = dr * dr + di * di
+    if den == 0:
+        # exactly at a critical point: take a deterministic small step
+        return complex(2.0**-20 * (1.0 + abs(z)), 0.0)
+    step = []
+    for num in (pr * dr + pi * di, pi * dr - pr * di):
+        try:
+            step.append(num / den)
+        except OverflowError:  # beyond the double range
+            step.append(math.inf if num > 0 else -math.inf)
+    return complex(*step)
 
-    def abs_value_scaled(self, z: complex, down: int) -> float:
-        """|p(z)| / 2**down as a float."""
-        fbits = self.fbits_for(z)
-        pr, pi, _, _ = self._horner_pair(z, fbits)
-        scale = 1 << (fbits + down)
-        return math.hypot(pr / scale, pi / scale)
+
+def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, int, int]:
+    """b(z - shift) of the integer polynomial b = coeffs as fixed-point (re, im,
+    fbits); fbits is at least the exponent at which both components of z are
+    exact, so the point z - shift is formed without rounding."""
+    exact = (x.as_integer_ratio()[1].bit_length() - 1 for x in (z.real, z.imag))
+    fbits = max(_fbits_for(len(coeffs) - 1, z - shift), *exact)
+    xr = _float_to_fixed(z.real, fbits) - (shift << fbits)
+    pr, pi, _, _ = _fixed_horner(coeffs, xr, _float_to_fixed(z.imag, fbits), fbits)
+    return pr, pi, fbits
 
 
 # -- double-precision helpers ---------------------------------------------------
@@ -198,7 +194,7 @@ def _abs_eval(c_abs: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _aberth_iterate(
-    exact: _ExactEvaluator, c: np.ndarray, z: np.ndarray, tol: float, max_iter: int
+    coeffs: Sequence[int], c: np.ndarray, z: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, bool, float]:
     d = len(c) - 1
     c_abs = np.abs(c)
@@ -219,11 +215,9 @@ def _aberth_iterate(
             w = np.where(
                 active & reliable, pv / np.where(dv == 0, 1.0, dv), 0.0
             )
-            # far-out points: Newton degenerates to z/d, no evaluation needed
-            far = ~finite | (az > 1e6)
-            w[far & active] = z[far & active] / d
-            for i in np.flatnonzero(active & ~reliable & ~far):
-                w[i] = exact.newton_step(complex(z[i]))
+            # exact steps for any finite iterate: a non-finite one has no fixed point
+            for i in np.flatnonzero(active & ~reliable & np.isfinite(z)):
+                w[i] = _newton_step(coeffs, complex(z[i]))
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             recip = 1.0 / diff
@@ -277,22 +271,29 @@ def _pair_conjugates(z: np.ndarray) -> np.ndarray:
 
 
 def _final_residuals(
-    exact: _ExactEvaluator, z: np.ndarray, k: int, c: np.ndarray
+    basis: Poly, shift: int, z: np.ndarray, k: int, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sharp, reported) backward errors from exact evaluation.
+    """(sharp, reported) backward errors of q at z, q(z) = basis(z - shift).
 
-    sharp = |p(z)| / sum_i |c_i| |z|^i is the acceptance test; reported =
-    |p(z)| / (||c||_1 * max(1,|z|)^deg) is recorded on the RootSet.  The
-    reported denominator majorizes the sharp one, so sharp <= tol implies
-    the recorded residuals meet the tolerance as well.
+    c are q's coefficients over 2**k.  The fixed-point value p is off by less
+    than E = _truncation_bound * 2**-fbits, so sharp = (|p| + E) / sum_i |c_i|
+    |z|^i majorizes the backward error and is the acceptance test; reported =
+    |p| / (||c||_1 * max(1,|z|)^deg), recorded on the RootSet, is at most sharp.
     """
     d = len(c) - 1
     az = np.abs(z)
-    with np.errstate(over="ignore"):
+    # overflow to inf rejects; inf / inf is masked by the isfinite test
+    with np.errstate(over="ignore", invalid="ignore"):
         aev = _abs_eval(np.abs(c), az)
         rep_den = float(np.abs(c).sum()) * np.maximum(1.0, az) ** d
-    mags = np.array([exact.abs_value_scaled(complex(zi), k) for zi in z])
-    sharp = np.where(np.isfinite(aev), mags / aev, np.inf)
+        bound = _truncation_bound(d, np.abs(z - shift))
+        mags, errs = np.empty(len(z)), np.empty(len(z))
+        for i, zi in enumerate(z):
+            pr, pi, fbits = _shifted_value(basis.coeffs, shift, complex(zi))
+            scale = 1 << (fbits + k)
+            mags[i] = math.hypot(pr / scale, pi / scale)
+            errs[i] = math.ldexp(bound[i], -(fbits + k))
+        sharp = np.where(np.isfinite(aev), (mags + errs) / aev, np.inf)
     reported = np.where(np.isfinite(rep_den), mags / rep_den, np.inf)
     return sharp, reported
 
@@ -307,21 +308,17 @@ def _centroid_shift(q: Poly) -> int:
 
 
 def _solve(
-    q: Poly, exact: _ExactEvaluator, scale: int, c: np.ndarray,
-    shift: int, tol: float, max_iter: int,
+    q: Poly, scale: int, c: np.ndarray, shift: int, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of q (iterated on q(y + shift)) and their reported residuals.
-
-    Raises NonConvergenceError when the iteration stalls or a root misses the
-    exact residual gate on the original coefficients.
-    """
+    """Roots of q (iterated on q(y + shift)) and their reported residuals;
+    NonConvergenceError when the iteration stalls or a root misses the gate."""
     basis = q.taylor_shift(shift)
     _, cb = _scaled_coefficients(basis)
     if basis.degree == 1:
         y = np.array([complex(-cb[0] / cb[1])])
     else:
         y, converged, max_corr = _aberth_iterate(
-            _ExactEvaluator(basis.coeffs), cb, _initial_guesses(basis), tol, max_iter
+            basis.coeffs, cb, _initial_guesses(basis), tol, max_iter
         )
         if not converged:
             raise NonConvergenceError(
@@ -331,7 +328,7 @@ def _solve(
                 max_correction=max_corr,
             )
     z = _pair_conjugates(y + shift)
-    sharp, reported = _final_residuals(exact, z, scale, c)
+    sharp, reported = _final_residuals(basis, shift, z, scale, c)
     worst = float(sharp.max())
     if worst > tol:
         raise NonConvergenceError(
@@ -348,12 +345,13 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     The zero root is removed exactly (its multiplicity is the lowest nonzero
     coefficient index).  The remaining roots are iterated simultaneously on
     q(y + s), s the integer nearest their centroid, until the largest
-    correction drops below tol; every root must then pass the exact residual
-    gate on the original coefficients.  Should the shifted basis fail to
-    converge, fail the gate or exceed the double range, the roots are solved
-    again in the original basis, so the shift never turns a solvable input
-    into a failure.  Non-convergence raises, carrying the best iterate; it is
-    never returned silently as converged.
+    correction drops below tol; every root z must then pass the residual
+    gate, evaluated on the shifted coefficients at z - s with a proven
+    truncation bound.  Should the shifted basis fail to converge, fail the
+    gate or exceed the double range, the roots are solved again in the
+    original basis, so the shift never turns a solvable input into a failure.
+    Non-convergence raises, carrying the best iterate; it is never returned
+    silently as converged.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol}")
@@ -368,14 +366,13 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     if q.degree == 0:
         return RootSet(zero_mult, (), tol)
     scale, c = _scaled_coefficients(q)
-    exact = _ExactEvaluator(q.coeffs)
     shift = _centroid_shift(q)
     try:
-        z, reported = _solve(q, exact, scale, c, shift, tol, max_iter)
+        z, reported = _solve(q, scale, c, shift, tol, max_iter)
     except (NonConvergenceError, CapacityError):
         if not shift:
             raise
-        z, reported = _solve(q, exact, scale, c, 0, tol, max_iter)
+        z, reported = _solve(q, scale, c, 0, tol, max_iter)
     order = np.lexsort((z.imag, z.real))
     roots = tuple((float(z[i].real), float(z[i].imag), float(reported[i])) for i in order)
     return RootSet(zero_mult, roots, tol)

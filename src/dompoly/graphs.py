@@ -93,8 +93,6 @@ def _bits(mask: int) -> Iterator[int]:
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus every edge between the two sides."""
     n, m = g.n, h.n
-    if n + m > MAX_VERTICES:
-        raise CapacityError(f"join would have {n + m} vertices (cap {MAX_VERTICES})")
     shifted = ((n + u, n + v) for u, v in h.edges())
     across = ((u, n + w) for u in range(n) for w in range(m))
     return Graph(n + m, itertools.chain(g.edges(), shifted, across))
@@ -107,22 +105,13 @@ def corona(g: Graph, h: Graph) -> Graph:
     """
     if h.n == 0:
         raise ValueError("corona requires a nonempty second operand")
-    total = g.n * (1 + h.n)
-    if total > MAX_VERTICES:
-        raise CapacityError(f"corona would have {total} vertices (cap {MAX_VERTICES})")
-    edges = list(g.edges())
-    for i in range(g.n):
-        base = g.n + i * h.n
-        edges.extend((base + u, base + v) for u, v in h.edges())
-        edges.extend((i, base + u) for u in range(h.n))
-    return Graph(total, edges)
+    n, m = g.n, h.n
+    copies = ((n + i * m + u, n + i * m + v) for i in range(n) for u, v in h.edges())
+    spokes = ((i, n + i * m + u) for i in range(n) for u in range(m))
+    return Graph(n * (1 + m), itertools.chain(g.edges(), copies, spokes))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    if g.n + h.n > MAX_VERTICES:
-        raise CapacityError(
-            f"union would have {g.n + h.n} vertices (cap {MAX_VERTICES})"
-        )
     shifted = ((g.n + u, g.n + v) for u, v in h.edges())
     return Graph(g.n + h.n, itertools.chain(g.edges(), shifted))
 

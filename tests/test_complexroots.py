@@ -2,14 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dompoly.complexroots import (
     CSV_HEADER,
-    _ExactEvaluator,
     _float_to_fixed,
+    _newton_step,
+    _shifted_value,
+    _truncation_bound,
     boundary_real_part_roots,
     circle_deviation,
     distinct_real_roots,
@@ -103,6 +106,14 @@ class TestFindRoots:
         assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
         assert min(abs(complex(re, im) + 0.014009) for re, im, _ in rs.roots) < 1e-6
 
+    @pytest.mark.parametrize("r", [10**7, 10**12])
+    def test_far_root(self, r):
+        # (x + 1)(x + r): the iterate that goes out to -r must take true
+        # Newton steps there, exact ones once the double value is unreliable
+        rs = find_roots(Poly([r, r + 1, 1]))
+        assert [(re, im) for re, im, _ in rs.roots] == [(-float(r), 0.0), (-1.0, 0.0)]
+        assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
+
     def test_dynamic_range_capacity_guard(self):
         from dompoly.errors import CapacityError
 
@@ -140,7 +151,7 @@ class TestExactConversions:
     @example(-1, 1 << 1100)
     def test_newton_step_ratio_is_correctly_rounded(self, a, b):
         # at z = 0 the Newton step of a + b*x is exactly a / b
-        step = _ExactEvaluator((a, b)).newton_step(0j)
+        step = _newton_step((a, b), 0j)
         exact = Fraction(a, b)
         assert step.imag == 0.0
         if abs(exact) >= 2**1024 - 2**970:  # rounds beyond the largest double
@@ -149,6 +160,39 @@ class TestExactConversions:
             assert step.real == 0.0
         else:
             assert abs(Fraction(step.real) - exact) <= Fraction(math.ulp(step.real)) / 2
+
+
+#: Components that need more fraction bits than the Horner scale alone gives.
+_tiny = st.floats(-1e-20, 1e-20)
+
+
+@st.composite
+def _gate_points(draw):
+    """(coefficients of degree <= 40 and |c| <= 2**64, shift s, z with |z - s| <= 4)."""
+    coeffs = draw(st.lists(st.integers(-(2**64), 2**64), min_size=2, max_size=41))
+    shift = draw(st.integers(-3, 3))
+    z = complex(draw(st.floats(shift - 2.8, shift + 2.8) | _tiny), draw(st.floats(-2.8, 2.8) | _tiny))
+    assume(abs(z - shift) <= 4)
+    return coeffs, shift, z
+
+
+class TestGateArithmetic:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_gate_points())
+    @example(([1, -3, 1], 0, complex(1e-20, -3e-21)))
+    @example(([2**64] * 41, -3, complex(0.5, 2.8)))
+    def test_shifted_value_within_truncation_bound(self, case):
+        coeffs, shift, z = case
+        w = (Fraction(z.real) - shift, Fraction(z.imag))
+        # the identity polynomial returns the fixed-point point itself
+        xr, xi, fbits = _shifted_value((0, 1), shift, z)
+        assert (Fraction(xr, 2**fbits), Fraction(xi, 2**fbits)) == w
+        pr, pi, fbits = _shifted_value(coeffs, shift, z)
+        er, ei = Fraction(coeffs[-1]), Fraction(0)
+        for c in reversed(coeffs[:-1]):
+            er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
+        bound = Fraction(float(_truncation_bound(len(coeffs) - 1, np.array([abs(z - shift)]))[0]))
+        assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
 
 
 class TestReconstruction:

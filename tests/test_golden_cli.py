@@ -171,12 +171,21 @@ def test_parser_is_built_once_and_reused(golden, tmp_path, capsys):
 
 
 def _record() -> None:
+    """Re-record every command; print each changed digest, old and new."""
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         results = {}
         for i, command in enumerate(COMMANDS):
             workdir = Path(tmp) / str(i)
             workdir.mkdir()
             results[command] = run_command(command, workdir)
+    for command, result in results.items():
+        old = previous.get(command, {})
+        changed = [key for key in result if old.get(key) != result[key]]
+        if changed:
+            print(command)
+            for key in changed:
+                print(f"  {key}: {old.get(key)} -> {result[key]}")
     GOLDEN.write_text(json.dumps(results, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(results)} commands in {GOLDEN}")
 

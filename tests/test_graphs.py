@@ -216,10 +216,29 @@ class TestCombinators:
                 assert result.adj == masks(order, edges)
                 assert result.closed == tuple(a | 1 << v for v, a in enumerate(result.adj))
 
-    def test_join_capacity(self):
-        big = Graph(MAX_VERTICES // 2 + 1)
+    @pytest.mark.parametrize(
+        "combine, operand",
+        [
+            (join, Graph(MAX_VERTICES // 2 + 1)),
+            (disjoint_union, Graph(MAX_VERTICES // 2 + 1)),
+            (corona, fam("complete", 200)),
+        ],
+        ids=["join", "disjoint_union", "corona"],
+    )
+    def test_combinator_capacity(self, combine, operand):
+        """The vertex cap is checked before any edge is read; corona(K_200,
+        K_200) would have 40,200 vertices and about 4 million edges."""
+
+        class Unread(Graph):
+            __slots__ = ()
+
+            def edges(self):
+                raise AssertionError("edges read before the vertex cap was checked")
+                yield
+
+        big = Unread(operand.n, operand.edges())
         with pytest.raises(CapacityError):
-            join(big, big)
+            combine(big, big)
 
 
 class TestEdgeListFormat:
