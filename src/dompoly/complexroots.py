@@ -8,14 +8,20 @@ sum_U (-1)^|U| y^(n - |N[U]|) has small signed counts as coefficients, where
 the monomial basis has binomial coefficients beyond 10^100 that cancel near
 the roots.  The iteration state lives in complex doubles; a Newton step uses
 vectorized double Horner while its running error bound shows the value is
-trustworthy, and fixed-point integer Horner on b once cancellation eats the
-double significand (rare in the shifted basis).  Every root z must then pass
-a residual gate: the same fixed-point Horner evaluates q(z) = b(z - s) at the
-exactly formed point z - s, and the gate adds a proven bound on its
-truncation error.  If the shifted basis fails to converge or to pass the
-gate, the roots are solved again in the original basis.  Conversions between
-exact integers and doubles are Python's own correctly rounded ones, and no
-evaluation is cached between points.
+trustworthy, and an exact fixed-point step on b once cancellation eats the
+double significand.  That is the last step or two of most roots, once the
+iterate sits where the double value is rounding noise (about 1.15 exact steps
+per root over complement_friendship:1..42).  The fixed-point evaluation at x
+is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the remainder of b modulo the
+real quadratic (t - x)(t - conj x), whose coefficients 2 Re x and |x|^2 are
+held exactly, costs two real products per coefficient, and four with the
+derivative, where complex Horner takes four and eight.  Every root z must
+then pass a residual gate: the same evaluation of q(z) = b(z - s) at the
+exactly formed point z - s, plus a proven bound on its truncation error.  If
+the shifted basis fails to converge or to pass the gate, the roots are solved
+again in the original basis.  Conversions between exact integers and doubles
+are Python's own correctly rounded ones, and no evaluation is cached between
+points.
 
 Multiple roots are not certified; they converge only linearly.  Up to 4-fold
 they are reported as tight clusters; from 5-fold on the iteration does not
@@ -27,9 +33,10 @@ fixed initial guesses, no randomness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,11 +68,17 @@ class RootSet:
     point on the shifted integer coefficients; every residual, plus a proven
     bound on that truncation, is at most `tolerance`.  For real input the list
     is conjugate-symmetric.
+
+    `stats` counts the work of find_roots, over both bases when the
+    original-basis retry ran: `aberth_iterations`, `exact_steps` (fixed-point
+    Newton steps), `gate_evaluations`, the centroid `shift` and `retried`.
+    It takes no part in comparisons.
     """
 
     zero_multiplicity: int
     roots: tuple[tuple[float, float, float], ...]
     tolerance: float
+    stats: Mapping[str, int] = field(default_factory=dict, compare=False)
 
     def complex_roots(self) -> list[complex]:
         return [complex(re, im) for re, im, _ in self.roots]
@@ -87,41 +100,56 @@ def _float_to_fixed(x: float, fbits: int) -> int:
 
 
 def _fbits_for(deg: int, z: complex) -> int:
-    """Fixed-point scale 2**fbits for Horner at z: the truncation of each step
-    (one unit in the last place) stays below 2**-90 after amplification by the
-    remaining multiplications, fbits = 96 + deg*log2|z| for |z| > 1."""
+    """Fixed-point scale 2**fbits for evaluation at z: the truncation of each
+    step (one unit in the last place) stays below 2**-90 after amplification
+    by the remaining multiplications, fbits = 96 + deg*log2|z| for |z| > 1."""
     az = abs(z)
     extra = 0 if az <= 1.0 else int(deg * math.log2(az)) + 1
     return 96 + 64 * ((extra + 63) // 64)
 
 
-def _fixed_horner(
-    coeffs: Sequence[int], xr: int, xi: int, fbits: int, derivative: bool = False
-) -> tuple[int, int, int, int]:
-    """coeffs and, if asked, its derivative at x = (xr + i*xi) / 2**fbits in
-    fixed point, (re, im, d_re, d_im) * 2**fbits.  Each step floors each
-    component of a product once, by less than a unit, and later steps multiply
-    that error by x: the value is off by less than _truncation_bound units
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1)."""
-    pr, pi = coeffs[-1] << fbits, 0
-    dr = di = 0
-    for c in reversed(coeffs[:-1]):
-        if derivative:
-            dr, di = ((dr * xr - di * xi) >> fbits) + pr, ((dr * xi + di * xr) >> fbits) + pi
-        pr, pi = ((pr * xr - pi * xi) >> fbits) + (c << fbits), (pr * xi + pi * xr) >> fbits
-    return pr, pi, dr, di
+def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[int, int]:
+    """coeffs at x = (xr + i*xi) / 2**fbits in fixed point, (re, im) * 2**fbits.
+
+    Goertzel's evaluation (Knuth, TAOCP Vol. 2, 4.6.4): the real recurrence
+    b_k = c_k + r*b_{k+1} - s*b_{k+2} leaves the remainder b_1*t + b_0 - r*b_1
+    of coeffs modulo (t - x)(t - conj x) = t^2 - r*t + s, so p(x) = b_0 -
+    conj(x)*b_1, at two real products per coefficient.  r = 2*Re x and s =
+    |x|^2 are exact, so the floors made at coefficient k, together less than a
+    unit, reach the value as exactly that error times x^k; the two floors of
+    the last step add less than sqrt(2) units: the value is off by less than
+    _truncation_bound units."""
+    r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
+    b0 = b1 = 0
+    for c in reversed(coeffs):
+        b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
+    return b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
 
 
 def _truncation_bound(deg: int, r: np.ndarray) -> np.ndarray:
-    """sqrt(2) * sum_{j<deg} r**j: the error of _fixed_horner at |x| = r."""
-    return math.sqrt(2.0) * _abs_eval(np.ones(deg), r)
+    """sqrt(2) + sum_{j<deg} r**j: the error of _fixed_value at |x| = r."""
+    return math.sqrt(2.0) + _abs_eval(np.ones(deg), r)
 
 
 def _newton_step(coeffs: Sequence[int], z: complex) -> complex:
-    """p(z)/p'(z) of the integer polynomial coeffs, rounded to a complex double."""
+    """p(z)/p'(z) of the integer polynomial coeffs, rounded to a complex double.
+
+    The loop of _fixed_value runs alongside the same recurrence over b_d..b_2,
+    the coefficients of the quotient Q of p by t^2 - r*t + s, which gives
+    Q(x); then p'(x) = Q(x)*(x - conj x) + b_1, at four real products per
+    coefficient in all."""
     fbits = _fbits_for(len(coeffs) - 1, z)
     xr, xi = _float_to_fixed(z.real, fbits), _float_to_fixed(z.imag, fbits)
-    pr, pi, dr, di = _fixed_horner(coeffs, xr, xi, fbits, derivative=True)
+    r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
+    b0 = b1 = e0 = e1 = 0
+    for c in reversed(coeffs[2:]):
+        b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
+        e0, e1 = b0 + ((r * e0) >> fbits) - ((s * e1) >> f2), e0
+    for c in reversed(coeffs[:2]):
+        b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
+    pr, pi = b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
+    qr, qi = e0 - ((xr * e1) >> fbits), (xi * e1) >> fbits
+    dr, di = b1 - ((2 * xi * qi) >> fbits), (2 * xi * qr) >> fbits
     den = dr * dr + di * di
     if den == 0:
         # exactly at a critical point: take a deterministic small step
@@ -142,7 +170,7 @@ def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, 
     exact = (x.as_integer_ratio()[1].bit_length() - 1 for x in (z.real, z.imag))
     fbits = max(_fbits_for(len(coeffs) - 1, z - shift), *exact)
     xr = _float_to_fixed(z.real, fbits) - (shift << fbits)
-    pr, pi, _, _ = _fixed_horner(coeffs, xr, _float_to_fixed(z.imag, fbits), fbits)
+    pr, pi = _fixed_value(coeffs, xr, _float_to_fixed(z.imag, fbits), fbits)
     return pr, pi, fbits
 
 
@@ -194,11 +222,20 @@ def _abs_eval(c_abs: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _aberth_iterate(
-    coeffs: Sequence[int], c: np.ndarray, z: np.ndarray, tol: float, max_iter: int
+    coeffs: Sequence[int], c: np.ndarray, z: np.ndarray, tol: float, max_iter: int, stats: Counter
 ) -> tuple[np.ndarray, bool, float]:
+    """Aberth iteration from z; (iterates, converged, largest relative
+    correction of the last pass).  stats counts passes and exact steps."""
     d = len(c) - 1
     c_abs = np.abs(c)
-    cd_abs = c_abs[1:] * np.arange(1, d + 1)
+    # The running error bounds sum_k |c_k| |z|^k of p and p' are summed as
+    # exp(log|c_k| + k log|z|), so no power overflows where the sum is finite.
+    # The constant terms stay outside: |z| = 0 gives them exactly, and a
+    # non-finite |z| gives an infinite or NaN bound.
+    kp = np.flatnonzero(c_abs[1:]) + 1
+    log_p = np.log(c_abs[kp])
+    kd = kp[kp >= 2]
+    log_d = np.log(kd * c_abs[kd])
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     max_corr = math.inf
     # Points whose correction has dropped well below tol are frozen: they sit
@@ -206,17 +243,21 @@ def _aberth_iterate(
     active = np.ones(d, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
+            stats["aberth_iterations"] += 1
             pv, dv = _horner_pair(c, z)
             az = np.abs(z)
-            noise_p = noise_factor * _abs_eval(c_abs, az)
-            noise_d = noise_factor * _abs_eval(cd_abs, az)
+            log_az = np.log(az)[:, None]
+            noise_p = noise_factor * (c_abs[0] + np.exp(log_p + kp * log_az).sum(axis=1))
+            noise_d = noise_factor * (c_abs[1] + np.exp(log_d + (kd - 1) * log_az).sum(axis=1))
             finite = np.isfinite(pv) & np.isfinite(dv) & np.isfinite(noise_p)
             reliable = finite & (np.abs(pv) > noise_p) & (np.abs(dv) > noise_d)
             w = np.where(
                 active & reliable, pv / np.where(dv == 0, 1.0, dv), 0.0
             )
             # exact steps for any finite iterate: a non-finite one has no fixed point
-            for i in np.flatnonzero(active & ~reliable & np.isfinite(z)):
+            exact = np.flatnonzero(active & ~reliable & np.isfinite(z))
+            stats["exact_steps"] += len(exact)
+            for i in exact:
                 w[i] = _newton_step(coeffs, complex(z[i]))
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
@@ -232,7 +273,8 @@ def _aberth_iterate(
             cap = np.maximum(1.0, az)
             corr = np.where(mag > cap, corr * (cap / mag), corr)
             z = z - corr
-            mag = np.abs(corr)
+            # relative to the iterate's scale, so a far root can settle too
+            mag = np.abs(corr) / cap
             active &= mag >= 0.25 * tol
             max_corr = float(mag.max())
             if max_corr < tol or not active.any():
@@ -271,7 +313,7 @@ def _pair_conjugates(z: np.ndarray) -> np.ndarray:
 
 
 def _final_residuals(
-    basis: Poly, shift: int, z: np.ndarray, k: int, c: np.ndarray
+    basis: Poly, shift: int, z: np.ndarray, k: int, c: np.ndarray, stats: Counter
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sharp, reported) backward errors of q at z, q(z) = basis(z - shift).
 
@@ -288,6 +330,7 @@ def _final_residuals(
         rep_den = float(np.abs(c).sum()) * np.maximum(1.0, az) ** d
         bound = _truncation_bound(d, np.abs(z - shift))
         mags, errs = np.empty(len(z)), np.empty(len(z))
+        stats["gate_evaluations"] += len(z)
         for i, zi in enumerate(z):
             pr, pi, fbits = _shifted_value(basis.coeffs, shift, complex(zi))
             scale = 1 << (fbits + k)
@@ -308,7 +351,7 @@ def _centroid_shift(q: Poly) -> int:
 
 
 def _solve(
-    q: Poly, scale: int, c: np.ndarray, shift: int, tol: float, max_iter: int
+    q: Poly, scale: int, c: np.ndarray, shift: int, tol: float, max_iter: int, stats: Counter
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of q (iterated on q(y + shift)) and their reported residuals;
     NonConvergenceError when the iteration stalls or a root misses the gate."""
@@ -318,7 +361,7 @@ def _solve(
         y = np.array([complex(-cb[0] / cb[1])])
     else:
         y, converged, max_corr = _aberth_iterate(
-            basis.coeffs, cb, _initial_guesses(basis), tol, max_iter
+            basis.coeffs, cb, _initial_guesses(basis), tol, max_iter, stats
         )
         if not converged:
             raise NonConvergenceError(
@@ -328,7 +371,7 @@ def _solve(
                 max_correction=max_corr,
             )
     z = _pair_conjugates(y + shift)
-    sharp, reported = _final_residuals(basis, shift, z, scale, c)
+    sharp, reported = _final_residuals(basis, shift, z, scale, c, stats)
     worst = float(sharp.max())
     if worst > tol:
         raise NonConvergenceError(
@@ -345,10 +388,12 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     The zero root is removed exactly (its multiplicity is the lowest nonzero
     coefficient index).  The remaining roots are iterated simultaneously on
     q(y + s), s the integer nearest their centroid, until the largest
-    correction drops below tol; every root z must then pass the residual
-    gate, evaluated on the shifted coefficients at z - s with a proven
-    truncation bound.  Should the shifted basis fail to converge, fail the
-    gate or exceed the double range, the roots are solved again in the
+    correction, each measured relative to max(1, |y|) of its iterate y, drops
+    below tol; an iterate whose relative correction drops below tol / 4 is
+    frozen and only repels the others.  Every root z must then pass the
+    residual gate, evaluated on the shifted coefficients at z - s with a
+    proven truncation bound.  Should the shifted basis fail to converge, fail
+    the gate or exceed the double range, the roots are solved again in the
     original basis, so the shift never turns a solvable input into a failure.
     Non-convergence raises, carrying the best iterate; it is never returned
     silently as converged.
@@ -367,15 +412,19 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         return RootSet(zero_mult, (), tol)
     scale, c = _scaled_coefficients(q)
     shift = _centroid_shift(q)
+    stats = Counter(
+        aberth_iterations=0, exact_steps=0, gate_evaluations=0, shift=shift, retried=False
+    )
     try:
-        z, reported = _solve(q, scale, c, shift, tol, max_iter)
+        z, reported = _solve(q, scale, c, shift, tol, max_iter, stats)
     except (NonConvergenceError, CapacityError):
         if not shift:
             raise
-        z, reported = _solve(q, scale, c, 0, tol, max_iter)
+        stats["retried"] = True
+        z, reported = _solve(q, scale, c, 0, tol, max_iter, stats)
     order = np.lexsort((z.imag, z.real))
     roots = tuple((float(z[i].real), float(z[i].imag), float(reported[i])) for i in order)
-    return RootSet(zero_mult, roots, tol)
+    return RootSet(zero_mult, roots, tol, dict(stats))
 
 
 def distinct_real_roots(rs: RootSet) -> list[float]:

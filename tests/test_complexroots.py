@@ -1,6 +1,9 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,12 @@ from dompoly.complexroots import (
     roots_csv,
 )
 from dompoly.errors import NonConvergenceError
-from dompoly.formulas import poly_book, poly_complement_friendship, poly_friendship
+from dompoly.formulas import (
+    poly_book,
+    poly_cocktail,
+    poly_complement_friendship,
+    poly_friendship,
+)
 from dompoly.polynomials import Poly, binomial_power
 from dompoly.realroots import count_real_roots
 
@@ -114,6 +122,31 @@ class TestFindRoots:
         assert [(re, im) for re, im, _ in rs.roots] == [(-float(r), 0.0), (-1.0, 0.0)]
         assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
 
+    def test_far_root_settles_relative_to_its_modulus(self):
+        # an absolute correction cannot drop below tol = 1e-12 at |z| ~ 1.2e5,
+        # where the spacing of doubles is 1.5e-11
+        rs = find_roots(Poly([7, -123456, 1]))
+        assert len(rs.roots) == 2
+        assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
+        assert sum(re for re, _, _ in rs.roots) == pytest.approx(123456.0, rel=1e-15)
+
+    def test_stats_count_the_work(self):
+        rs = find_roots(poly_complement_friendship(40))
+        assert rs.stats["shift"] == -1
+        assert rs.stats["retried"] is False
+        assert rs.stats["gate_evaluations"] == len(rs.roots)
+        assert rs.stats["aberth_iterations"] > 0
+        assert rs.stats["exact_steps"] > 0
+        # the centroid basis of this input misses the gate; the retry adds its work
+        retried = find_roots(Poly([23, 1653, 831, 2233, 1])).stats
+        assert retried["shift"] == -558 and retried["retried"] is True
+        assert retried["gate_evaluations"] == 8
+
+    def test_stats_take_no_part_in_equality(self):
+        from dompoly.complexroots import RootSet
+
+        assert RootSet(0, (), 1e-12, {"exact_steps": 3}) == RootSet(0, (), 1e-12)
+
     def test_dynamic_range_capacity_guard(self):
         from dompoly.errors import CapacityError
 
@@ -162,7 +195,45 @@ class TestExactConversions:
             assert abs(Fraction(step.real) - exact) <= Fraction(math.ulp(step.real)) / 2
 
 
-#: Components that need more fraction bits than the Horner scale alone gives.
+def _exact_newton_step(coeffs, w):
+    """(Re, Im) of p(w)/p'(w) in Fraction at w = (re, im); None where p'(w) = 0."""
+    pr, pi, dr, di = Fraction(coeffs[-1]), Fraction(0), Fraction(0), Fraction(0)
+    for c in reversed(coeffs[:-1]):
+        dr, di = dr * w[0] - di * w[1] + pr, dr * w[1] + di * w[0] + pi
+        pr, pi = pr * w[0] - pi * w[1] + c, pr * w[1] + pi * w[0]
+    den = dr * dr + di * di
+    return None if den == 0 else ((pr * dr + pi * di) / den, (pi * dr - pr * di) / den)
+
+
+#: Dyadic components with at most 10 fraction bits: the fixed-point point is exact.
+_dyadic = st.builds(lambda m, e: m / 2**e, st.integers(-(2**12), 2**12), st.integers(0, 10))
+
+#: Imaginary parts at most 2**-40 in magnitude, where the quotient's terms grow.
+_near_real = st.builds(
+    lambda m, e: m * 2.0**-e, st.integers(-(2**10), 2**10), st.integers(50, 70)
+)
+
+
+class TestFusedNewtonStep:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=2, max_size=25).filter(lambda c: c[-1] != 0),
+        _dyadic,
+        _dyadic | _near_real,
+    )
+    @example([45, 22, 24, 24], -17.875, 2.0**-48)
+    @example([-30, 21], -135.5, 2.0**-51)
+    @example([-40, -40, -40], 0.0, -256.0)
+    def test_step_agrees_with_exact_ratio(self, coeffs, re, im):
+        exact = _exact_newton_step(coeffs, (Fraction(re), Fraction(im)))
+        assume(exact is not None)
+        step = _newton_step(coeffs, complex(re, im))
+        ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
+        assert abs(Fraction(step.real) - exact[0]) <= ulp
+        assert abs(Fraction(step.imag) - exact[1]) <= ulp
+
+
+#: Components that need more fraction bits than the evaluation scale alone gives.
 _tiny = st.floats(-1e-20, 1e-20)
 
 
@@ -181,6 +252,9 @@ class TestGateArithmetic:
     @given(_gate_points())
     @example(([1, -3, 1], 0, complex(1e-20, -3e-21)))
     @example(([2**64] * 41, -3, complex(0.5, 2.8)))
+    @example(([2**64] * 41, 3, complex(5.5, 2.0**-45)))
+    @example(([-(2**64), 2**64] * 20 + [1], -1, complex(-2.5, -(2.0**-60))))
+    @example(([5, -7, 3, 1], 0, complex(0.75, 5e-324)))
     def test_shifted_value_within_truncation_bound(self, case):
         coeffs, shift, z = case
         w = (Fraction(z.real) - shift, Fraction(z.imag))
@@ -193,6 +267,32 @@ class TestGateArithmetic:
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
         bound = Fraction(float(_truncation_bound(len(coeffs) - 1, np.array([abs(z - shift)]))[0]))
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
+
+
+#: sha256 of the (re, im) columns of each instance's roots, one "re,im" line per
+#: root in repr; residuals are left out, since their last digits may move
+#: within the proven truncation bound when the evaluation changes.
+_ROOT_COLUMNS = json.loads(
+    (Path(__file__).parent / "fixtures" / "root_columns.json").read_text(encoding="utf-8")
+)
+
+_PINNED_FAMILIES = {
+    "complement_friendship": poly_complement_friendship,
+    "friendship": poly_friendship,
+    "book": poly_book,
+    "cocktail_party": poly_cocktail,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PINNED_FAMILIES))
+def test_root_columns_are_pinned(family):
+    pinned = {k: v for k, v in _ROOT_COLUMNS.items() if k.startswith(family + ":")}
+    got = {}
+    for key in pinned:
+        rs = find_roots(_PINNED_FAMILIES[family](int(key.split(":")[1])))
+        text = "".join(f"{re!r},{im!r}\n" for re, im, _ in rs.roots)
+        got[key] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == pinned
 
 
 class TestReconstruction:

@@ -170,6 +170,14 @@ def test_parser_is_built_once_and_reused(golden, tmp_path, capsys):
     assert cli._parser.cache_info().misses == 1
 
 
+def test_readme_quotes_the_solver_failure_verbatim(capsys):
+    """README's Caps and limits quote the stderr of a non-converging solve;
+    the quote, rewrapped, must be the message the CLI prints now."""
+    assert cli.main(["roots", "--family", "h_witness:10"]) == 3
+    message = capsys.readouterr().err.strip()
+    assert f"`{message}`" in " ".join(README.read_text(encoding="utf-8").split())
+
+
 def _record() -> None:
     """Re-record every command; print each changed digest, old and new."""
     previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
