@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class Poly:
@@ -185,19 +185,15 @@ class Poly:
     def taylor_shift(self, s: int) -> "Poly":
         """The polynomial y -> self(y + s), exactly; the roots move by -s.
 
-        self(y + s) = g(y/s + 1) with g(t) = self(s*t), and the shift by 1 is
-        repeated synthetic division, which needs additions only: each pass is
-        a running sum that itertools.accumulate does without a Python-level
-        loop.  The final division by s**i is exact.
+        self(y + s) = g(y/s + 1) with g(t) = self(s*t): g is shifted by 1 on
+        ``taylor_shift_by_one``, and the final division by s**i is exact.
         """
         s = operator.index(s)
         if not s or len(self.coeffs) < 2:
             return self
         powers = list(itertools.accumulate([1] + [s] * self.degree, operator.mul))
-        b = [c * w for c, w in zip(self.coeffs, powers)][::-1]
-        for m in range(len(b), 1, -1):
-            b[:m] = itertools.accumulate(b[:m])
-        return Poly(c // w for c, w in zip(reversed(b), powers))
+        g = [c * w for c, w in zip(self.coeffs, powers)]
+        return Poly(c // w for c, w in zip(taylor_shift_by_one(reversed(g)), powers))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -244,6 +240,20 @@ class Poly:
 Poly.ZERO = Poly()
 Poly.ONE = Poly((1,))
 Poly.X = Poly((0, 1))
+
+
+def taylor_shift_by_one(descending: Iterable[int]) -> Iterator[int]:
+    """The coefficients of f(x + 1) from the lowest degree up, given those of
+    f from the highest degree down, each yielded as soon as it is final.
+
+    Synthetic division by x - 1 is a running sum (itertools.accumulate, with
+    no Python-level loop): its last entry is f(1), the constant term of
+    f(x + 1), and the others the quotient, which the next pass divides.
+    """
+    b = list(descending)
+    while b:
+        b = list(itertools.accumulate(b))
+        yield b.pop()
 
 
 def binomial_power(n: int) -> Poly:

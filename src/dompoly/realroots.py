@@ -4,12 +4,22 @@
 by Descartes-rule bisection (Vincent-Collins-Akritas; Collins and Akritas
 1976, Rouillier and Zimmermann 2004).  The deflated polynomial is first
 reduced to its squarefree part s -- itself, when a gcd modulo a word-size
-prime proves it squarefree -- and the roots of s(-x) are scaled into (0, 1)
-by a power of two.  Each interval is tested by the sign variations of
+prime proves it squarefree -- and the roots of r(x) = s(-x) are scaled into
+(0, 1) by a power of two.  Each interval is tested by the sign variations of
 (x+1)**d p(1/(x+1)) and split with 2**d p(x/2) and its Taylor shift by 1, so
 every number stays an integer.  Each root found comes with an isolating
 interval, or the exact root itself, which the certificate reports as a
 witness that one exact evaluation checks.
+
+Every Taylor shift runs on one kernel, `polynomials.taylor_shift_by_one`,
+on plain coefficient lists; it yields the coefficients from the lowest
+degree up, so a Descartes test stops at its second sign variation (the
+interval is split either way).  The root bound 2**e is the first to leave
+r(2**e (x+1)) without sign variation, and its search starts at the least e
+with 2**e at or above the centroid of the roots of r: without variations
+the roots of r(2**e (x+1)), those of r over 2**e less 1, sum to at most 0.
+When s is D(G)/x**gamma for an n-vertex graph G without isolated vertices,
+that centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.
 
 `sturm_sequence` and `count_real_roots` count roots on arbitrary intervals
 with Sturm chains: pseudo-remainders with a positive multiplier
@@ -22,31 +32,27 @@ at rationals num/den from den**d p(num/den), evaluated over the integers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .polynomials import Poly
+from .polynomials import Poly, taylor_shift_by_one
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 
-def _content(p: Poly) -> int:
-    return math.gcd(*p.coeffs) if p.coeffs else 0
-
-
-def _primitive(p: Poly) -> Poly:
+def _primitive(coeffs: Sequence[int]) -> Sequence[int]:
     """Divide out the (positive) integer content; sign pattern is unchanged."""
-    c = _content(p)
+    c = math.gcd(*coeffs)
     if c <= 1:
-        return p
-    return Poly(k // c for k in p.coeffs)
+        return coeffs
+    return [k // c for k in coeffs]
 
 
 def _pseudo_rem_signed(a: Poly, b: Poly) -> Poly:
@@ -113,14 +119,14 @@ def sturm_sequence(p: Poly) -> list[Poly]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no Sturm chain")
-    chain = [_primitive(p)]
+    chain = [Poly(_primitive(p.coeffs))]
     if p.degree >= 1:
-        chain.append(_primitive(p.derivative()))
+        chain.append(Poly(_primitive(p.derivative().coeffs)))
         while chain[-1].degree > 0:
             r = _pseudo_rem_signed(chain[-2], chain[-1])
             if r.is_zero:
                 break
-            chain.append(-_primitive(r))
+            chain.append(Poly(-k for k in _primitive(r.coeffs)))
     return chain
 
 
@@ -232,56 +238,56 @@ def _squarefree_part(p: Poly) -> tuple[Poly, bool]:
     return _exact_div(chain[0], chain[-1]), True
 
 
-def _sign_variations(coeffs) -> int:
-    signs = [c > 0 for c in coeffs if c]
-    return sum(map(operator.ne, signs, signs[1:]))
+def _descartes_test(f: list[int], stats: dict) -> int:
+    """min(2, sign variations of (x+1)**d f(1/(x+1))), for f ascending.
 
-
-def _descartes_test(p: Poly) -> int:
-    """Sign variations of (x+1)**d p(1/(x+1)).
-
-    It bounds the number of roots of p in the open interval (0, 1), with the
-    same parity, and is exact when it reads 0 or 1.
+    The count bounds the number of roots of f in the open interval (0, 1),
+    with the same parity, and is exact when it reads 0 or 1; from 2 on the
+    interval is split whatever it reads, so the shift stops there.  f
+    ascending is the reversed polynomial from the highest degree down.
     """
-    return _sign_variations(Poly(reversed(p.coeffs)).taylor_shift(1).coeffs)
+    stats["shifts"] += 1
+    # one run per sign: the start of a third run is the second variation
+    runs = itertools.groupby(c > 0 for c in taylor_shift_by_one(f) if c)
+    return len(list(itertools.islice(runs, 3))) - 1
 
 
-def _unit_interval_roots(p: Poly) -> tuple[list, list, int, int]:
+def _unit_interval_roots(p: list[int], stats: dict) -> tuple[list, list]:
     """Isolate the roots of squarefree p in (0, 1) by Descartes bisection.
 
     A node (c, k) is the interval (c/2**k, (c+1)/2**k) with its polynomial
-    mapped onto (0, 1).  Returns the isolating nodes, the exact roots as
-    (c, k) for c/2**k, the node count and the depth.  A root on a split
-    point shows as a zero constant term of the right half; it is divided out
-    and marks the adjacent halves, which are split on until their interval
-    is free of it, so no isolating interval ends at a root.
+    mapped onto (0, 1).  Returns the isolating nodes and the exact roots as
+    (c, k) for c/2**k, and counts the nodes and the depth in stats.  A root
+    on a split point shows as a zero constant term of the right half; it is
+    divided out and marks the adjacent halves, which are split on until
+    their interval is free of it, so no isolating interval ends at a root.
     """
     isolated, exact = [], []
-    nodes = depth = 0
     stack = [(0, 0, p, False, False)]
     while stack:
         c, k, f, left_root, right_root = stack.pop()
-        nodes += 1
-        depth = max(depth, k)
-        v = _descartes_test(f)
+        stats["nodes"] += 1
+        stats["max_depth"] = max(stats["max_depth"], k)
+        v = _descartes_test(f, stats)
         if v == 0:
             continue
         if v == 1 and not (left_root or right_root):
             isolated.append((c, k))
             continue
-        d = f.degree
-        left = _primitive(Poly(a << (d - i) for i, a in enumerate(f.coeffs)))
-        right = left.taylor_shift(1)
-        mid_root = right.coeffs[0] == 0
+        d = len(f) - 1
+        left = _primitive([a << (d - i) for i, a in enumerate(f)])
+        stats["shifts"] += 1
+        right = list(taylor_shift_by_one(reversed(left)))
+        mid_root = right[0] == 0
         if mid_root:
             exact.append((2 * c + 1, k + 1))
-            right = Poly(right.coeffs[1:])
+            del right[0]
         stack.append((2 * c + 1, k + 1, right, mid_root, right_root))
         stack.append((2 * c, k + 1, left, left_root, mid_root))
-    return isolated, exact, nodes, depth
+    return isolated, exact
 
 
-def _scaled_below_one(r: Poly) -> tuple[int, Poly]:
+def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
     """(e, r(2**e x) made primitive) for the least e >= 0 that puts every
     positive root of r below 1.
 
@@ -289,30 +295,40 @@ def _scaled_below_one(r: Poly) -> tuple[int, Poly]:
     constant term and no sign variation.  That holds as soon as 2**e exceeds
     the real part of every root of r, so the loop ends; for domination
     polynomials, whose roots crowd around -1, it ends after a few tries
-    with a far tighter bound than Fujiwara's.
+    with a far tighter bound than Fujiwara's.  The search starts at the
+    least e with 2**e at or above the centroid -r_(d-1) / (d r_d) of the
+    roots, since no smaller e can pass (see the module docstring).
     """
-    e = 0
+    d = len(r) - 1
+    num, den = -r[d - 1], d * r[d]
+    if den < 0:
+        num, den = -num, -den
+    e = (max(-(-num // den), 1) - 1).bit_length()  # least 2**e >= ceil(num / den)
     while True:
-        unit = _primitive(Poly(a << (e * i) for i, a in enumerate(r.coeffs)))
-        beyond = unit.taylor_shift(1).coeffs
-        if beyond[0] and _sign_variations(beyond) == 0:
+        unit = _primitive([a << (e * i) for i, a in enumerate(r)])
+        stats["shifts"] += 1
+        stats["bound_tries"] += 1
+        beyond = taylor_shift_by_one(reversed(unit))
+        low = next(beyond)
+        if low and all((c > 0) == (low > 0) for c in beyond if c):
             return e, unit
         e += 1
 
 
-def _negative_root_witnesses(s: Poly) -> tuple[list[tuple[Fraction, Fraction]], dict]:
+def _negative_root_witnesses(s: Poly, stats: dict) -> list[tuple[Fraction, Fraction]]:
     """One pair (a, b), a <= b <= 0, per distinct negative root of squarefree s.
 
     a < b isolates one root with s(a) * s(b) < 0; a == b is a root.  The
     roots of s(-x) are scaled into (0, 1) by a power of two, so the
     endpoints are dyadic rationals.
     """
-    e, unit = _scaled_below_one(Poly(-a if i % 2 else a for i, a in enumerate(s.coeffs)))
-    isolated, exact, nodes, depth = _unit_interval_roots(unit)
+    e, unit = _scaled_below_one([-a if i % 2 else a for i, a in enumerate(s.coeffs)], stats)
+    stats["bound_exponent"] = e
+    isolated, exact = _unit_interval_roots(unit, stats)
     scale = Fraction(1 << e)
     pairs = [(-scale * Fraction(c + 1, 1 << k), -scale * Fraction(c, 1 << k)) for c, k in isolated]
     pairs += [(-scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
-    return sorted(pairs), {"nodes": nodes, "max_depth": depth, "bound_exponent": e}
+    return sorted(pairs)
 
 
 @dataclass(frozen=True)
@@ -326,8 +342,10 @@ class CgCertificate:
     pair per distinct nonzero real root (see certify_cg); it is empty when
     in_cg is True.  stats counts the work and is left out of record() and
     to_json(): "nodes" (intervals tested), "max_depth" (bisection levels),
-    "bound_exponent" (e of the root bound 2**e) and "squarefree_fallback"
-    (whether the exact gcd ran).
+    "bound_exponent" (e of the root bound 2**e), "squarefree_fallback"
+    (whether the exact gcd ran), "shifts" (Taylor shifts started, the ones
+    a test stopped early included) and "bound_tries" (exponents tried for
+    the root bound).
     """
 
     gamma: int
@@ -366,17 +384,17 @@ def certify_cg(p: Poly) -> CgCertificate:
         raise ValueError("negative coefficient: not a domination polynomial")
     gamma = p.zero_root_multiplicity()
     q = p.deflate_zero()
+    stats = dict(nodes=0, max_depth=0, bound_exponent=0, squarefree_fallback=False,
+                 shifts=0, bound_tries=0)
     if q.degree <= 0:
-        stats = {"nodes": 0, "max_depth": 0, "bound_exponent": 0, "squarefree_fallback": False}
         return CgCertificate(gamma, 0, True, {"witnesses": []}, stats)
-    s, fallback = _squarefree_part(q)
-    pairs, stats = _negative_root_witnesses(s)
+    s, stats["squarefree_fallback"] = _squarefree_part(q)
+    pairs = _negative_root_witnesses(s, stats)
     for a, b in pairs:
         sa, sb = _sign_at(s, a), _sign_at(s, b)
         if not (b <= 0 and (sa * sb < 0 if a < b else a == b and sa == 0)):
             raise AssertionError(f"certifier witness [{a}, {b}] fails its exact check")
     evidence = {"witnesses": [[str(a), str(b)] for a, b in pairs]}
-    stats["squarefree_fallback"] = fallback
     return CgCertificate(gamma, len(pairs), not pairs, evidence, stats)
 
 

@@ -1,9 +1,11 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from dompoly.formulas import poly_H, poly_book, poly_join
+from dompoly.formulas import cg_family_factor, poly_H, poly_book, poly_join
 from dompoly.graphs import Graph
 from dompoly.polynomials import Poly
 
@@ -28,6 +30,39 @@ def criterion_6_joins() -> list[tuple[str, Poly]]:
         (f"{a}_{i}+{b}_{j}", poly_join(closed[a](i), closed[b](j)))
         for (a, i), (b, j) in operands
     ]
+
+
+def criterion_7_coronas() -> list[tuple[str, Poly, Poly]]:
+    """(label, base factor, D) for every iterated corona that criterion 7 states.
+
+    The base factor is D(K_1∘H) for H of order m; G∘H has D = factor**|G|,
+    and the second nesting level, with 1 + m times the order, has
+    D = factor**(|G|·(1 + m)).
+    """
+    bases = [
+        ("K_2", cg_family_factor("K", 2), 2),
+        ("K_4", cg_family_factor("K", 4), 4),
+        ("S_{3,2}", cg_family_factor("S", 3, 5), 5),
+        ("B_2", cg_family_factor("B2"), 6),
+    ]
+    cases = []
+    for label, factor, m in bases:
+        for base_order in (1, 2, 3):
+            cases.append((f"{label} level1 |G|={base_order}", factor, factor**base_order))
+            level2 = factor ** (base_order * (1 + m))
+            cases.append((f"{label} level2 |G|={base_order}", factor, level2))
+    return cases
+
+
+def record_digests(path: Path, digests: dict[str, str]) -> None:
+    """Write digests to path as JSON, in their given order; print each entry
+    that changed, with its old and new digest (None when absent)."""
+    previous = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    for key in [*digests, *(k for k in previous if k not in digests)]:
+        if previous.get(key) != digests.get(key):
+            print(f"{key}: {previous.get(key)} -> {digests.get(key)}")
+    path.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(digests)} digests in {path}")
 
 
 def inclusion_exclusion_coeffs(g: Graph) -> list[int]:

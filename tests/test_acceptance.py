@@ -36,7 +36,7 @@ from dompoly.graphs import FamilySpec, corona, join
 from dompoly.polynomials import Poly, binomial_power
 from dompoly.realroots import certify_cg, check_oddness, count_real_roots
 
-from conftest import criterion_6_joins, expand_from_roots, random_graph
+from conftest import criterion_6_joins, criterion_7_coronas, expand_from_roots, random_graph
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "fixtures" / "complement_friendship_calibration.json").read_text()
@@ -243,20 +243,10 @@ S32_WITNESS = (Fraction(-1, 2), Fraction(-31, 64))
 
 
 def test_criterion_7_iterated_corona_families():
-    bases = [
-        ("K_2", cg_family_factor("K", 2), 2),
-        ("K_4", cg_family_factor("K", 4), 4),
-        ("S_{3,2}", cg_family_factor("S", 3, 5), 5),
-        ("B_2", cg_family_factor("B2"), 6),
+    cases = [
+        (label, p, (factor, *S32_WITNESS) if label.startswith("S_{3,2}") else None)
+        for label, factor, p in criterion_7_coronas()
     ]
-    cases = []
-    for label, factor, m in bases:
-        refutation = (factor, *S32_WITNESS) if label == "S_{3,2}" else None
-        for base_order in (1, 2, 3):
-            level1 = factor**base_order
-            level2 = factor ** (base_order * (1 + m))
-            cases.append((f"{label} level1 |G|={base_order}", level1, refutation))
-            cases.append((f"{label} level2 |G|={base_order}", level2, refutation))
     failures = check_verdicts(7, cases)
     # the refuted factor is D of the 6-vertex graph corona(K_1, S_{3,2})
     g = corona(

@@ -1,0 +1,88 @@
+"""Pinned certificates: a change to the certifier must reach the same decisions.
+
+Each instance maps to the sha256 of its certificate's ``record()`` together
+with the ``nodes``, ``max_depth``, ``bound_exponent`` and
+``squarefree_fallback`` stats, so the verdict, every witness, the bisection
+tree's size and depth, the root bound and the squarefree path are all
+pinned.  The instances are the certificates of the ``join_certify``
+benchmark, every closed-form family up to n = 40 and the criterion 6 and 7
+instances.  To re-record after an intended change, run from the repo root:
+
+    PYTHONPATH=src python tests/test_certificate_pins.py --record
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from dompoly.formulas import FAMILIES, poly_book, poly_H, poly_join
+from dompoly.realroots import certify_cg
+
+from conftest import criterion_6_joins, criterion_7_coronas, record_digests
+
+PINS = Path(__file__).parent / "fixtures" / "certificate_pins.json"
+
+_PINNED_STATS = ("nodes", "max_depth", "bound_exponent", "squarefree_fallback")
+
+_JOINS = {
+    "H:n+1,B:n": lambda n: poly_join(poly_H(n + 1), poly_book(n)),
+    "H:n,H:n": lambda n: poly_join(poly_H(n), poly_H(n)),
+    "B:n,B:n": lambda n: poly_join(poly_book(n), poly_book(n)),
+}
+
+
+def _instances(group: str):
+    """(key, polynomial) pairs of one group of pinned instances."""
+    if group == "joins":
+        for pattern, build in _JOINS.items():
+            for n in range(1, 33):
+                yield f"{pattern} n={n}", build(n)
+    elif group == "families":
+        for name, family in FAMILIES.items():
+            if family.closed_form:
+                top = 50 if name == "cocktail_party" else 40
+                for n in range(1, top + 1):
+                    yield f"{name}:{n}", family.closed_form(n)
+    elif group == "criterion_6":
+        for label, p in criterion_6_joins():
+            yield f"criterion 6 {label}", p
+    elif group == "criterion_7":
+        for label, _, p in criterion_7_coronas():
+            yield f"criterion 7 {label}", p
+
+
+GROUPS = ["joins", "families", "criterion_6", "criterion_7"]
+
+
+def certificate_digest(p) -> str:
+    cert = certify_cg(p)
+    pinned = {"record": cert.record(), **{key: cert.stats[key] for key in _PINNED_STATS}}
+    return hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+
+
+def _digests(group: str) -> dict[str, str]:
+    return {key: certificate_digest(p) for key, p in _instances(group)}
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+def test_every_instance_is_pinned(pins):
+    assert list(pins) == [key for group in GROUPS for key, _ in _instances(group)]
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_certificates_are_pinned(group, pins):
+    got = _digests(group)
+    assert got == {key: pins.get(key) for key in got}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit(__doc__)
+    record_digests(PINS, {key: d for group in GROUPS for key, d in _digests(group).items()})

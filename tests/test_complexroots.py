@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +33,8 @@ from dompoly.formulas import (
 )
 from dompoly.polynomials import Poly, binomial_power
 from dompoly.realroots import count_real_roots
+
+from conftest import record_digests
 
 
 class TestFindRoots:
@@ -269,12 +272,14 @@ class TestGateArithmetic:
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
 
 
+ROOT_COLUMNS_FILE = Path(__file__).parent / "fixtures" / "root_columns.json"
+
 #: sha256 of the (re, im) columns of each instance's roots, one "re,im" line per
 #: root in repr; residuals are left out, since their last digits may move
-#: within the proven truncation bound when the evaluation changes.
-_ROOT_COLUMNS = json.loads(
-    (Path(__file__).parent / "fixtures" / "root_columns.json").read_text(encoding="utf-8")
-)
+#: within the proven truncation bound when the evaluation changes.  To
+#: re-record the pinned instances after an intended change, run from the
+#: repo root:  PYTHONPATH=src python tests/test_complexroots.py --record
+_ROOT_COLUMNS = json.loads(ROOT_COLUMNS_FILE.read_text(encoding="utf-8"))
 
 _PINNED_FAMILIES = {
     "complement_friendship": poly_complement_friendship,
@@ -284,15 +289,17 @@ _PINNED_FAMILIES = {
 }
 
 
+def _root_columns_digest(key: str) -> str:
+    family, n = key.split(":")
+    rs = find_roots(_PINNED_FAMILIES[family](int(n)))
+    text = "".join(f"{re!r},{im!r}\n" for re, im, _ in rs.roots)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("family", sorted(_PINNED_FAMILIES))
 def test_root_columns_are_pinned(family):
     pinned = {k: v for k, v in _ROOT_COLUMNS.items() if k.startswith(family + ":")}
-    got = {}
-    for key in pinned:
-        rs = find_roots(_PINNED_FAMILIES[family](int(key.split(":")[1])))
-        text = "".join(f"{re!r},{im!r}\n" for re, im, _ in rs.roots)
-        got[key] = hashlib.sha256(text.encode()).hexdigest()
-    assert got == pinned
+    assert {key: _root_columns_digest(key) for key in pinned} == pinned
 
 
 class TestReconstruction:
@@ -396,3 +403,9 @@ class TestRootsCsv:
             assert abs(float(re) + 2.0) < 1e-12
             assert abs(abs(float(im)) - math.sqrt(2)) < 1e-12
             assert float(residual) <= 1e-12
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_complexroots.py --record")
+    record_digests(ROOT_COLUMNS_FILE, {key: _root_columns_digest(key) for key in _ROOT_COLUMNS})

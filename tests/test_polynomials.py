@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dompoly.polynomials import Poly, binomial_power
+from dompoly.polynomials import Poly, binomial_power, taylor_shift_by_one
 
 X = Poly.X
 
@@ -159,6 +159,17 @@ def test_taylor_shift_matches_composition():
         s = rng.randint(-5, 5)
         composed = sum((c * Poly([s, 1]) ** i for i, c in enumerate(p.coeffs)), Poly())
         assert p.taylor_shift(s) == composed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.integers(-(2**70), 2**70) | st.just(0), min_size=1, max_size=61))
+def test_draining_the_shift_kernel_shifts_by_one(coeffs):
+    """The kernel takes f from the highest degree down and yields f(x + 1)
+    from the lowest up, zero leading terms included."""
+    drained = list(taylor_shift_by_one(reversed(coeffs)))
+    composed = sum((c * binomial_power(i) for i, c in enumerate(coeffs)), Poly())
+    assert len(drained) == len(coeffs)
+    assert Poly(drained) == composed == Poly(coeffs).taylor_shift(1)
 
 
 def test_taylor_shift_of_complement_friendship_is_small():

@@ -1,10 +1,12 @@
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dompoly.enumeration import domination_polynomial
@@ -14,6 +16,7 @@ from dompoly.formulas import (
     closed_form,
     poly_book,
     poly_cocktail,
+    poly_complement_friendship,
     poly_friendship,
     poly_H,
     poly_join,
@@ -22,6 +25,9 @@ from dompoly.formulas import (
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import Poly
 from dompoly.realroots import (
+    _descartes_test,
+    _scaled_below_one,
+    _squarefree_part,
     certify_cg,
     check_oddness,
     count_real_roots,
@@ -192,12 +198,23 @@ class TestCertifyCg:
         cert = certify_cg(poly_friendship(4))
         assert cert.stats["nodes"] >= 1 and cert.stats["max_depth"] >= 0
         assert cert.stats["squarefree_fallback"] is False
+        # one bound try, then three nodes: three Descartes tests and one split
+        assert (cert.stats["bound_tries"], cert.stats["shifts"]) == (1, 5)
         assert "stats" not in json.loads(cert.to_json())
+        assert set(cert.record()) == {"gamma", "nonzero_real_root_count", "in_cg", "evidence"}
         # a square takes the exact squarefree path and keeps the verdict
         squared = certify_cg(poly_friendship(4) ** 2)
         assert squared.stats["squarefree_fallback"] is True
         assert squared.nonzero_real_root_count == cert.nonzero_real_root_count
         assert certify_cg(Poly([0, 0, 1])).stats["nodes"] == 0
+
+    def test_bound_search_skips_the_exponents_below_the_centroid(self):
+        # a search from e = 0 would take bound_exponent + 1 tries
+        polys = [poly_cocktail(n) for n in range(1, 51)]
+        polys += [poly_friendship(n) for n in range(1, 16)]
+        for p in polys:
+            stats = certify_cg(p).stats
+            assert stats["bound_tries"] <= stats["bound_exponent"], p
 
     def test_product_rule(self, rng):
         for _ in range(10):
@@ -316,3 +333,77 @@ class TestDescartesAgainstSturm:
         for n in range(3, 33):
             p = poly_join(*pattern(n))
             assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p), n
+
+
+def _variations(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+#: Integer coefficients of both signs, with zeros drawn often enough to
+#: leave interior gaps.
+_coefficients = st.integers(-(10**6), 10**6) | st.just(0)
+
+
+class TestEarlyExitDescartesTest:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(_coefficients, min_size=1, max_size=61),
+            # one sign change in f leaves at most one variation after the shift
+            st.builds(
+                lambda mags, k: [m if i < k else -m for i, m in enumerate(mags)],
+                st.lists(st.integers(0, 10**6), min_size=1, max_size=61),
+                st.integers(0, 61),
+            ),
+        ).filter(any)
+    )
+    @example([1, 2, 3])  # no variation
+    @example([-1, 3])  # one: the root 1/3
+    @example([1, -7, 14, -8])  # two: the roots 1/2 and 1/4; 1 is an endpoint
+    @example([1, -10, 35, -50, 24])  # three: the roots 1/2, 1/3 and 1/4, and 1
+    def test_reads_variations_up_to_two(self, f):
+        stats = {"shifts": 0}
+        full = _variations(Poly(reversed(f)).taylor_shift(1).coeffs)
+        assert _descartes_test(f, stats) == min(full, 2)
+        assert stats["shifts"] == 1
+
+
+def _plain_bound(r: list[int]) -> tuple[int, list[int]]:
+    """The root-bound search from e = 0: the reference for the centroid start."""
+    for e in itertools.count():
+        scaled = [a << (e * i) for i, a in enumerate(r)]
+        content = math.gcd(*scaled)
+        unit = [a // content for a in scaled]
+        beyond = Poly(unit).taylor_shift(1).coeffs
+        if beyond[0] and _variations(beyond) == 0:
+            return e, unit
+
+
+class TestCentroidStart:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(10**4), 10**4), min_size=2, max_size=31).filter(lambda r: r[-1]))
+    @example([6, -4, 1])  # roots 2 +- i sqrt 2: the centroid 2 passes at e = 1
+    @example([20, -8, 1])  # roots 4 +- 2i: the centroid 4 passes at e = 2
+    def test_matches_a_search_from_zero(self, r):
+        stats = {"shifts": 0, "bound_tries": 0}
+        e, unit = _scaled_below_one(r, stats)
+        assert (e, list(unit)) == _plain_bound(r)
+        assert 1 <= stats["bound_tries"] == stats["shifts"] <= e + 1
+
+    @pytest.mark.parametrize(
+        "p",
+        [poly_book(1), poly_cocktail(2), poly_complement_friendship(2)],
+        ids=["B(1)", "CP(2)", "CF(2)"],
+    )
+    def test_centroid_on_a_power_of_two(self, p):
+        # all three give r = x^2 - 4x + 6, whose roots have the centroid 2,
+        # and r(2(x+1)) = 4x^2 + 2 passes: the start must be e = 1, not 2
+        s, _ = _squarefree_part(p.deflate_zero())
+        r = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
+        assert r == [6, -4, 1]
+        stats = {"shifts": 0, "bound_tries": 0}
+        e, unit = _scaled_below_one(r, stats)
+        assert (e, list(unit)) == _plain_bound(r) == (1, [3, -4, 2])
+        assert stats["bound_tries"] == 1
+        assert certify_cg(p).stats["bound_exponent"] == 1
