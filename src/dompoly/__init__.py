@@ -2,11 +2,11 @@
 
 Computes D(G, x) = sum_i d(G, i) x^i, the generating polynomial counting
 dominating sets by size, three ways: exact counting on the graph itself (a
-frontier dynamic program with a subset sweep as fallback; the oracle), closed
-forms for named families, and composition rules for joins, coronas and
-disjoint unions.  On top of that it certifies, in exact integer arithmetic,
-which polynomials have no nonzero real roots, and locates the complex roots
-numerically for plotting and limit-curve analysis.
+frontier dynamic program; the oracle), closed forms for named families, and
+composition rules for joins, coronas and disjoint unions.  On top of that it
+certifies, in exact integer arithmetic, which polynomials have no nonzero
+real roots, and locates the complex roots numerically for plotting and
+limit-curve analysis.
 """
 
 from .complexroots import (
@@ -20,7 +20,6 @@ from .complexroots import (
     roots_csv,
 )
 from .enumeration import (
-    SUBSET_CAP,
     domination_number,
     domination_polynomial,
     is_dominating,
@@ -79,7 +78,6 @@ __all__ = [
     "OracleMismatchError",
     "Poly",
     "RootSet",
-    "SUBSET_CAP",
     "binomial_power",
     "boundary_real_part_roots",
     "build_family",

@@ -3,8 +3,10 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from dompoly.errors import CapacityError
 from dompoly.formulas import cg_family_factor, poly_H, poly_book, poly_join
 from dompoly.graphs import Graph
 from dompoly.polynomials import Poly
@@ -86,6 +88,56 @@ def inclusion_exclusion_coeffs(g: Graph) -> list[int]:
         cover[u] = cover[u ^ low] | closed[low.bit_length() - 1]
         signed[n - cover[u].bit_count()] += -1 if u.bit_count() % 2 else 1
     return [sum(c * math.comb(k, i) for k, c in enumerate(signed)) for i in range(n + 1)]
+
+
+#: The subset sweep refuses graphs beyond this many vertices (2**28 subsets).
+SUBSET_CAP = 28
+
+#: Vertices handled by the vectorized low block of the sweep (2**18 subsets).
+_LOW_BITS = 18
+
+
+def _cover_table(masks: list[int], bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Union-of-closed-neighborhoods and popcount for every subset of `masks`.
+
+    Doubling construction: subsets containing vertex v as their top bit are
+    (subset without v) | {v}, so each block is the previous blocks OR'ed with
+    one more neighborhood mask.
+    """
+    cover = np.zeros(1 << bits, dtype=np.uint32)
+    pop = np.zeros(1 << bits, dtype=np.uint8)
+    for v in range(bits):
+        half = 1 << v
+        cover[half : 2 * half] = cover[:half] | np.uint32(masks[v])
+        pop[half : 2 * half] = pop[:half] + 1
+    return cover, pop
+
+
+def subset_sweep(g: Graph) -> Poly:
+    """D(G, x) by testing all 2^n subsets; raises CapacityError beyond SUBSET_CAP.
+
+    The reference for the frontier DP of ``dompoly.enumeration``, with which
+    it shares no code.  The subsets split into a vectorized low block of the
+    first vertices and an outer loop over the patterns of the rest.
+    """
+    n = g.n
+    if n > SUBSET_CAP:
+        raise CapacityError(f"{n} vertices means 2**{n} subsets; the cap is {SUBSET_CAP}.")
+    if n == 0:
+        return Poly.ONE
+    low_bits = min(n, _LOW_BITS)
+    low_cover, low_pop = _cover_table(list(g.closed[:low_bits]), low_bits)
+    high_cover, high_pop = _cover_table(list(g.closed[low_bits:]), n - low_bits)
+    full = np.uint32((1 << n) - 1)
+    counts = [0] * (n + 1)
+    for h in range(len(high_cover)):
+        dominated = (low_cover | high_cover[h]) == full
+        sizes = np.bincount(low_pop[dominated], minlength=low_bits + 1)
+        base = int(high_pop[h])
+        for i, c in enumerate(sizes):
+            if c:
+                counts[base + i] += int(c)
+    return Poly(counts)
 
 
 def expand_from_roots(root_set, lead: int) -> list[float]:

@@ -1,15 +1,18 @@
 import json
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from dompoly import cli
+from dompoly import cli, enumeration
 from dompoly.errors import NonConvergenceError
 from dompoly.formulas import FAMILIES, build_family, closed_form, poly_join, poly_H
 from dompoly.graphs import FamilySpec, join, to_edge_list
 from dompoly.polynomials import Poly
 from dompoly.realroots import certify_cg
+
+from conftest import random_graph
 
 
 def run(capsys, *argv):
@@ -61,6 +64,15 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--edge-list", str(path))
         assert code == 2
         assert "capacity" in err and "state budget" in err
+
+    def test_small_graph_past_the_budget_exits_2(self, capsys, tmp_path, monkeypatch):
+        # no vertex count is small enough to be counted some other way
+        monkeypatch.setattr(enumeration, "STATE_BUDGET", 4)
+        path = tmp_path / "g14.txt"
+        path.write_text(to_edge_list(random_graph(14, random.Random(4), 0.3)))
+        code, out, err = run(capsys, "compute", "--edge-list", str(path))
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"capacity error: 14 vertices: [^\n]*state budget[^\n]*\n", err)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -3,20 +3,13 @@ import random
 import pytest
 
 from dompoly import enumeration
-from dompoly.enumeration import (
-    SUBSET_CAP,
-    domination_number,
-    domination_polynomial,
-    frontier_polynomial,
-    is_dominating,
-    subset_sweep,
-)
+from dompoly.enumeration import domination_number, domination_polynomial, is_dominating
 from dompoly.errors import CapacityError
 from dompoly.formulas import build_family, closed_form
 from dompoly.graphs import FamilySpec, Graph, disjoint_union
 from dompoly.polynomials import Poly, binomial_power
 
-from conftest import random_graph
+from conftest import random_graph, subset_sweep
 
 
 def fam(name, *params):
@@ -90,7 +83,7 @@ class TestDominationPolynomial:
             assert lhs == domination_polynomial(g) * domination_polynomial(h)
 
     def test_crosses_low_block_boundary(self):
-        # path on 20 vertices exercises the sweep's high-bit outer loop
+        # path on 20 vertices exercises the reference sweep's high-bit outer loop
         p = domination_polynomial(fam("path", 20))
         assert p.degree == 20
         assert p.zero_root_multiplicity() == 7  # gamma(P_n) = ceil(n/3)
@@ -98,28 +91,24 @@ class TestDominationPolynomial:
 
     def test_empty_graph_beyond_sweep_cap(self):
         # the frontier DP has no vertex cap: N[u] = {u}, one state per step
-        assert domination_polynomial(Graph(SUBSET_CAP + 1)) == Poly.X ** (SUBSET_CAP + 1)
-
-    def test_sweep_keeps_its_cap(self):
-        with pytest.raises(CapacityError):
-            subset_sweep(Graph(SUBSET_CAP + 1))
+        assert domination_polynomial(Graph(29)) == Poly.X**29
 
 
 class TestBudget:
     def test_capacity_error_beyond_budget(self, monkeypatch):
         monkeypatch.setattr(enumeration, "STATE_BUDGET", 4)
-        g = random_graph(SUBSET_CAP + 2, random.Random(3), 0.3)
+        g = random_graph(30, random.Random(3), 0.3)
         with pytest.raises(CapacityError, match="state budget"):
             domination_polynomial(g)
 
     @pytest.mark.parametrize("name, value", [("STATE_BUDGET", 4), ("FRONTIER_BITS", 2048)])
     def test_sweep_fallback_within_cap(self, monkeypatch, name, value):
+        # past the budgets even a small graph is refused
         g = random_graph(14, random.Random(4), 0.3)
-        expected = subset_sweep(g)
-        assert frontier_polynomial(g) == expected
+        assert domination_polynomial(g) == subset_sweep(g)
         monkeypatch.setattr(enumeration, name, value)
-        assert frontier_polynomial(g) is None
-        assert domination_polynomial(g) == expected
+        with pytest.raises(CapacityError, match="state budget"):
+            domination_polynomial(g)
 
     def test_degree_order_after_greedy(self, monkeypatch):
         # greedy leaves the hub open, so every triangle stays open with it;

@@ -3,10 +3,12 @@
 Hypothesis draws the graphs with ``derandomize=True``, so the suite stays
 deterministic.  The composition rules are checked against enumeration of the
 composed graph.  Three counting methods that share no code are checked
-against each other: the frontier DP, the subset sweep and the
+against each other: the library's frontier DP, and the subset sweep and the
 inclusion–exclusion oracle of ``conftest``; the DP also against the sweep on
 fixed graphs of 20-28 vertices, and against every closed form at sizes the
-sweep cannot reach.  Poly JSON and edge-list text must round-trip.
+sweep cannot reach.  On drawn graphs of 20-28 vertices, the widest kind for
+the DP, neither vertex order may exceed its budgets, since past them a graph
+is refused whatever its size.  Poly JSON and edge-list text must round-trip.
 """
 
 import contextlib
@@ -14,19 +16,14 @@ import io
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dompoly import cli
-from dompoly.enumeration import (
-    domination_number,
-    domination_polynomial,
-    frontier_polynomial,
-    is_dominating,
-    subset_sweep,
-)
+from dompoly.enumeration import domination_number, domination_polynomial, is_dominating
 from dompoly.formulas import FAMILIES, build_family, closed_form, poly_corona, poly_join, poly_union
 from dompoly.graphs import (
     FamilySpec,
@@ -40,7 +37,7 @@ from dompoly.graphs import (
 )
 from dompoly.polynomials import Poly
 
-from conftest import inclusion_exclusion_coeffs, random_graph
+from conftest import inclusion_exclusion_coeffs, random_graph, subset_sweep
 
 D = domination_polynomial
 
@@ -117,7 +114,6 @@ def test_domination_number_is_smallest_dominating_size(g):
 def test_enumeration_matches_inclusion_exclusion(g):
     expected = inclusion_exclusion_coeffs(g)
     assert list(D(g).coeffs) == expected
-    assert list(frontier_polynomial(g).coeffs) == expected
     assert list(subset_sweep(g).coeffs) == expected
 
 
@@ -125,16 +121,47 @@ def test_enumeration_matches_inclusion_exclusion(g):
 #: vertices, where the sweep takes 5 ms to 0.6 s.
 LARGE_GRAPHS = [(20, 0.15, 1), (22, 0.5, 2), (24, 0.85, 3), (26, 0.25, 5), (27, 0.5, 6), (28, 0.12, 8)]
 
+#: The widest 28-vertex graph an edge-flipping hill climb found for the DP:
+#: 26,440 states at its peak under the better order, 2.5x under STATE_BUDGET.
+HILL_CLIMB_28 = parse_edge_list((Path(__file__).parent / "fixtures" / "hill_climb_28.txt").read_text())
+
 
 @pytest.mark.parametrize(
     "g",
     [random_graph(n, random.Random(seed), p) for n, p, seed in LARGE_GRAPHS]
-    + [complete_bipartite(13, 14)],
-    ids=[f"G({n},{p})" for n, p, _ in LARGE_GRAPHS] + ["K13,14"],
+    + [complete_bipartite(13, 14), HILL_CLIMB_28],
+    ids=[f"G({n},{p})" for n, p, _ in LARGE_GRAPHS] + ["K13,14", "hill-climb-28"],
 )
 def test_frontier_matches_sweep_on_large_graphs(g):
-    p = frontier_polynomial(g)
-    assert p is not None and p == subset_sweep(g)
+    assert D(g) == subset_sweep(g)
+
+
+@st.composite
+def wide_graphs(draw):
+    """Graphs of 20-28 vertices whose frontiers run widest: nearly regular
+    edge sets of maximum degree 3-8, or G(n, p) with p at most 0.5."""
+    n = draw(st.sampled_from(range(20, 29)))
+    rng = draw(st.randoms(use_true_random=False))
+    cap = draw(st.sampled_from([3, 4, 5, 6, 7, 8, None]))
+    if cap is None:
+        return random_graph(n, rng, draw(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.5])))
+    pairs = list(itertools.combinations(range(n), 2))
+    rng.shuffle(pairs)
+    degree = [0] * n
+    edges = []
+    for u, v in pairs:
+        if degree[u] < cap and degree[v] < cap:
+            edges.append((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, edges)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(wide_graphs())
+def test_frontier_budget_holds_up_to_28_vertices(g):
+    p = D(g)  # raises CapacityError if both vertex orders exceed the budgets
+    assert p.degree == g.n and p.eval_exact(1) % 2 == 1
 
 
 @pytest.mark.parametrize("name", [f.name for f in FAMILIES.values() if f.closed_form])
