@@ -15,10 +15,12 @@ per root over complement_friendship:1..42).  The fixed-point evaluation at x
 is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the remainder of b modulo the
 real quadratic (t - x)(t - conj x), whose coefficients 2 Re x and |x|^2 are
 held exactly, costs two real products per coefficient, and four with the
-derivative, where complex Horner takes four and eight.  Every root z must
-then pass a residual gate: the same evaluation of q(z) = b(z - s) at the
-exactly formed point z - s, plus a proven bound on its truncation error.  If
-the shifted basis fails to converge or to pass the gate, the roots are solved
+derivative, where complex Horner takes four and eight.  Each root z must
+then pass a residual gate: q(z) = b(z - s), by the same evaluation at the
+exactly formed point z - s, plus a proven bound E on its truncation error,
+gives the componentwise backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i,
+which must be at most tol and is reported as the root's residual.  If the
+shifted basis fails to converge or to pass the gate, the roots are solved
 again in the original basis.  Conversions between exact integers and doubles
 are Python's own correctly rounded ones, and no evaluation is cached between
 points.
@@ -36,7 +38,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,11 +65,11 @@ _NOISE_MARGIN = 64.0
 class RootSet:
     """Nonzero roots of a polynomial, with the exactly-deflated zero root.
 
-    Each root is (re, im, residual) where residual = |p(z)| / (||p||_1 *
-    max(1, |z|)^deg), a scale-free backward error with p(z) evaluated in fixed
-    point on the shifted integer coefficients; every residual, plus a proven
-    bound on that truncation, is at most `tolerance`.  For real input the list
-    is conjugate-symmetric.
+    Each root is (re, im, residual): residual = (|q(z)| + E) / sum_i |q_i|
+    |z|^i, q = p without its zero root, is the proven componentwise backward
+    error bound that the residual gate held to at most `tolerance` (E bounds
+    the truncation of q(z) in fixed point).  For real input the list is
+    conjugate-symmetric.
 
     `stats` counts the work of find_roots, over both bases when the
     original-basis retry ran: `aberth_iterations`, `exact_steps` (fixed-point
@@ -128,7 +130,7 @@ def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[i
 
 def _truncation_bound(deg: int, r: np.ndarray) -> np.ndarray:
     """sqrt(2) + sum_{j<deg} r**j: the error of _fixed_value at |x| = r."""
-    return math.sqrt(2.0) + _abs_eval(np.ones(deg), r)
+    return math.sqrt(2.0) + _abs_sum(np.ones(deg))(r)
 
 
 def _newton_step(coeffs: Sequence[int], z: complex) -> complex:
@@ -214,11 +216,18 @@ def _horner_pair(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, dp
 
 
-def _abs_eval(c_abs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    acc = np.full_like(r, c_abs[-1])
-    for k in range(len(c_abs) - 2, -1, -1):
-        acc = acc * r + c_abs[k]
-    return acc
+def _abs_sum(c_abs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """r -> sum_k c_abs[k] r**k at moduli r, as exp(log c_k + k log r) with
+    the logs taken once, so no power overflows where the sum is finite; r = 0
+    gives the constant term exactly, a non-finite r an infinite or NaN sum."""
+    k = np.flatnonzero(c_abs[1:]) + 1
+    log_c = np.log(c_abs[k])
+
+    def total(r: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return c_abs[0] + np.exp(log_c + k * np.log(r)[:, None]).sum(axis=1)
+
+    return total
 
 
 def _aberth_iterate(
@@ -227,15 +236,9 @@ def _aberth_iterate(
     """Aberth iteration from z; (iterates, converged, largest relative
     correction of the last pass).  stats counts passes and exact steps."""
     d = len(c) - 1
-    c_abs = np.abs(c)
-    # The running error bounds sum_k |c_k| |z|^k of p and p' are summed as
-    # exp(log|c_k| + k log|z|), so no power overflows where the sum is finite.
-    # The constant terms stay outside: |z| = 0 gives them exactly, and a
-    # non-finite |z| gives an infinite or NaN bound.
-    kp = np.flatnonzero(c_abs[1:]) + 1
-    log_p = np.log(c_abs[kp])
-    kd = kp[kp >= 2]
-    log_d = np.log(kd * c_abs[kd])
+    # the running error bounds of p and p' scale with these sums
+    abs_p = _abs_sum(np.abs(c))
+    abs_d = _abs_sum(np.arange(1, d + 1) * np.abs(c[1:]))
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     max_corr = math.inf
     # Points whose correction has dropped well below tol are frozen: they sit
@@ -246,14 +249,10 @@ def _aberth_iterate(
             stats["aberth_iterations"] += 1
             pv, dv = _horner_pair(c, z)
             az = np.abs(z)
-            log_az = np.log(az)[:, None]
-            noise_p = noise_factor * (c_abs[0] + np.exp(log_p + kp * log_az).sum(axis=1))
-            noise_d = noise_factor * (c_abs[1] + np.exp(log_d + (kd - 1) * log_az).sum(axis=1))
+            noise_p, noise_d = noise_factor * abs_p(az), noise_factor * abs_d(az)
             finite = np.isfinite(pv) & np.isfinite(dv) & np.isfinite(noise_p)
             reliable = finite & (np.abs(pv) > noise_p) & (np.abs(dv) > noise_d)
-            w = np.where(
-                active & reliable, pv / np.where(dv == 0, 1.0, dv), 0.0
-            )
+            w = np.where(active & reliable, pv / np.where(dv == 0, 1.0, dv), 0.0)
             # exact steps for any finite iterate: a non-finite one has no fixed point
             exact = np.flatnonzero(active & ~reliable & np.isfinite(z))
             stats["exact_steps"] += len(exact)
@@ -313,32 +312,23 @@ def _pair_conjugates(z: np.ndarray) -> np.ndarray:
 
 
 def _final_residuals(
-    basis: Poly, shift: int, z: np.ndarray, k: int, c: np.ndarray, stats: Counter
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sharp, reported) backward errors of q at z, q(z) = basis(z - shift).
-
-    c are q's coefficients over 2**k.  The fixed-point value p is off by less
-    than E = _truncation_bound * 2**-fbits, so sharp = (|p| + E) / sum_i |c_i|
-    |z|^i majorizes the backward error and is the acceptance test; reported =
-    |p| / (||c||_1 * max(1,|z|)^deg), recorded on the RootSet, is at most sharp.
-    """
-    d = len(c) - 1
-    az = np.abs(z)
-    # overflow to inf rejects; inf / inf is masked by the isfinite test
-    with np.errstate(over="ignore", invalid="ignore"):
-        aev = _abs_eval(np.abs(c), az)
-        rep_den = float(np.abs(c).sum()) * np.maximum(1.0, az) ** d
-        bound = _truncation_bound(d, np.abs(z - shift))
-        mags, errs = np.empty(len(z)), np.empty(len(z))
-        stats["gate_evaluations"] += len(z)
-        for i, zi in enumerate(z):
-            pr, pi, fbits = _shifted_value(basis.coeffs, shift, complex(zi))
-            scale = 1 << (fbits + k)
-            mags[i] = math.hypot(pr / scale, pi / scale)
-            errs[i] = math.ldexp(bound[i], -(fbits + k))
-        sharp = np.where(np.isfinite(aev), (mags + errs) / aev, np.inf)
-    reported = np.where(np.isfinite(rep_den), mags / rep_den, np.inf)
-    return sharp, reported
+    basis: Poly, shift: int, z: np.ndarray, k: int, abs_q: Callable, stats: Counter
+) -> np.ndarray:
+    """The gate's backward errors of q at z, q(z) = basis(z - shift), where
+    abs_q sums the moduli of c = q / 2**k: the fixed-point value p is off by
+    less than E = _truncation_bound * 2**-fbits, so (|p| + E) / sum_i |c_i|
+    |z|^i bounds the componentwise backward error (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1) from above."""
+    bound = _truncation_bound(basis.degree, np.abs(z - shift))
+    num = np.empty(len(z))
+    stats["gate_evaluations"] += len(z)
+    for i, zi in enumerate(z):
+        pr, pi, fbits = _shifted_value(basis.coeffs, shift, complex(zi))
+        f = fbits + k
+        num[i] = math.hypot(pr / (1 << f), pi / (1 << f)) + math.ldexp(bound[i], -f)
+    aev = abs_q(np.abs(z))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum rejects
+        return np.where(np.isfinite(aev), num / aev, np.inf)
 
 
 def _centroid_shift(q: Poly) -> int:
@@ -351,9 +341,9 @@ def _centroid_shift(q: Poly) -> int:
 
 
 def _solve(
-    q: Poly, scale: int, c: np.ndarray, shift: int, tol: float, max_iter: int, stats: Counter
+    q: Poly, scale: int, abs_q: Callable, shift: int, tol: float, max_iter: int, stats: Counter
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of q (iterated on q(y + shift)) and their reported residuals;
+    """Roots of q (iterated on q(y + shift)) and their gate residuals;
     NonConvergenceError when the iteration stalls or a root misses the gate."""
     basis = q.taylor_shift(shift)
     _, cb = _scaled_coefficients(basis)
@@ -371,15 +361,15 @@ def _solve(
                 max_correction=max_corr,
             )
     z = _pair_conjugates(y + shift)
-    sharp, reported = _final_residuals(basis, shift, z, scale, c, stats)
-    worst = float(sharp.max())
+    residuals = _final_residuals(basis, shift, z, scale, abs_q, stats)
+    worst = float(residuals.max())
     if worst > tol:
         raise NonConvergenceError(
             f"residual {worst:.3e} exceeds tolerance {tol:.3e}",
             roots=z.tolist(),
             max_correction=worst,
         )
-    return z, reported
+    return z, residuals
 
 
 def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
@@ -411,19 +401,20 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     if q.degree == 0:
         return RootSet(zero_mult, (), tol)
     scale, c = _scaled_coefficients(q)
+    abs_q = _abs_sum(np.abs(c))
     shift = _centroid_shift(q)
     stats = Counter(
         aberth_iterations=0, exact_steps=0, gate_evaluations=0, shift=shift, retried=False
     )
     try:
-        z, reported = _solve(q, scale, c, shift, tol, max_iter, stats)
+        z, residuals = _solve(q, scale, abs_q, shift, tol, max_iter, stats)
     except (NonConvergenceError, CapacityError):
         if not shift:
             raise
         stats["retried"] = True
-        z, reported = _solve(q, scale, c, 0, tol, max_iter, stats)
+        z, residuals = _solve(q, scale, abs_q, 0, tol, max_iter, stats)
     order = np.lexsort((z.imag, z.real))
-    roots = tuple((float(z[i].real), float(z[i].imag), float(reported[i])) for i in order)
+    roots = tuple((float(z[i].real), float(z[i].imag), float(residuals[i])) for i in order)
     return RootSet(zero_mult, roots, tol, dict(stats))
 
 

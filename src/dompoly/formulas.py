@@ -23,6 +23,11 @@ from .polynomials import Poly, binomial_power
 X = Poly.X
 
 
+def _index_from_1(name: str, n: int) -> None:
+    if n < 1:
+        raise ValueError(f"{name} index must be at least 1")
+
+
 def poly_complete(n: int) -> Poly:
     """Domination polynomial of the complete graph: (1+x)**n - 1."""
     if n < 1:
@@ -62,27 +67,25 @@ def poly_union(dg: Poly, dh: Poly) -> Poly:
 
 def poly_friendship(n: int) -> Poly:
     """Friendship graph (n triangles on a common vertex): (2x+x^2)^n + x(1+x)^(2n)."""
-    if n < 1:
-        raise ValueError("friendship index must be at least 1")
+    _index_from_1("friendship", n)
     return (2 * X + X**2) ** n + X * binomial_power(2 * n)
 
 
 def poly_cocktail(n: int) -> Poly:
     """Cocktail party graph K_{2n} minus a perfect matching: (1+x)^(2n) - (1+2nx)."""
-    if n < 1:
-        raise ValueError("cocktail party index must be at least 1")
+    _index_from_1("cocktail_party", n)
     return binomial_power(2 * n) - Poly((1, 2 * n))
 
 
 def poly_complement_friendship(n: int) -> Poly:
     """Complement of the friendship graph: x * ((1+x)^(2n) - (1+2nx))."""
+    _index_from_1("complement_friendship", n)
     return X * poly_cocktail(n)
 
 
 def poly_book(n: int) -> Poly:
     """Book graph (n 4-cycles on a common edge): (x^2+2x)^n (2x+1) + x^2 (x+1)^(2n) - 2x^n."""
-    if n < 1:
-        raise ValueError("book index must be at least 1")
+    _index_from_1("book", n)
     return (
         (X**2 + 2 * X) ** n * Poly((1, 2))
         + X**2 * binomial_power(2 * n)
@@ -99,8 +102,7 @@ def poly_H(n: int) -> Poly:
 
     (x^4+4x^3+6x^2+2x)^k for n = 2k, and (x^3+3x^2+x) times that for n = 2k+1.
     """
-    if n < 1:
-        raise ValueError("H-family index must be at least 1")
+    _index_from_1("h_witness", n)
     k, odd = divmod(n, 2)
     p = _H_EVEN_FACTOR**k
     return _H_ODD_FACTOR * p if odd else p
@@ -139,11 +141,6 @@ def cg_family_factor(kind: str, *params: int) -> Poly:
 
 
 # -- the family table ------------------------------------------------------------
-
-
-def _index_from_1(name: str, n: int) -> None:
-    if n < 1:
-        raise ValueError(f"{name} index must be at least 1")
 
 
 def _cycle_bounds(name: str, n: int) -> None:

@@ -25,9 +25,9 @@ that centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.
 with Sturm chains: pseudo-remainders with a positive multiplier
 (|lc|^(delta+1)), reduced to their primitive part at each step, which keeps
 the sign sequence exact.  The certifier uses a chain only as the gcd of its
-squarefree fallback, so `count_real_roots` serves as its independent oracle
-in the tests.  Signs at the infinities come from leading coefficients; signs
-at rationals num/den from den**d p(num/den), evaluated over the integers.
+squarefree fallback; `count_real_roots` skips its modular test and is its
+independent oracle in the tests.  Signs at the infinities come from leading
+coefficients; signs at rationals num/den from den**d p(num/den), exactly.
 """
 
 from __future__ import annotations
@@ -174,7 +174,9 @@ def count_real_roots(p: Poly, left=NEG_INF, right=POS_INF) -> int:
         raise ValueError(f"invalid interval: need left < right, got ({left}, {right})")
     if p.degree <= 0:
         return 0
-    chain = sturm_sequence(_squarefree_part(p)[0])
+    chain = sturm_sequence(p)
+    if chain[-1].degree > 0:  # repeated roots: the chain of p / gcd(p, p')
+        chain = sturm_sequence(_exact_div(chain[0], chain[-1]))
     # V(a) - V(b) counts roots in (a, b]; V is right-continuous at chain zeros.
     count = _variations(chain, lo) - _variations(chain, hi)
     if isinstance(hi, Fraction) and _sign_at(chain[0], hi) == 0:

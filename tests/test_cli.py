@@ -7,7 +7,7 @@ import pytest
 
 from dompoly import cli, enumeration
 from dompoly.errors import NonConvergenceError
-from dompoly.formulas import FAMILIES, build_family, closed_form, poly_join, poly_H
+from dompoly.formulas import FAMILIES, _index_from_1, build_family, closed_form, poly_join, poly_H
 from dompoly.graphs import FamilySpec, join, to_edge_list
 from dompoly.polynomials import Poly
 from dompoly.realroots import certify_cg
@@ -295,6 +295,29 @@ class TestUsageErrors:
     def test_bad_join_operand(self, capsys):
         code, _, err = run(capsys, "certify", "--join", "Z:n,H:n", "--range", "1..2")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "name, operand",
+        [(f.name, key) for f in FAMILIES.values() if f.bounds is _index_from_1
+         for key in (f.name, f.alias)],
+    )
+    def test_join_index_error_names_the_family(self, capsys, name, operand):
+        # complement_friendship's closed form is built on cocktail_party's
+        via_join = run(capsys, "certify", "--join", f"{operand}:n,F:n", "--range", "0..0")
+        via_family = run(capsys, "compute", "--family", f"{name}:0")
+        assert via_join == via_family
+        assert via_join[:2] == (1, "") and f"{name} index must be at least 1" in via_join[2]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "--family", "path:x"], "bad integer 'x'"),
+            (["certify", "--join", "H:n+x,B:n", "--range", "1..2"], "bad operand index 'n+x'"),
+        ],
+    )
+    def test_non_integer_indices_are_rejected(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and message in err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -6,11 +6,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dompoly import complexroots
 from dompoly.complexroots import (
     CSV_HEADER,
     _float_to_fixed,
@@ -270,6 +272,54 @@ class TestGateArithmetic:
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
         bound = Fraction(float(_truncation_bound(len(coeffs) - 1, np.array([abs(z - shift)]))[0]))
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
+
+
+def _componentwise_backward_error(q: Poly, z: complex) -> mpmath.mpf:
+    """|q(z)| / sum_i |q_i| |z|^i at 60 significant digits, z taken exactly."""
+    with mpmath.workdps(60):
+        w = mpmath.mpc(z.real, z.imag)
+        value = mpmath.polyval(q.coeffs[::-1], w)
+        return abs(value) / mpmath.polyval([abs(c) for c in q.coeffs[::-1]], abs(w))
+
+
+def _seeded_polynomials(count: int, seed: int) -> list[Poly]:
+    """Integer polynomials of degree 2..16, coefficients up to 10**6, nonzero ends."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        c = [rng.randint(-(10**6), 10**6) for _ in range(rng.randint(3, 17))]
+        if c[0] and c[-1]:
+            out.append(Poly(c))
+    return out
+
+
+class TestReportedResidual:
+    """Each reported residual is the componentwise backward-error bound the
+    gate proved: at most tol, and at least the exact backward error."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [poly_complement_friendship(n) for n in range(1, 21)] + _seeded_polynomials(40, 2024),
+        ids=[f"cf{n}" for n in range(1, 21)] + [f"random{i}" for i in range(40)],
+    )
+    def test_residual_bounds_the_componentwise_backward_error(self, p):
+        rs = find_roots(p)
+        q = p.deflate_zero()
+        for re, im, residual in rs.roots:
+            floor = _componentwise_backward_error(q, complex(re, im))
+            assert rs.tolerance >= residual >= floor * (1 - 1e-9), (re, im)
+
+    @pytest.mark.parametrize(
+        "p", [poly_book(9), Poly([23, 1653, 831, 2233, 1])], ids=["book9", "retried"]
+    )
+    def test_residual_is_the_value_the_gate_compared(self, p, monkeypatch):
+        gate, compared = complexroots._final_residuals, []
+        monkeypatch.setattr(
+            complexroots, "_final_residuals", lambda *a: compared.append(gate(*a)) or compared[-1]
+        )
+        rs = find_roots(p)
+        # the retried input misses the gate in the shifted basis, then passes
+        assert len(compared) == 1 + rs.stats["retried"]
+        assert sorted(r for _, _, r in rs.roots) == sorted(compared[-1].tolist())
 
 
 ROOT_COLUMNS_FILE = Path(__file__).parent / "fixtures" / "root_columns.json"

@@ -271,5 +271,11 @@ class TestEdgeListFormat:
             parse_edge_list(text)
         assert exc.value.line == line
 
+    @pytest.mark.parametrize("text", ["-1 0", "2 -1\n0 1", "-3 -2"])
+    def test_negative_header_counts_rejected(self, text):
+        with pytest.raises(EdgeListParseError, match="header counts must be nonnegative") as exc:
+            parse_edge_list(text)
+        assert exc.value.line == 1
+
     def test_trailing_blank_lines_ok(self):
         assert parse_edge_list("1 0\n\n") == Graph(1)

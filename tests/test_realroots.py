@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dompoly import realroots
 from dompoly.enumeration import domination_polynomial
 from dompoly.formulas import (
     FAMILIES,
@@ -25,8 +26,10 @@ from dompoly.formulas import (
 from dompoly.graphs import FamilySpec
 from dompoly.polynomials import Poly
 from dompoly.realroots import (
+    _PRIME,
     _descartes_test,
     _scaled_below_one,
+    _squarefree_mod_prime,
     _squarefree_part,
     certify_cg,
     check_oddness,
@@ -102,6 +105,14 @@ class TestCountRealRoots:
         assert count_real_roots(p, 0, INF) == 1
         # chain bottoms out at the gcd before the squarefree pass
         assert sturm_sequence(p)[-1].degree == 1
+
+    def test_oracle_skips_the_modular_squarefree_test(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("count_real_roots ran the certifier's modular test")
+
+        monkeypatch.setattr(realroots, "_squarefree_mod_prime", refuse)
+        assert count_real_roots(Poly([-2, 0, 1])) == 2  # squarefree
+        assert count_real_roots(Poly([-1, 1]) ** 2 * Poly([2, 1])) == 2  # (x-1)^2 (x+2)
 
     def test_invalid_intervals(self):
         p = Poly([1, 3, 1])
@@ -207,6 +218,17 @@ class TestCertifyCg:
         assert squared.stats["squarefree_fallback"] is True
         assert squared.nonzero_real_root_count == cert.nonzero_real_root_count
         assert certify_cg(Poly([0, 0, 1])).stats["nodes"] == 0
+
+    @pytest.mark.parametrize("lead", [_PRIME, 3 * _PRIME])
+    def test_leading_coefficient_divisible_by_the_prime(self, lead):
+        # the modular test cannot tell, so the exact gcd decides
+        # (x + 1)(lead x + 1), and one without real roots
+        for p in (Poly([1, lead + 1, lead]), Poly([lead, 1, lead])):
+            assert _squarefree_mod_prime(p) is False
+            cert = certify_cg(p)
+            assert cert.stats["squarefree_fallback"] is True
+            assert cert.nonzero_real_root_count == count_real_roots(p)
+            assert cert.in_cg == (count_real_roots(p) == 0)
 
     def test_bound_search_skips_the_exponents_below_the_centroid(self):
         # a search from e = 0 would take bound_exponent + 1 tries
