@@ -1,34 +1,34 @@
 """Numerical location of complex roots and limit-circle analytics.
 
 Roots are found by simultaneous Aberth-Ehrlich iteration (Newton steps
-corrected by the repulsion of the sibling approximations) on the shifted basis
-b(y) = q(y + s), rewritten exactly, s the integer nearest the root centroid.
-For a domination polynomial s is almost always -1, and D(G, y - 1) =
-sum_U (-1)^|U| y^(n - |N[U]|) has small signed counts as coefficients, where
-the monomial basis has binomial coefficients beyond 10^100 that cancel near
-the roots.  The iteration state lives in complex doubles; a Newton step uses
-vectorized double Horner while its running error bound shows the value is
-trustworthy, and an exact fixed-point step on b once cancellation eats the
-double significand.  That is the last step or two of most roots, once the
-iterate sits where the double value is rounding noise (about 1.15 exact steps
-per root over complement_friendship:1..42).  The fixed-point evaluation at x
-is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the remainder of b modulo the
-real quadratic (t - x)(t - conj x), whose coefficients 2 Re x and |x|^2 are
-held exactly, costs two real products per coefficient, and four with the
-derivative, where complex Horner takes four and eight.  Each root z must
-then pass a residual gate: q(z) = b(z - s), by the same evaluation at the
-exactly formed point z - s, plus a proven bound E on its truncation error,
-gives the componentwise backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i,
-which must be at most tol and is reported as the root's residual.  If the
-shifted basis fails to converge or to pass the gate, the roots are solved
-again in the original basis.  Conversions between exact integers and doubles
-are Python's own correctly rounded ones, and no evaluation is cached between
-points.
+corrected by the repulsion of the sibling approximations) on the roots z of q,
+with q evaluated through the shifted basis b(y) = q(y + s), rewritten exactly,
+s the integer nearest the root centroid.  For a domination polynomial s is
+almost always -1, and D(G, y - 1) = sum_U (-1)^|U| y^(n - |N[U]|) has small
+signed counts as coefficients, where the monomial basis has binomial
+coefficients beyond 10^100 that cancel near the roots.  The iterates are the
+roots z themselves, in complex doubles, so a small root keeps its relative
+precision however large s is; b is evaluated at y = z - s.  A Newton step uses
+vectorized double Horner at the rounded y while its running error bound shows
+the value is trustworthy, and an exact fixed-point step at y, formed exactly,
+once cancellation eats the double significand.  That is the last step or two
+of most roots, once the iterate sits where the double value is rounding noise
+(about 1.14 exact steps per root over complement_friendship:1..42).  The
+fixed-point evaluation at x is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the
+remainder of b modulo the real quadratic (t - x)(t - conj x), whose
+coefficients 2 Re x and |x|^2 are held exactly, costs two real products per
+coefficient, and four with the derivative, where complex Horner takes four
+and eight.  Each root z must then pass a residual gate: q(z) = b(z - s), by
+the same evaluation, plus a proven bound E on its truncation error, gives the
+componentwise backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which
+must be at most tol and is reported as the root's residual.  Conversions
+between exact integers and doubles are Python's own correctly rounded ones,
+and no evaluation is cached between points.
 
-Multiple roots are not certified; they converge only linearly.  Up to 4-fold
-they are reported as tight clusters; from 5-fold on the iteration does not
-converge and NonConvergenceError is raised (every nonzero root of the
-h_witness(10) polynomial is 5-fold).  All iterations are deterministic:
+Multiple roots are not certified; they converge only linearly and are
+reported as tight clusters.  The exact step keeps b' resolved near them, so
+h_witness(30), whose nonzero roots are 15-fold, converges; h_witness(40)
+(20-fold) raises NonConvergenceError.  All iterations are deterministic:
 fixed initial guesses, no randomness.
 """
 
@@ -60,6 +60,9 @@ MIN_TOL = 1e-14
 #: Margin factor on the running error bound of the double-precision Horner.
 _NOISE_MARGIN = 64.0
 
+#: Evaluations an exact Newton step may take, each with 64 more fraction bits.
+_STEP_ROUNDS = 8
+
 
 @dataclass(frozen=True)
 class RootSet:
@@ -71,10 +74,9 @@ class RootSet:
     the truncation of q(z) in fixed point).  For real input the list is
     conjugate-symmetric.
 
-    `stats` counts the work of find_roots, over both bases when the
-    original-basis retry ran: `aberth_iterations`, `exact_steps` (fixed-point
-    Newton steps), `gate_evaluations`, the centroid `shift` and `retried`.
-    It takes no part in comparisons.
+    `stats` counts the work of find_roots: `aberth_iterations`, `exact_steps`
+    (fixed-point Newton steps), `gate_evaluations` (one per root) and the
+    centroid `shift`.  It takes no part in comparisons.
     """
 
     zero_multiplicity: int
@@ -93,12 +95,6 @@ class CircleDeviation:
 
 
 # -- big-integer <-> float plumbing ------------------------------------------------
-
-
-def _float_to_fixed(x: float, fbits: int) -> int:
-    """floor(x * 2**fbits), exactly."""
-    num, den = x.as_integer_ratio()
-    return (num << fbits) // den
 
 
 def _fbits_for(deg: int, z: complex) -> int:
@@ -133,26 +129,42 @@ def _truncation_bound(deg: int, r: np.ndarray) -> np.ndarray:
     return math.sqrt(2.0) + _abs_sum(np.ones(deg))(r)
 
 
-def _newton_step(coeffs: Sequence[int], z: complex) -> complex:
-    """p(z)/p'(z) of the integer polynomial coeffs, rounded to a complex double.
+def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int, int, int]:
+    """x = z - shift in fixed point, (re, im, fbits): fbits is extra plus the
+    larger of _fbits_for(deg, z - shift) and the exponent at which both
+    components of z are exact, so x is formed without rounding."""
+    (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    er, ei = dr.bit_length() - 1, di.bit_length() - 1  # dr = 2**er, di = 2**ei
+    fbits = extra + max(_fbits_for(deg, z - shift), er, ei)
+    return (nr << (fbits - er)) - (shift << fbits), ni << (fbits - ei), fbits
+
+
+def _newton_step(coeffs: Sequence[int], shift: int, z: complex) -> complex:
+    """b(x)/b'(x) of the integer polynomial b = coeffs at x = z - shift, rounded
+    to a complex double.
 
     The loop of _fixed_value runs alongside the same recurrence over b_d..b_2,
-    the coefficients of the quotient Q of p by t^2 - r*t + s, which gives
-    Q(x); then p'(x) = Q(x)*(x - conj x) + b_1, at four real products per
-    coefficient in all."""
-    fbits = _fbits_for(len(coeffs) - 1, z)
-    xr, xi = _float_to_fixed(z.real, fbits), _float_to_fixed(z.imag, fbits)
-    r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
-    b0 = b1 = e0 = e1 = 0
-    for c in reversed(coeffs[2:]):
-        b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
-        e0, e1 = b0 + ((r * e0) >> fbits) - ((s * e1) >> f2), e0
-    for c in reversed(coeffs[:2]):
-        b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
-    pr, pi = b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
-    qr, qi = e0 - ((xr * e1) >> fbits), (xi * e1) >> fbits
-    dr, di = b1 - ((2 * xi * qi) >> fbits), (2 * xi * qr) >> fbits
-    den = dr * dr + di * di
+    the coefficients of the quotient Q of b by t^2 - r*t + s, which gives
+    Q(x); then b'(x) = Q(x)*(x - conj x) + b_1, at four real products per
+    coefficient in all.  Where the terms of b' cancel, its value can sit a
+    few units above the truncation error, so the evaluation is repeated with
+    64 more fraction bits each time, for at most _STEP_ROUNDS evaluations,
+    until |b'(x)| has at least 64 bits."""
+    for round_ in range(_STEP_ROUNDS):
+        xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z, 64 * round_)
+        r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
+        b0 = b1 = e0 = e1 = 0
+        for c in reversed(coeffs[2:]):
+            b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
+            e0, e1 = b0 + ((r * e0) >> fbits) - ((s * e1) >> f2), e0
+        for c in reversed(coeffs[:2]):
+            b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
+        pr, pi = b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
+        qr, qi = e0 - ((xr * e1) >> fbits), (xi * e1) >> fbits
+        dr, di = b1 - ((2 * xi * qi) >> fbits), (2 * xi * qr) >> fbits
+        den = dr * dr + di * di
+        if den.bit_length() > 128:
+            break
     if den == 0:
         # exactly at a critical point: take a deterministic small step
         return complex(2.0**-20 * (1.0 + abs(z)), 0.0)
@@ -167,12 +179,9 @@ def _newton_step(coeffs: Sequence[int], z: complex) -> complex:
 
 def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, int, int]:
     """b(z - shift) of the integer polynomial b = coeffs as fixed-point (re, im,
-    fbits); fbits is at least the exponent at which both components of z are
-    exact, so the point z - shift is formed without rounding."""
-    exact = (x.as_integer_ratio()[1].bit_length() - 1 for x in (z.real, z.imag))
-    fbits = max(_fbits_for(len(coeffs) - 1, z - shift), *exact)
-    xr = _float_to_fixed(z.real, fbits) - (shift << fbits)
-    pr, pi = _fixed_value(coeffs, xr, _float_to_fixed(z.imag, fbits), fbits)
+    fbits), at the point _fixed_point forms exactly."""
+    xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z)
+    pr, pi = _fixed_value(coeffs, xr, xi, fbits)
     return pr, pi, fbits
 
 
@@ -231,11 +240,13 @@ def _abs_sum(c_abs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _aberth_iterate(
-    coeffs: Sequence[int], c: np.ndarray, z: np.ndarray, tol: float, max_iter: int, stats: Counter
+    b: Poly, shift: int, tol: float, max_iter: int, stats: Counter
 ) -> tuple[np.ndarray, bool, float]:
-    """Aberth iteration from z; (iterates, converged, largest relative
-    correction of the last pass).  stats counts passes and exact steps."""
-    d = len(c) - 1
+    """Aberth iteration on the roots z of b(z - shift), from shift plus the
+    initial guesses of b; (iterates, converged, largest relative correction
+    of the last pass).  stats counts passes and exact steps."""
+    _, c = _scaled_coefficients(b)
+    z, d = shift + _initial_guesses(b), b.degree
     # the running error bounds of p and p' scale with these sums
     abs_p = _abs_sum(np.abs(c))
     abs_d = _abs_sum(np.arange(1, d + 1) * np.abs(c[1:]))
@@ -247,9 +258,10 @@ def _aberth_iterate(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
             stats["aberth_iterations"] += 1
-            pv, dv = _horner_pair(c, z)
-            az = np.abs(z)
-            noise_p, noise_d = noise_factor * abs_p(az), noise_factor * abs_d(az)
+            y = z - shift
+            pv, dv = _horner_pair(c, y)
+            ay = np.abs(y)
+            noise_p, noise_d = noise_factor * abs_p(ay), noise_factor * abs_d(ay)
             finite = np.isfinite(pv) & np.isfinite(dv) & np.isfinite(noise_p)
             reliable = finite & (np.abs(pv) > noise_p) & (np.abs(dv) > noise_d)
             w = np.where(active & reliable, pv / np.where(dv == 0, 1.0, dv), 0.0)
@@ -257,7 +269,7 @@ def _aberth_iterate(
             exact = np.flatnonzero(active & ~reliable & np.isfinite(z))
             stats["exact_steps"] += len(exact)
             for i in exact:
-                w[i] = _newton_step(coeffs, complex(z[i]))
+                w[i] = _newton_step(b.coeffs, shift, complex(z[i]))
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             recip = 1.0 / diff
@@ -269,7 +281,7 @@ def _aberth_iterate(
             # Near-collisions make the denominator tiny and would fling the
             # iterate far out; damp each step to the scale of its iterate.
             mag = np.abs(corr)
-            cap = np.maximum(1.0, az)
+            cap = np.maximum(1.0, np.abs(z))
             corr = np.where(mag > cap, corr * (cap / mag), corr)
             z = z - corr
             # relative to the iterate's scale, so a far root can settle too
@@ -340,53 +352,20 @@ def _centroid_shift(q: Poly) -> int:
     return 0 if s == 0 or q.eval_exact(s) == 0 else s
 
 
-def _solve(
-    q: Poly, scale: int, abs_q: Callable, shift: int, tol: float, max_iter: int, stats: Counter
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of q (iterated on q(y + shift)) and their gate residuals;
-    NonConvergenceError when the iteration stalls or a root misses the gate."""
-    basis = q.taylor_shift(shift)
-    _, cb = _scaled_coefficients(basis)
-    if basis.degree == 1:
-        y = np.array([complex(-cb[0] / cb[1])])
-    else:
-        y, converged, max_corr = _aberth_iterate(
-            basis.coeffs, cb, _initial_guesses(basis), tol, max_iter, stats
-        )
-        if not converged:
-            raise NonConvergenceError(
-                f"no convergence within {max_iter} iterations"
-                f" (max correction {max_corr:.3e})",
-                roots=(y + shift).tolist(),
-                max_correction=max_corr,
-            )
-    z = _pair_conjugates(y + shift)
-    residuals = _final_residuals(basis, shift, z, scale, abs_q, stats)
-    worst = float(residuals.max())
-    if worst > tol:
-        raise NonConvergenceError(
-            f"residual {worst:.3e} exceeds tolerance {tol:.3e}",
-            roots=z.tolist(),
-            max_correction=worst,
-        )
-    return z, residuals
-
-
 def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     """Locate all complex roots of p.
 
     The zero root is removed exactly (its multiplicity is the lowest nonzero
-    coefficient index).  The remaining roots are iterated simultaneously on
-    q(y + s), s the integer nearest their centroid, until the largest
-    correction, each measured relative to max(1, |y|) of its iterate y, drops
-    below tol; an iterate whose relative correction drops below tol / 4 is
-    frozen and only repels the others.  Every root z must then pass the
-    residual gate, evaluated on the shifted coefficients at z - s with a
-    proven truncation bound.  Should the shifted basis fail to converge, fail
-    the gate or exceed the double range, the roots are solved again in the
-    original basis, so the shift never turns a solvable input into a failure.
-    Non-convergence raises, carrying the best iterate; it is never returned
-    silently as converged.
+    coefficient index).  The remaining roots z of q are iterated
+    simultaneously in their own coordinates, with q evaluated as b(z - s), b =
+    q(y + s) rewritten exactly and s the integer nearest their centroid,
+    until the largest correction, each measured relative to max(1, |z|) of
+    its iterate, drops below tol; an iterate whose relative correction drops
+    below tol / 4 is frozen and only repels the others.  A linear q gives its
+    correctly rounded root.  Every root z must then pass the residual gate,
+    evaluated on b at the exactly formed point z - s with a proven truncation
+    bound.  Non-convergence and a missed gate raise, carrying the iterates;
+    they are never returned silently as converged.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol}")
@@ -401,18 +380,29 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     if q.degree == 0:
         return RootSet(zero_mult, (), tol)
     scale, c = _scaled_coefficients(q)
-    abs_q = _abs_sum(np.abs(c))
     shift = _centroid_shift(q)
-    stats = Counter(
-        aberth_iterations=0, exact_steps=0, gate_evaluations=0, shift=shift, retried=False
-    )
-    try:
-        z, residuals = _solve(q, scale, abs_q, shift, tol, max_iter, stats)
-    except (NonConvergenceError, CapacityError):
-        if not shift:
-            raise
-        stats["retried"] = True
-        z, residuals = _solve(q, scale, abs_q, 0, tol, max_iter, stats)
+    basis = q.taylor_shift(shift)
+    stats = Counter(aberth_iterations=0, exact_steps=0, gate_evaluations=0, shift=shift)
+    if q.degree == 1:
+        z = np.array([complex(-q.coeffs[0] / q.coeffs[1])])
+    else:
+        z, converged, max_corr = _aberth_iterate(basis, shift, tol, max_iter, stats)
+        if not converged:
+            raise NonConvergenceError(
+                f"no convergence within {max_iter} iterations"
+                f" (max correction {max_corr:.3e})",
+                roots=z.tolist(),
+                max_correction=max_corr,
+            )
+        z = _pair_conjugates(z)
+    residuals = _final_residuals(basis, shift, z, scale, _abs_sum(np.abs(c)), stats)
+    worst = float(residuals.max())
+    if worst > tol:
+        raise NonConvergenceError(
+            f"residual {worst:.3e} exceeds tolerance {tol:.3e}",
+            roots=z.tolist(),
+            max_correction=worst,
+        )
     order = np.lexsort((z.imag, z.real))
     roots = tuple((float(z[i].real), float(z[i].imag), float(residuals[i])) for i in order)
     return RootSet(zero_mult, roots, tol, dict(stats))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dompoly import complexroots
 from dompoly.complexroots import (
     CSV_HEADER,
-    _float_to_fixed,
+    _fixed_point,
     _newton_step,
     _shifted_value,
     _truncation_bound,
@@ -28,13 +28,14 @@ from dompoly.complexroots import (
 )
 from dompoly.errors import NonConvergenceError
 from dompoly.formulas import (
+    poly_H,
     poly_book,
     poly_cocktail,
     poly_complement_friendship,
     poly_friendship,
 )
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import count_real_roots
+from dompoly.realroots import certify_cg, count_real_roots
 
 from conftest import record_digests
 
@@ -109,17 +110,15 @@ class TestFindRoots:
         assert len(exc.value.roots) == poly_complement_friendship(12).degree - 3
         assert exc.value.max_correction > 0
 
-    def test_shift_failure_falls_back_to_original_basis(self):
-        # the centroid shift is -558; in that basis the root near -0.014 keeps
-        # an error that misses the exact residual gate, so the original basis
-        # must solve it
-        p = Poly([23, 1653, 831, 2233, 1])
-        rs = find_roots(p)
+    def test_small_root_far_from_the_centroid(self):
+        # the centroid shift is -558: an iterate kept as y = z + 558 holds
+        # the root near -0.014 only to about 6e-14, too coarse for the gate
+        rs = find_roots(Poly([23, 1653, 831, 2233, 1]))
         assert len(rs.roots) == 4
         assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
         assert min(abs(complex(re, im) + 0.014009) for re, im, _ in rs.roots) < 1e-6
 
-    @pytest.mark.parametrize("r", [10**7, 10**12])
+    @pytest.mark.parametrize("r", [10**7, 10**12, 2**100])
     def test_far_root(self, r):
         # (x + 1)(x + r): the iterate that goes out to -r must take true
         # Newton steps there, exact ones once the double value is unreliable
@@ -135,17 +134,54 @@ class TestFindRoots:
         assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
         assert sum(re for re, _, _ in rs.roots) == pytest.approx(123456.0, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "p",
+        [Poly([23, 1653, 831, 2233, 1]), Poly([7, -123456, 1]), Poly([2**100, 2**100 + 1, 1])],
+        ids=["shift-558", "x2-123456x+7", "x+2^100"],
+    )
+    def test_one_pass_and_one_gate_in_the_shifted_basis(self, p):
+        rs = find_roots(p)
+        assert rs.stats["shift"] != 0
+        assert rs.stats["gate_evaluations"] == p.degree == len(rs.roots)
+
+    def test_linear_root_is_correctly_rounded(self):
+        # rounding the scaled coefficients first gave -0.007421816414603854
+        b, a = 49740166138514513350, 6701885813375975741671
+        rs = find_roots(Poly([b, a]))
+        assert rs.roots[0][:2] == (-b / a, 0.0) == (-0.007421816414603853, 0.0)
+        assert rs.stats["aberth_iterations"] == 0 and rs.stats["gate_evaluations"] == 1
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_products_of_spread_linear_factors(self, seed):
+        # 2-8 factors a*x + b, b log-uniform over 1..9e6: centroid shifts up
+        # to millions, with small non-integer roots that lose their digits
+        # when rounded in shifted coordinates; each solves in one pass
+        rng, solved = random.Random(seed), 0
+        while solved < 60:
+            factors = {
+                (rng.randint(1, 729), int(10 ** rng.uniform(0, math.log10(9e6))))
+                for _ in range(rng.randint(2, 8))
+            }
+            roots = sorted({Fraction(-b, a) for a, b in factors})
+            if len(roots) < len(factors):
+                continue  # a repeated root
+            solved += 1
+            p = Poly([1])
+            for a, b in factors:
+                p = p * Poly([b, a])
+            rs = find_roots(p)
+            assert rs.stats["gate_evaluations"] == p.degree, factors
+            got = [re for re, _, _ in rs.roots]
+            assert got == pytest.approx([float(r) for r in roots], rel=1e-9), factors
+
     def test_stats_count_the_work(self):
         rs = find_roots(poly_complement_friendship(40))
         assert rs.stats["shift"] == -1
-        assert rs.stats["retried"] is False
+        keys = {"aberth_iterations", "exact_steps", "gate_evaluations", "shift"}
+        assert rs.stats.keys() == keys
         assert rs.stats["gate_evaluations"] == len(rs.roots)
         assert rs.stats["aberth_iterations"] > 0
         assert rs.stats["exact_steps"] > 0
-        # the centroid basis of this input misses the gate; the retry adds its work
-        retried = find_roots(Poly([23, 1653, 831, 2233, 1])).stats
-        assert retried["shift"] == -558 and retried["retried"] is True
-        assert retried["gate_evaluations"] == 8
 
     def test_stats_take_no_part_in_equality(self):
         from dompoly.complexroots import RootSet
@@ -174,12 +210,15 @@ _big_ints = st.builds(lambda m, e: m << e, st.integers(-(2**80), 2**80), st.inte
 
 class TestExactConversions:
     @conversions
-    @given(_doubles, st.integers(0, 2048))
-    @example(5e-324, 96)
-    @example(-5e-324, 96)
-    @example(-1e300, 0)
-    def test_float_to_fixed_is_exact_floor(self, x, fbits):
-        assert _float_to_fixed(x, fbits) == math.floor(Fraction(x) * 2**fbits)
+    @given(_doubles, _doubles, st.integers(-(2**70), 2**70), st.integers(0, 3))
+    @example(5e-324, -5e-324, 0, 0)
+    @example(-1e300, 2.0**-1074, 2**70, 1)
+    @example(-0.014009042513699709, 0.0, -558, 0)
+    def test_fixed_point_forms_the_point_exactly(self, re, im, shift, rounds):
+        xr, xi, fbits = _fixed_point(40, shift, complex(re, im), 64 * rounds)
+        assert fbits >= 96 + 64 * rounds
+        x = (Fraction(xr, 2**fbits), Fraction(xi, 2**fbits))
+        assert x == (Fraction(re) - shift, Fraction(im))
 
     @conversions
     @given(_big_ints, _big_ints.filter(bool))
@@ -189,7 +228,7 @@ class TestExactConversions:
     @example(-1, 1 << 1100)
     def test_newton_step_ratio_is_correctly_rounded(self, a, b):
         # at z = 0 the Newton step of a + b*x is exactly a / b
-        step = _newton_step((a, b), 0j)
+        step = _newton_step((a, b), 0, 0j)
         exact = Fraction(a, b)
         assert step.imag == 0.0
         if abs(exact) >= 2**1024 - 2**970:  # rounds beyond the largest double
@@ -232,10 +271,22 @@ class TestFusedNewtonStep:
     def test_step_agrees_with_exact_ratio(self, coeffs, re, im):
         exact = _exact_newton_step(coeffs, (Fraction(re), Fraction(im)))
         assume(exact is not None)
-        step = _newton_step(coeffs, complex(re, im))
+        step = _newton_step(coeffs, 0, complex(re, im))
         ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
         assert abs(Fraction(step.real) - exact[0]) <= ulp
         assert abs(Fraction(step.imag) - exact[1]) <= ulp
+
+    def test_step_where_the_derivative_cancels(self):
+        # a stalled friendship:70 iterate: |b'(y)| ~ 2**-62, so 96 fraction
+        # bits leave it 34 bits and the step read -4.591e-11 + 1.351e-12i
+        b = poly_friendship(70).deflate_zero().taylor_shift(-1).coeffs
+        y = complex(-0.7059324841892143, -0.015880687302828364)
+        exact = _exact_newton_step(b, (Fraction(y.real), Fraction(y.imag)))
+        ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
+        for shift in (0, -1):  # the same point as y, or as z = y - 1
+            step = _newton_step(b, shift, y + shift)
+            assert abs(Fraction(step.real) - exact[0]) <= ulp
+            assert abs(Fraction(step.imag) - exact[1]) <= ulp
 
 
 #: Components that need more fraction bits than the evaluation scale alone gives.
@@ -309,7 +360,9 @@ class TestReportedResidual:
             assert rs.tolerance >= residual >= floor * (1 - 1e-9), (re, im)
 
     @pytest.mark.parametrize(
-        "p", [poly_book(9), Poly([23, 1653, 831, 2233, 1])], ids=["book9", "retried"]
+        "p",
+        [poly_book(9), Poly([23, 1653, 831, 2233, 1]), Poly([3, 2])],
+        ids=["book9", "shift-558", "linear"],
     )
     def test_residual_is_the_value_the_gate_compared(self, p, monkeypatch):
         gate, compared = complexroots._final_residuals, []
@@ -317,9 +370,9 @@ class TestReportedResidual:
             complexroots, "_final_residuals", lambda *a: compared.append(gate(*a)) or compared[-1]
         )
         rs = find_roots(p)
-        # the retried input misses the gate in the shifted basis, then passes
-        assert len(compared) == 1 + rs.stats["retried"]
-        assert sorted(r for _, _, r in rs.roots) == sorted(compared[-1].tolist())
+        # the gate runs once, over every root
+        assert len(compared) == 1
+        assert sorted(r for _, _, r in rs.roots) == sorted(compared[0].tolist())
 
 
 ROOT_COLUMNS_FILE = Path(__file__).parent / "fixtures" / "root_columns.json"
@@ -386,6 +439,15 @@ class TestSolverAgainstSturm:
             solver_count = len(distinct_real_roots(rs))
             assert solver_count == count_real_roots(p), coeffs
             done += 1
+
+    @pytest.mark.parametrize("n", range(10, 15))
+    def test_multiple_roots_agree_with_the_certifier(self, n):
+        # h_witness(10..14) has roots of multiplicity 5 and more, which the
+        # solver reports as clusters
+        p = poly_H(n)
+        solver_count = len(distinct_real_roots(find_roots(p)))
+        assert solver_count == count_real_roots(p.deflate_zero())
+        assert solver_count == certify_cg(p).nonzero_real_root_count
 
 
 class TestCircleDeviation:

@@ -70,6 +70,9 @@ _FAMILIES = [
     "compute --family complement_friendship:1..3 --oracle",
     "compute --family complete:1..4 --oracle",
     "compute --family path:3 --oracle",
+    "roots --family h_witness:10",  # every nonzero root is 5-fold
+    "roots --family friendship:68",
+    "roots --family book:68",
 ]
 
 _JOINS = [
@@ -106,7 +109,7 @@ _ERRORS = [
     "compute --bogus",
     "roots --tol abc",
     "roots --max-iter 1.5",
-    "roots --family h_witness:10",  # 5-fold roots: the solver does not converge
+    "roots --family complement_friendship:12 --max-iter 2",  # the solver does not converge
     "bogus",
     "",  # no subcommand
 ]
@@ -173,7 +176,7 @@ def test_parser_is_built_once_and_reused(golden, tmp_path, capsys):
 def test_readme_quotes_the_solver_failure_verbatim(capsys):
     """README's Caps and limits quote the stderr of a non-converging solve;
     the quote, rewrapped, must be the message the CLI prints now."""
-    assert cli.main(["roots", "--family", "h_witness:10"]) == 3
+    assert cli.main(["roots", "--family", "complement_friendship:12", "--max-iter", "2"]) == 3
     message = capsys.readouterr().err.strip()
     assert f"`{message}`" in " ".join(README.read_text(encoding="utf-8").split())
 
