@@ -8,12 +8,14 @@ almost always -1, and D(G, y - 1) = sum_U (-1)^|U| y^(n - |N[U]|) has small
 signed counts as coefficients, where the monomial basis has binomial
 coefficients beyond 10^100 that cancel near the roots.  The iterates are the
 roots z themselves, in complex doubles, so a small root keeps its relative
-precision however large s is; b is evaluated at y = z - s.  A Newton step uses
-vectorized double Horner at the rounded y while its running error bound shows
-the value is trustworthy, and an exact fixed-point step at y, formed exactly,
-once cancellation eats the double significand.  That is the last step or two
-of most roots, once the iterate sits where the double value is rounding noise
-(about 1.14 exact steps per root over complement_friendship:1..42).  The
+precision however large s is; b is evaluated at y = z - s.  Each pass
+evaluates b once, over the active iterates at the rounded y, as a sum of
+powers scaled exactly by powers of two, so that no term overflows; a Newton
+step uses that value while its error bound shows it is trustworthy, and an
+exact fixed-point step at y, formed exactly, once cancellation eats the
+double significand.  That is the last step or two of most roots, once the
+iterate sits where the double value is rounding noise (about 1.14 exact
+steps per root over complement_friendship:1..42).  The
 fixed-point evaluation at x is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the
 remainder of b modulo the real quadratic (t - x)(t - conj x), whose
 coefficients 2 Re x and |x|^2 are held exactly, costs two real products per
@@ -21,9 +23,10 @@ coefficient, and four with the derivative, where complex Horner takes four
 and eight.  Each root z must then pass a residual gate: q(z) = b(z - s), by
 the same evaluation, plus a proven bound E on its truncation error, gives the
 componentwise backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which
-must be at most tol and is reported as the root's residual.  Conversions
-between exact integers and doubles are Python's own correctly rounded ones,
-and no evaluation is cached between points.
+must be at most tol and is reported as the root's residual; where a root
+sits bitwise on the point of its last exact step, the gate takes that step's
+first value, the same evaluation.  Conversions between exact integers and
+doubles are Python's own correctly rounded ones.
 
 Multiple roots are not certified; they converge only linearly and are
 reported as tight clusters.  The exact step keeps b' resolved near them, so
@@ -57,7 +60,7 @@ CLUSTER_RADIUS = 1e-6
 #: Smallest accepted tolerance: below it the double iterates cannot settle.
 MIN_TOL = 1e-14
 
-#: Margin factor on the running error bound of the double-precision Horner.
+#: Margin factor on the error bound of the double-precision evaluation.
 _NOISE_MARGIN = 64.0
 
 #: Evaluations an exact Newton step may take, each with 64 more fraction bits.
@@ -74,9 +77,11 @@ class RootSet:
     the truncation of q(z) in fixed point).  For real input the list is
     conjugate-symmetric.
 
-    `stats` counts the work of find_roots: `aberth_iterations`, `exact_steps`
-    (fixed-point Newton steps), `gate_evaluations` (one per root) and the
-    centroid `shift`.  It takes no part in comparisons.
+    `stats` counts the work of find_roots: `aberth_iterations`,
+    `double_steps` (trusted double-precision Newton steps), `exact_steps`
+    (fixed-point Newton steps), `gate_evaluations` (one per root), of which
+    `gate_reused` took the value of an exact step at that very point, and
+    the centroid `shift`.  It takes no part in comparisons.
     """
 
     zero_multiplicity: int
@@ -139,7 +144,9 @@ def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int,
     return (nr << (fbits - er)) - (shift << fbits), ni << (fbits - ei), fbits
 
 
-def _newton_step(coeffs: Sequence[int], shift: int, z: complex) -> complex:
+def _newton_step(
+    coeffs: Sequence[int], shift: int, z: complex, kept: dict | None = None
+) -> complex:
     """b(x)/b'(x) of the integer polynomial b = coeffs at x = z - shift, rounded
     to a complex double.
 
@@ -149,7 +156,9 @@ def _newton_step(coeffs: Sequence[int], shift: int, z: complex) -> complex:
     coefficient in all.  Where the terms of b' cancel, its value can sit a
     few units above the truncation error, so the evaluation is repeated with
     64 more fraction bits each time, for at most _STEP_ROUNDS evaluations,
-    until |b'(x)| has at least 64 bits."""
+    until |b'(x)| has at least 64 bits.  The first evaluation is
+    _shifted_value(coeffs, shift, z), bit for bit; kept, when given,
+    receives it as kept[z] = (re, im, fbits) for the residual gate."""
     for round_ in range(_STEP_ROUNDS):
         xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z, 64 * round_)
         r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
@@ -163,6 +172,8 @@ def _newton_step(coeffs: Sequence[int], shift: int, z: complex) -> complex:
         qr, qi = e0 - ((xr * e1) >> fbits), (xi * e1) >> fbits
         dr, di = b1 - ((2 * xi * qi) >> fbits), (2 * xi * qr) >> fbits
         den = dr * dr + di * di
+        if round_ == 0 and kept is not None:
+            kept[z] = pr, pi, fbits
         if den.bit_length() > 128:
             break
     if den == 0:
@@ -216,13 +227,50 @@ def _initial_guesses(p: Poly) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def _horner_pair(c: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p = np.full_like(z, complex(c[-1]))
-    dp = np.zeros_like(z)
-    for k in range(len(c) - 2, -1, -1):
-        dp = dp * z + p
-        p = p * z + c[k]
-    return p, dp
+def _split_coefficients(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c_k = m_k * 2**x_k with 1/2 <= |m_k| < 1; a zero c_k gets m_k = 0 and an
+    exponent so low that its term never sets the scale of _power_sums."""
+    m, x = np.frexp(c)
+    return m, np.where(m == 0, -(1 << 29), x).astype(np.int32)
+
+
+def _power_sums(
+    m: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """p = sum_k m_k 2**x_k t**k (see _split_coefficients) at the points y, as
+    (P, D, A, B, E): with the terms T_k = c_k y**k 2**-E, P = sum T_k =
+    p(y) 2**-E, D = sum k T_k = y p'(y) 2**-E, A = sum |T_k| and B = sum
+    k |T_k|, E the largest exponent x_k + k e over the nonzero c_k.
+
+    y = 2**e u with e the integer nearest log2|y| (0 at y = 0), so |u| <=
+    sqrt(2); the powers u**k come from one cumprod, and each is applied to
+    ldexp(m_k, x_k + k e - E), below 1 in modulus, an exact power-of-two
+    scaling, so no term overflows below degree 2046 and P, D stay finite
+    where p(y) does not fit a double.  Each power is k - 1 complex products
+    from u, each off by at most sqrt(5) units u = 2**-53, and the product by
+    the real factor and the sum of the d + 1 terms add d + 1 more:
+    |P - p(y) 2**-E| stays below about 4 d u A, and |D - y p'(y) 2**-E|
+    below about 4 d u B, twice Horner's 2 d u bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 5.1).  Every operation is elementwise
+    or a sum along the powers, so the bits do not depend on a BLAS."""
+    ay = np.abs(y)
+    e = np.rint(np.log2(np.where(ay > 0, ay, 1.0))).astype(np.int32)
+    k = np.arange(len(m), dtype=np.int32)[:, None]
+    u = np.empty((len(m), len(y)), dtype=complex)
+    u[0] = 1.0
+    u[1:] = np.ldexp(y.real, -e) + 1j * np.ldexp(y.imag, -e)
+    np.cumprod(u, axis=0, out=u)
+    scale = x[:, None] + k * e
+    top = scale.max(axis=0)
+    terms = np.ldexp(m[:, None], scale - top) * u
+    moduli = np.abs(terms)
+    return (
+        terms.sum(axis=0),
+        (k * terms).sum(axis=0),
+        moduli.sum(axis=0),
+        (k * moduli).sum(axis=0),
+        top,
+    )
 
 
 def _abs_sum(c_abs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -240,36 +288,46 @@ def _abs_sum(c_abs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _aberth_iterate(
-    b: Poly, shift: int, tol: float, max_iter: int, stats: Counter
+    b: Poly, shift: int, tol: float, max_iter: int, stats: Counter, kept: dict
 ) -> tuple[np.ndarray, bool, float]:
     """Aberth iteration on the roots z of b(z - shift), from shift plus the
     initial guesses of b; (iterates, converged, largest relative correction
-    of the last pass).  stats counts passes and exact steps."""
+    of the last pass).
+
+    Each pass evaluates b once, by _power_sums, at y = z - shift rounded, for
+    the active iterates only.  The double Newton step w = b(y)/b'(y) = y P / D
+    is trusted where |P| > noise A and |D| > noise B, noise = _NOISE_MARGIN
+    times 4 d u, the bound _power_sums gives (the scale 2**-E cancels on both
+    sides); otherwise the iterate takes an exact step, and kept receives that
+    step's first value (see _newton_step).  stats counts passes, trusted
+    double steps and exact steps."""
     _, c = _scaled_coefficients(b)
+    m, x = _split_coefficients(c)
     z, d = shift + _initial_guesses(b), b.degree
-    # the running error bounds of p and p' scale with these sums
-    abs_p = _abs_sum(np.abs(c))
-    abs_d = _abs_sum(np.arange(1, d + 1) * np.abs(c[1:]))
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     max_corr = math.inf
     # Points whose correction has dropped well below tol are frozen: they sit
-    # on their root and only contribute repulsion, saving exact evaluations.
+    # on their root and only contribute repulsion, saving evaluations.
     active = np.ones(d, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
             stats["aberth_iterations"] += 1
-            y = z - shift
-            pv, dv = _horner_pair(c, y)
-            ay = np.abs(y)
-            noise_p, noise_d = noise_factor * abs_p(ay), noise_factor * abs_d(ay)
-            finite = np.isfinite(pv) & np.isfinite(dv) & np.isfinite(noise_p)
-            reliable = finite & (np.abs(pv) > noise_p) & (np.abs(dv) > noise_d)
-            w = np.where(active & reliable, pv / np.where(dv == 0, 1.0, dv), 0.0)
-            # exact steps for any finite iterate: a non-finite one has no fixed point
-            exact = np.flatnonzero(active & ~reliable & np.isfinite(z))
+            # a non-finite iterate has neither a double value nor a fixed point
+            live = np.flatnonzero(active & np.isfinite(z))
+            y = z[live] - shift
+            pv, dv, abs_p, abs_d, _ = _power_sums(m, x, y)
+            # a non-finite sum fails these comparisons
+            reliable = (np.abs(pv) > noise_factor * abs_p) & (np.abs(dv) > noise_factor * abs_d)
+            w = np.zeros(d, dtype=complex)
+            w[live[reliable]] = y[reliable] * (pv[reliable] / dv[reliable])
+            exact = live[~reliable]
+            stats["double_steps"] += len(live) - len(exact)
             stats["exact_steps"] += len(exact)
+            if len(kept) > 2 * d:  # forget the values of points that moved on
+                for point in kept.keys() - set(z.tolist()):
+                    del kept[point]
             for i in exact:
-                w[i] = _newton_step(b.coeffs, shift, complex(z[i]))
+                w[i] = _newton_step(b.coeffs, shift, complex(z[i]), kept)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             recip = 1.0 / diff
@@ -296,48 +354,59 @@ def _aberth_iterate(
 def _pair_conjugates(z: np.ndarray) -> np.ndarray:
     """Symmetrize the root multiset under conjugation.
 
-    Roots within the near-real band snap to the axis; the rest are greedily
-    matched with the nearest candidate for their conjugate and the pair is
+    Roots within the near-real band snap to the axis; the rest, in the upper
+    half plane taken by (re, im), are greedily matched with the nearest
+    candidate for their conjugate, the lowest index on a tie, and the pair is
     replaced by its symmetrized mean.  Anything left unmatched is kept as-is.
+    The distances of all candidates are taken at once, by the same hypot as
+    abs of a complex, and a matched candidate's column is set to infinity:
+    it can win a later row only when no candidate is at a finite distance,
+    and then nothing matches.
     """
     out = z.copy()
-    pos = sorted(
-        (i for i in range(len(z)) if z[i].imag > NEAR_REAL_IM),
-        key=lambda i: (z[i].real, z[i].imag),
-    )
-    neg = [i for i in range(len(z)) if z[i].imag < -NEAR_REAL_IM]
-    for i in set(range(len(z))) - set(pos) - set(neg):
-        out[i] = z[i].real
-    unused = set(neg)
-    for i in pos:
-        if not unused:
-            break
-        target = z[i].conjugate()
-        j = min(unused, key=lambda j: (abs(z[j] - target), j))
-        if abs(z[j] - target) <= CLUSTER_RADIUS * max(1.0, abs(z[i])):
+    upper, lower = z.imag > NEAR_REAL_IM, z.imag < -NEAR_REAL_IM
+    band = ~(upper | lower)
+    out[band] = z.real[band]
+    pos, neg = np.flatnonzero(upper), np.flatnonzero(lower)
+    if not len(neg):
+        return out
+    pos = pos[np.lexsort((z.imag[pos], z.real[pos]))]
+    gap = z[neg][None, :] - z[pos].conj()[:, None]
+    dist = np.hypot(gap.real, gap.imag)
+    for row, i in enumerate(pos):
+        col = np.argmin(dist[row])
+        if dist[row, col] <= CLUSTER_RADIUS * max(1.0, abs(z[i])):
+            j = neg[col]
             re = 0.5 * (z[i].real + z[j].real)
             im = 0.5 * (z[i].imag - z[j].imag)
             out[i] = complex(re, im)
             out[j] = complex(re, -im)
-            unused.discard(j)
+            dist[:, col] = np.inf
     return out
 
 
 def _final_residuals(
-    basis: Poly, shift: int, z: np.ndarray, k: int, abs_q: Callable, stats: Counter
+    basis: Poly, shift: int, z: np.ndarray, k: int, abs_q: Callable, stats: Counter, kept: Mapping
 ) -> np.ndarray:
     """The gate's backward errors of q at z, q(z) = basis(z - shift), where
     abs_q sums the moduli of c = q / 2**k: the fixed-point value p is off by
     less than E = _truncation_bound * 2**-fbits, so (|p| + E) / sum_i |c_i|
     |z|^i bounds the componentwise backward error (Higham, Accuracy and
-    Stability of Numerical Algorithms, 5.1) from above."""
+    Stability of Numerical Algorithms, 5.1) from above.  p is kept[z] where
+    an exact step already computed it at that very point (equal points have
+    equal fixed-point forms), else _shifted_value.  A p too large for a double
+    counts as an infinite residual."""
     bound = _truncation_bound(basis.degree, np.abs(z - shift))
     num = np.empty(len(z))
     stats["gate_evaluations"] += len(z)
-    for i, zi in enumerate(z):
-        pr, pi, fbits = _shifted_value(basis.coeffs, shift, complex(zi))
+    for i, zi in enumerate(z.tolist()):
+        stats["gate_reused"] += zi in kept
+        pr, pi, fbits = kept.get(zi) or _shifted_value(basis.coeffs, shift, zi)
         f = fbits + k
-        num[i] = math.hypot(pr / (1 << f), pi / (1 << f)) + math.ldexp(bound[i], -f)
+        try:
+            num[i] = math.hypot(pr / (1 << f), pi / (1 << f)) + math.ldexp(bound[i], -f)
+        except OverflowError:
+            num[i] = math.inf
     aev = abs_q(np.abs(z))
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum rejects
         return np.where(np.isfinite(aev), num / aev, np.inf)
@@ -382,11 +451,12 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     scale, c = _scaled_coefficients(q)
     shift = _centroid_shift(q)
     basis = q.taylor_shift(shift)
-    stats = Counter(aberth_iterations=0, exact_steps=0, gate_evaluations=0, shift=shift)
+    keys = ("aberth_iterations", "double_steps", "exact_steps", "gate_evaluations", "gate_reused")
+    stats, kept = Counter(dict.fromkeys(keys, 0), shift=shift), {}
     if q.degree == 1:
         z = np.array([complex(-q.coeffs[0] / q.coeffs[1])])
     else:
-        z, converged, max_corr = _aberth_iterate(basis, shift, tol, max_iter, stats)
+        z, converged, max_corr = _aberth_iterate(basis, shift, tol, max_iter, stats, kept)
         if not converged:
             raise NonConvergenceError(
                 f"no convergence within {max_iter} iterations"
@@ -395,7 +465,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
                 max_correction=max_corr,
             )
         z = _pair_conjugates(z)
-    residuals = _final_residuals(basis, shift, z, scale, _abs_sum(np.abs(c)), stats)
+    residuals = _final_residuals(basis, shift, z, scale, _abs_sum(np.abs(c)), stats, kept)
     worst = float(residuals.max())
     if worst > tol:
         raise NonConvergenceError(

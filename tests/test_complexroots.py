@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,10 +15,18 @@ from hypothesis import strategies as st
 
 from dompoly import complexroots
 from dompoly.complexroots import (
+    CLUSTER_RADIUS,
     CSV_HEADER,
+    NEAR_REAL_IM,
+    _abs_sum,
+    _final_residuals,
     _fixed_point,
     _newton_step,
+    _pair_conjugates,
+    _power_sums,
+    _scaled_coefficients,
     _shifted_value,
+    _split_coefficients,
     _truncation_bound,
     boundary_real_part_roots,
     circle_deviation,
@@ -177,11 +186,30 @@ class TestFindRoots:
     def test_stats_count_the_work(self):
         rs = find_roots(poly_complement_friendship(40))
         assert rs.stats["shift"] == -1
-        keys = {"aberth_iterations", "exact_steps", "gate_evaluations", "shift"}
+        keys = {
+            "aberth_iterations",
+            "double_steps",
+            "exact_steps",
+            "gate_evaluations",
+            "gate_reused",
+            "shift",
+        }
         assert rs.stats.keys() == keys
-        assert rs.stats["gate_evaluations"] == len(rs.roots)
+        assert rs.stats["gate_evaluations"] == len(rs.roots) == 78
         assert rs.stats["aberth_iterations"] > 0
         assert rs.stats["exact_steps"] > 0
+        # some roots sit bitwise on the point of their last exact step
+        assert 0 < rs.stats["gate_reused"] <= rs.stats["exact_steps"]
+        # each pass steps every active iterate at most once, in doubles or exactly
+        steps = rs.stats["double_steps"] + rs.stats["exact_steps"]
+        assert 0 < rs.stats["double_steps"] and steps <= rs.stats["aberth_iterations"] * 78
+
+    def test_gate_overflow_is_an_infinite_residual(self):
+        # (x^2 - 2^180)(x^20 + 1): q(z) / 2^k at z = 2^90 does not fit a
+        # double, which raised a bare OverflowError from the gate
+        p = Poly([-(2**180), 0, 1]) * Poly([1] + [0] * 19 + [1])
+        with pytest.raises(NonConvergenceError, match="residual inf"):
+            find_roots(p)
 
     def test_stats_take_no_part_in_equality(self):
         from dompoly.complexroots import RootSet
@@ -197,6 +225,36 @@ class TestFindRoots:
     def test_deterministic(self):
         p = poly_book(7)
         assert find_roots(p) == find_roots(p)
+
+
+def _seeded_sweep(seed: int, count: int) -> list[Poly]:
+    """Alternately a product of 2-15 distinct linear factors a*x + b, |b| up
+    to 9e6, and a dense polynomial of degree 2..30 with coefficients up to
+    10**12 and nonzero ends."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        if len(out) % 2:
+            c = [rng.randint(-(10**12), 10**12) for _ in range(rng.randint(3, 31))]
+            if c[0] and c[-1]:
+                out.append(Poly(c))
+            continue
+        factors = {
+            (rng.randint(1, 729), rng.choice((-1, 1)) * int(10 ** rng.uniform(0, math.log10(9e6))))
+            for _ in range(rng.randint(2, 15))
+        }
+        if len({Fraction(-b, a) for a, b in factors}) == len(factors):
+            p = Poly([1])
+            for a, b in factors:
+                p = p * Poly([b, a])
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("p", _seeded_sweep(2026, 100), ids=[f"sweep{i}" for i in range(100)])
+def test_seeded_sweep_solves(p):
+    rs = find_roots(p)
+    assert rs.stats["gate_evaluations"] == len(rs.roots) == p.degree
+    assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
 
 
 conversions = settings(derandomize=True, max_examples=300, deadline=None)
@@ -284,9 +342,13 @@ class TestFusedNewtonStep:
         exact = _exact_newton_step(b, (Fraction(y.real), Fraction(y.imag)))
         ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
         for shift in (0, -1):  # the same point as y, or as z = y - 1
-            step = _newton_step(b, shift, y + shift)
+            kept = {}
+            step = _newton_step(b, shift, y + shift, kept)
             assert abs(Fraction(step.real) - exact[0]) <= ulp
             assert abs(Fraction(step.imag) - exact[1]) <= ulp
+            # the value kept for the gate is the first evaluation's, not the
+            # one with the fraction bits added for b'
+            assert kept == {y + shift: _shifted_value(b, shift, y + shift)}
 
 
 #: Components that need more fraction bits than the evaluation scale alone gives.
@@ -323,6 +385,157 @@ class TestGateArithmetic:
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
         bound = Fraction(float(_truncation_bound(len(coeffs) - 1, np.array([abs(z - shift)]))[0]))
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
+
+
+def _power_sum_cases(seed: int, count: int):
+    """(integer coefficients of degree 1..200, some zero, up to 2**64; a point
+    y with |y| = 2**t, t up to +-300, or y = 0)."""
+    rng, out = random.Random(seed), []
+    for i in range(count):
+        d = rng.choice((1, 2, 7, 30, 60, 120, 200))
+        c = [rng.choice((0, rng.randint(-(2**64), 2**64))) for _ in range(d)]
+        c.append(rng.randint(1, 2**64))
+        t = rng.choice((-300, -40, -1, 0, 0.3, 1, 5, 40, 300)) + rng.uniform(-0.5, 0.5)
+        angle = rng.choice((0.0, math.pi, rng.uniform(0, 2 * math.pi)))
+        y = 0j if i % 25 == 0 else complex(2**t * math.cos(angle), 2**t * math.sin(angle))
+        out.append((c, y))
+    out.append(([1] * 61, complex(2.0**300, 0.0)))
+    out.append(([rng.randint(1, 2**64) for _ in range(61)], complex(-(2.0**300), 2.0**299)))
+    return out
+
+
+def _scaled_horner(coeffs, x, f):
+    """2**(f d) sum_k coeffs[k] (x / 2**f)**k, exactly, for integer coeffs of
+    degree d and a point x = (re, im) of integers; the value as (re, im)."""
+    d, (ar, ai) = len(coeffs) - 1, (0, 0)
+    for k in range(d, -1, -1):
+        ar, ai = ar * x[0] - ai * x[1] + (coeffs[k] << (f * (d - k))), ar * x[1] + ai * x[0]
+    return ar, ai
+
+
+def _dyadic_scale(values):
+    """(f, [v * 2**f]) with the least f that makes every double v an integer."""
+    fractions = [Fraction(v) for v in values]
+    f = max(v.denominator for v in fractions).bit_length() - 1
+    return f, [int(v * 2**f) for v in fractions]
+
+
+class TestPowerSums:
+    @pytest.mark.parametrize("case", _power_sum_cases(2027, 60))
+    def test_within_the_documented_bound(self, case):
+        # |P - p(y) 2**-E| <= 4 d u sum |c_k| |y|**k 2**-E, and for D with k |c_k|
+        coeffs, y = case
+        _, c = _scaled_coefficients(Poly(coeffs))
+        m, x = _split_coefficients(c)
+        d, u = len(c) - 1, Fraction(1, 2**53)
+        P, D, A, B, E = (v[0] for v in _power_sums(m, x, np.array([y])))
+        g, ints = _dyadic_scale(c)
+        f, point = _dyadic_scale([y.real, y.imag])
+        h, (radius,) = _dyadic_scale([math.hypot(y.real, y.imag) * (1 + 2.0**-50)])  # >= |y|
+        weighted = [k * ck for k, ck in enumerate(ints)]
+        scale, den, sum_den = Fraction(2) ** int(E), 2 ** (f * d + g), 2 ** (h * d + g)
+        for got, weights, modsum in ((P, ints, A), (D, weighted, B)):
+            want_re, want_im = _scaled_horner(weights, point, f)
+            total = Fraction(_scaled_horner(list(map(abs, weights)), (radius, 0), h)[0], sum_den)
+            assert math.isfinite(got.real) and math.isfinite(got.imag)
+            err_re = Fraction(got.real) * scale - Fraction(want_re, den)
+            err_im = Fraction(got.imag) * scale - Fraction(want_im, den)
+            assert err_re**2 + err_im**2 <= (4 * d * u * total) ** 2, (d, y)
+            # the moduli sum is the sum the noise bound is drawn from
+            assert abs(Fraction(modsum) * scale - total) <= total / 10**9
+
+    def test_finite_where_the_value_overflows_a_double(self):
+        # degree 60 at |y| = 2**300: y**60 = 2**18000, beyond any double
+        # Horner, while the scaled terms stay finite
+        c = np.ones(61)
+        m, x = _split_coefficients(c)
+        P, D, A, B, E = _power_sums(m, x, np.array([complex(2.0**300, 0.0)]))
+        # 1 = 0.5 * 2**1, so the last term is 0.5 * 2**(1 + 60 * 300) and
+        # every other term is below 2**-300 of it
+        assert int(E[0]) == 1 + 60 * 300
+        assert (P[0], D[0], A[0], B[0]) == (0.5, 30.0, 0.5, 30.0)
+
+
+def _greedy_pairing(z: np.ndarray) -> np.ndarray:
+    """The original greedy search of _pair_conjugates, one candidate at a time."""
+    out = z.copy()
+    pos = sorted(
+        (i for i in range(len(z)) if z[i].imag > NEAR_REAL_IM),
+        key=lambda i: (z[i].real, z[i].imag),
+    )
+    neg = [i for i in range(len(z)) if z[i].imag < -NEAR_REAL_IM]
+    for i in set(range(len(z))) - set(pos) - set(neg):
+        out[i] = z[i].real
+    unused = set(neg)
+    for i in pos:
+        if not unused:
+            break
+        target = z[i].conjugate()
+        j = min(unused, key=lambda j: (abs(z[j] - target), j))
+        if abs(z[j] - target) <= CLUSTER_RADIUS * max(1.0, abs(z[i])):
+            re = 0.5 * (z[i].real + z[j].real)
+            im = 0.5 * (z[i].imag - z[j].imag)
+            out[i] = complex(re, im)
+            out[j] = complex(re, -im)
+            unused.discard(j)
+    return out
+
+
+def _conjugate_sets(seed: int, count: int) -> list[np.ndarray]:
+    """Conjugate pairs perturbed within and beyond CLUSTER_RADIUS, near-real
+    points, repeated points and candidates at equal distances, shuffled."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        pts = []
+        for _ in range(rng.randint(0, 12)):
+            a = complex(rng.uniform(-3, 1), rng.uniform(0.01, 2)) * 10 ** rng.randint(-2, 3)
+            kind = rng.randrange(5)
+            if kind == 0:  # an exact pair, the upper point repeated
+                pts += [a, a, a.conjugate()]
+            elif kind == 1:  # two lower candidates at the same distance
+                h = 2.0**-30
+                pts += [a, a.conjugate() + h, a.conjugate() - h]
+            elif kind == 2:  # a pair perturbed by up to 1e-5 of its modulus
+                pts += [a, a.conjugate() * (1 + rng.uniform(-1e-5, 1e-5))]
+            elif kind == 3:  # an unpaired point
+                pts.append(rng.choice((a, a.conjugate())))
+            else:  # near the real axis
+                pts.append(complex(a.real, rng.choice((0.0, -0.0, 1e-10, -NEAR_REAL_IM, 2e-9))))
+        rng.shuffle(pts)
+        out.append(np.array(pts, dtype=complex))
+    return out
+
+
+@pytest.mark.parametrize("z", _conjugate_sets(2028, 200))
+def test_pairing_matches_the_greedy_search(z):
+    assert _pair_conjugates(z).tobytes() == _greedy_pairing(z).tobytes()
+
+
+_GATE_REUSE_CASES = [poly_complement_friendship(n) for n in range(1, 43)] + [
+    poly_friendship(n) for n in range(2, 30)
+]
+
+
+def test_reused_gate_values_change_no_residual():
+    reused = 0
+    for p in _GATE_REUSE_CASES:
+        rs = find_roots(p)
+        if not rs.roots:
+            continue
+        q = p.deflate_zero()
+        shift, (scale, c) = rs.stats["shift"], _scaled_coefficients(q)
+        fresh = _final_residuals(
+            q.taylor_shift(shift),
+            shift,
+            np.array(rs.complex_roots()),
+            scale,
+            _abs_sum(np.abs(c)),
+            Counter(),
+            {},
+        )
+        assert np.array([r for _, _, r in rs.roots]).tobytes() == fresh.tobytes(), p
+        reused += rs.stats["gate_reused"]
+    assert reused > 0
 
 
 def _componentwise_backward_error(q: Poly, z: complex) -> mpmath.mpf:
