@@ -21,12 +21,15 @@ remainder of b modulo the real quadratic (t - x)(t - conj x), whose
 coefficients 2 Re x and |x|^2 are held exactly, costs two real products per
 coefficient, and four with the derivative, where complex Horner takes four
 and eight.  Each root z must then pass a residual gate: q(z) = b(z - s), by
-the same evaluation, plus a proven bound E on its truncation error, gives the
-componentwise backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which
-must be at most tol and is reported as the root's residual; where a root
-sits bitwise on the point of its last exact step, the gate takes that step's
-first value, the same evaluation.  Conversions between exact integers and
-doubles are Python's own correctly rounded ones.
+the same evaluation, plus E = (d + 2) 2**-90, the proven bound on its
+truncation error at the fraction bits it carries, gives the componentwise
+backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which must be at most
+tol and is reported as the root's residual; where a root sits bitwise on the
+point of its last exact step, the gate takes that step's first value, the
+same evaluation.  The denominator is the same power sum as the pass's, of q
+at |z|, and the quotient is formed with the exponents kept apart, so the
+gate does not overflow where the ratio fits a double.  Conversions between
+exact integers and doubles are Python's own correctly rounded ones.
 
 Multiple roots are not certified; they converge only linearly and are
 reported as tight clusters.  The exact step keeps b' resolved near them, so
@@ -41,7 +44,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,15 +76,16 @@ class RootSet:
 
     Each root is (re, im, residual): residual = (|q(z)| + E) / sum_i |q_i|
     |z|^i, q = p without its zero root, is the proven componentwise backward
-    error bound that the residual gate held to at most `tolerance` (E bounds
-    the truncation of q(z) in fixed point).  For real input the list is
-    conjugate-symmetric.
+    error bound that the residual gate held to at most `tolerance` (E =
+    (d + 2) 2**-90, d the degree of q, bounds the truncation of q(z) in fixed
+    point).  For real input the list is conjugate-symmetric.
 
     `stats` counts the work of find_roots: `aberth_iterations`,
     `double_steps` (trusted double-precision Newton steps), `exact_steps`
     (fixed-point Newton steps), `gate_evaluations` (one per root), of which
     `gate_reused` took the value of an exact step at that very point, and
-    the centroid `shift`.  It takes no part in comparisons.
+    the centroid `shift`; all six are 0 when p has no nonzero root.  It takes
+    no part in comparisons.
     """
 
     zero_multiplicity: int
@@ -120,18 +124,14 @@ def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[i
     conj(x)*b_1, at two real products per coefficient.  r = 2*Re x and s =
     |x|^2 are exact, so the floors made at coefficient k, together less than a
     unit, reach the value as exactly that error times x^k; the two floors of
-    the last step add less than sqrt(2) units: the value is off by less than
-    _truncation_bound units."""
+    the last step add less than sqrt(2) units.  At the fbits of _fbits_for
+    each of those d + 2 error terms is under 2**(fbits - 90) units, so the
+    value is off by less than (d + 2) 2**(fbits - 90) units."""
     r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
     b0 = b1 = 0
     for c in reversed(coeffs):
         b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
     return b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
-
-
-def _truncation_bound(deg: int, r: np.ndarray) -> np.ndarray:
-    """sqrt(2) + sum_{j<deg} r**j: the error of _fixed_value at |x| = r."""
-    return math.sqrt(2.0) + _abs_sum(np.ones(deg))(r)
 
 
 def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int, int, int]:
@@ -199,20 +199,6 @@ def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, 
 # -- double-precision helpers ---------------------------------------------------
 
 
-def _scaled_coefficients(p: Poly) -> tuple[int, np.ndarray]:
-    """Divide all coefficients by 2**k so the largest lands in [1, 2)."""
-    bits = [c.bit_length() for c in p.coeffs]
-    k = max(bits) - 1
-    smallest = min(b for b, c in zip(bits, p.coeffs) if c != 0)
-    if k - (smallest - 1) > 1000:
-        raise CapacityError(
-            "coefficient dynamic range exceeds double precision; scale the"
-            " family index down"
-        )
-    scale = 1 << k
-    return k, np.array([c / scale for c in p.coeffs], dtype=np.float64)
-
-
 def _initial_guesses(p: Poly) -> np.ndarray:
     """Deterministic start: points on the circle of the geometric-mean root
     modulus |c0/cd|^(1/d), at a fixed 0.4 rad angular offset.
@@ -227,11 +213,14 @@ def _initial_guesses(p: Poly) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def _split_coefficients(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """c_k = m_k * 2**x_k with 1/2 <= |m_k| < 1; a zero c_k gets m_k = 0 and an
-    exponent so low that its term never sets the scale of _power_sums."""
-    m, x = np.frexp(c)
-    return m, np.where(m == 0, -(1 << 29), x).astype(np.int32)
+def _split_coefficients(coeffs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Integers c_k = m_k * 2**x_k, x_k the bit length of c_k and m_k the
+    correctly rounded c_k / 2**x_k, so 1/2 <= |m_k| <= 1 whatever the size of
+    c_k; a zero c_k gets m_k = 0 and an exponent so low that its term never
+    sets the scale of _power_sums."""
+    m = np.array([c / (1 << c.bit_length()) for c in coeffs])
+    x = np.array([c.bit_length() if c else -(1 << 29) for c in coeffs], dtype=np.int32)
+    return m, x
 
 
 def _power_sums(
@@ -244,11 +233,12 @@ def _power_sums(
 
     y = 2**e u with e the integer nearest log2|y| (0 at y = 0), so |u| <=
     sqrt(2); the powers u**k come from one cumprod, and each is applied to
-    ldexp(m_k, x_k + k e - E), below 1 in modulus, an exact power-of-two
+    ldexp(m_k, x_k + k e - E), at most 1 in modulus, an exact power-of-two
     scaling, so no term overflows below degree 2046 and P, D stay finite
     where p(y) does not fit a double.  Each power is k - 1 complex products
-    from u, each off by at most sqrt(5) units u = 2**-53, and the product by
-    the real factor and the sum of the d + 1 terms add d + 1 more:
+    from u, each off by at most sqrt(5) units u = 2**-53, the rounding of
+    m_k adds one, and the product by the real factor and the sum of the
+    d + 1 terms add d + 1 more:
     |P - p(y) 2**-E| stays below about 4 d u A, and |D - y p'(y) 2**-E|
     below about 4 d u B, twice Horner's 2 d u bound (Higham, Accuracy and
     Stability of Numerical Algorithms, 5.1).  Every operation is elementwise
@@ -273,20 +263,6 @@ def _power_sums(
     )
 
 
-def _abs_sum(c_abs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """r -> sum_k c_abs[k] r**k at moduli r, as exp(log c_k + k log r) with
-    the logs taken once, so no power overflows where the sum is finite; r = 0
-    gives the constant term exactly, a non-finite r an infinite or NaN sum."""
-    k = np.flatnonzero(c_abs[1:]) + 1
-    log_c = np.log(c_abs[k])
-
-    def total(r: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return c_abs[0] + np.exp(log_c + k * np.log(r)[:, None]).sum(axis=1)
-
-    return total
-
-
 def _aberth_iterate(
     b: Poly, shift: int, tol: float, max_iter: int, stats: Counter, kept: dict
 ) -> tuple[np.ndarray, bool, float]:
@@ -301,8 +277,7 @@ def _aberth_iterate(
     sides); otherwise the iterate takes an exact step, and kept receives that
     step's first value (see _newton_step).  stats counts passes, trusted
     double steps and exact steps."""
-    _, c = _scaled_coefficients(b)
-    m, x = _split_coefficients(c)
+    m, x = _split_coefficients(b.coeffs)
     z, d = shift + _initial_guesses(b), b.degree
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     max_corr = math.inf
@@ -386,30 +361,31 @@ def _pair_conjugates(z: np.ndarray) -> np.ndarray:
 
 
 def _final_residuals(
-    basis: Poly, shift: int, z: np.ndarray, k: int, abs_q: Callable, stats: Counter, kept: Mapping
+    basis: Poly, shift: int, z: np.ndarray, q: Poly, stats: Counter, kept: Mapping
 ) -> np.ndarray:
-    """The gate's backward errors of q at z, q(z) = basis(z - shift), where
-    abs_q sums the moduli of c = q / 2**k: the fixed-point value p is off by
-    less than E = _truncation_bound * 2**-fbits, so (|p| + E) / sum_i |c_i|
-    |z|^i bounds the componentwise backward error (Higham, Accuracy and
-    Stability of Numerical Algorithms, 5.1) from above.  p is kept[z] where
-    an exact step already computed it at that very point (equal points have
-    equal fixed-point forms), else _shifted_value.  A p too large for a double
-    counts as an infinite residual."""
-    bound = _truncation_bound(basis.degree, np.abs(z - shift))
-    num = np.empty(len(z))
+    """The gate's backward errors of q at z, q(z) = basis(z - shift): the
+    fixed-point value p, of scale 2**fbits, is off by less than E = (d + 2)
+    2**-90 (see _fixed_value), so (|p| + E) / sum_i |q_i| |z|^i bounds the
+    componentwise backward error (Higham, Accuracy and Stability of
+    Numerical Algorithms, 5.1) from above.  p is kept[z] where an exact step
+    already computed it at that very point (equal points have equal
+    fixed-point forms), else _shifted_value.  |p| = a 2**j and the
+    denominator A 2**S, by _power_sums of q at |z|, keep their exponents
+    apart, so the quotient is a / A and (d + 2) / A, each scaled by an exact
+    power of two: it overflows to an infinite residual only where it exceeds
+    the double range, or where A does (at degree 2046 and above)."""
     stats["gate_evaluations"] += len(z)
+    mantissa, exponent = np.empty(len(z)), np.empty(len(z), dtype=np.int64)
     for i, zi in enumerate(z.tolist()):
         stats["gate_reused"] += zi in kept
         pr, pi, fbits = kept.get(zi) or _shifted_value(basis.coeffs, shift, zi)
-        f = fbits + k
-        try:
-            num[i] = math.hypot(pr / (1 << f), pi / (1 << f)) + math.ldexp(bound[i], -f)
-        except OverflowError:
-            num[i] = math.inf
-    aev = abs_q(np.abs(z))
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite sum rejects
-        return np.where(np.isfinite(aev), num / aev, np.inf)
+        j = max(pr.bit_length(), pi.bit_length())
+        mantissa[i], exponent[i] = math.hypot(pr / (1 << j), pi / (1 << j)), j - fbits
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, _, total, _, scale = _power_sums(*_split_coefficients(q.coeffs), np.abs(z))
+        ratio = np.ldexp(mantissa / total, exponent - scale)
+        ratio += np.ldexp((basis.degree + 2) / total, -90 - scale)
+    return np.where(np.isfinite(total), ratio, np.inf)
 
 
 def _centroid_shift(q: Poly) -> int:
@@ -446,13 +422,18 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         raise ValueError("need a polynomial of degree at least 1")
     zero_mult = p.zero_root_multiplicity()
     q = p.deflate_zero()
-    if q.degree == 0:
-        return RootSet(zero_mult, (), tol)
-    scale, c = _scaled_coefficients(q)
-    shift = _centroid_shift(q)
-    basis = q.taylor_shift(shift)
     keys = ("aberth_iterations", "double_steps", "exact_steps", "gate_evaluations", "gate_reused")
-    stats, kept = Counter(dict.fromkeys(keys, 0), shift=shift), {}
+    stats, kept = Counter(dict.fromkeys(keys, 0), shift=0), {}
+    if q.degree == 0:
+        return RootSet(zero_mult, (), tol, dict(stats))
+    shift = stats["shift"] = _centroid_shift(q)
+    basis = q.taylor_shift(shift)
+    bits = [c.bit_length() for c in basis.coeffs if c]
+    if max(bits) - min(bits) > 1000 or abs(shift).bit_length() > 1000:
+        raise CapacityError(
+            "coefficient dynamic range or root centroid exceeds double"
+            " precision; scale the family index down"
+        )
     if q.degree == 1:
         z = np.array([complex(-q.coeffs[0] / q.coeffs[1])])
     else:
@@ -465,7 +446,7 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
                 max_correction=max_corr,
             )
         z = _pair_conjugates(z)
-    residuals = _final_residuals(basis, shift, z, scale, _abs_sum(np.abs(c)), stats, kept)
+    residuals = _final_residuals(basis, shift, z, q, stats, kept)
     worst = float(residuals.max())
     if worst > tol:
         raise NonConvergenceError(

@@ -18,16 +18,13 @@ from dompoly.complexroots import (
     CLUSTER_RADIUS,
     CSV_HEADER,
     NEAR_REAL_IM,
-    _abs_sum,
     _final_residuals,
     _fixed_point,
     _newton_step,
     _pair_conjugates,
     _power_sums,
-    _scaled_coefficients,
     _shifted_value,
     _split_coefficients,
-    _truncation_bound,
     boundary_real_part_roots,
     circle_deviation,
     distinct_real_roots,
@@ -35,12 +32,13 @@ from dompoly.complexroots import (
     has_positive_real_part,
     roots_csv,
 )
-from dompoly.errors import NonConvergenceError
+from dompoly.errors import CapacityError, NonConvergenceError
 from dompoly.formulas import (
     poly_H,
     poly_book,
     poly_cocktail,
     poly_complement_friendship,
+    poly_complete,
     poly_friendship,
 )
 from dompoly.polynomials import Poly, binomial_power
@@ -184,8 +182,6 @@ class TestFindRoots:
             assert got == pytest.approx([float(r) for r in roots], rel=1e-9), factors
 
     def test_stats_count_the_work(self):
-        rs = find_roots(poly_complement_friendship(40))
-        assert rs.stats["shift"] == -1
         keys = {
             "aberth_iterations",
             "double_steps",
@@ -194,6 +190,11 @@ class TestFindRoots:
             "gate_reused",
             "shift",
         }
+        # no nonzero root: every counter is there, and zero
+        for p in (Poly([0, 0, 0, 1]), poly_complement_friendship(1)):
+            assert find_roots(p).stats == dict.fromkeys(keys, 0), p
+        rs = find_roots(poly_complement_friendship(40))
+        assert rs.stats["shift"] == -1
         assert rs.stats.keys() == keys
         assert rs.stats["gate_evaluations"] == len(rs.roots) == 78
         assert rs.stats["aberth_iterations"] > 0
@@ -204,12 +205,18 @@ class TestFindRoots:
         steps = rs.stats["double_steps"] + rs.stats["exact_steps"]
         assert 0 < rs.stats["double_steps"] and steps <= rs.stats["aberth_iterations"] * 78
 
-    def test_gate_overflow_is_an_infinite_residual(self):
-        # (x^2 - 2^180)(x^20 + 1): q(z) / 2^k at z = 2^90 does not fit a
-        # double, which raised a bare OverflowError from the gate
-        p = Poly([-(2**180), 0, 1]) * Poly([1] + [0] * 19 + [1])
-        with pytest.raises(NonConvergenceError, match="residual inf"):
-            find_roots(p)
+    @pytest.mark.parametrize("e", [120, 180])
+    def test_gate_takes_roots_whose_power_sums_overflow_a_double(self, e):
+        # (x^2 - 2^e)(x^20 + 1): at z = 2^(e/2), |z|^22 and q(z) lie beyond
+        # the double range, while the ratio the gate forms does not
+        p = Poly([-(2**e), 0, 1]) * Poly([1] + [0] * 19 + [1])
+        rs = find_roots(p)
+        assert len(rs.roots) == 22
+        for root in (2.0 ** (e // 2), -(2.0 ** (e // 2))):
+            assert min(abs(z - root) for z in rs.complex_roots()) <= 1e-12 * abs(root)
+        for re, im, residual in rs.roots:
+            floor = _componentwise_backward_error(p, complex(re, im))
+            assert rs.tolerance >= residual >= floor * (1 - 1e-9), (re, im)
 
     def test_stats_take_no_part_in_equality(self):
         from dompoly.complexroots import RootSet
@@ -221,6 +228,23 @@ class TestFindRoots:
 
         with pytest.raises(CapacityError):
             find_roots(binomial_power(1100))
+
+    def test_monomial_range_beyond_doubles(self):
+        # K_1010: q = ((1 + x)^1010 - 1) / x, whose coefficients span 1,004
+        # bits, while q(y - 1) = 1 + y + ... + y^1009 spans none
+        rs = find_roots(poly_complete(1010))
+        assert len(rs.roots) == 1009
+        assert max(r for _, _, r in rs.roots) <= rs.tolerance
+
+    @pytest.mark.parametrize(
+        "p",
+        [Poly([-(2**1100 + 1), 2]), Poly([-(2**1100), 1]) * Poly([-(2**1100) - 3, 1])],
+        ids=["linear", "quadratic"],
+    )
+    def test_centroid_beyond_doubles(self, p):
+        # the shifted coefficients are small, but no double holds the roots
+        with pytest.raises(CapacityError):
+            find_roots(p)
 
     def test_deterministic(self):
         p = poly_book(7)
@@ -383,7 +407,8 @@ class TestGateArithmetic:
         er, ei = Fraction(coeffs[-1]), Fraction(0)
         for c in reversed(coeffs[:-1]):
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
-        bound = Fraction(float(_truncation_bound(len(coeffs) - 1, np.array([abs(z - shift)]))[0]))
+        # each of the d + 2 error terms is under 2**-90 at the scale 2**fbits
+        bound = (len(coeffs) + 1) * Fraction(2) ** (fbits - 90)
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
 
 
@@ -401,6 +426,9 @@ def _power_sum_cases(seed: int, count: int):
         out.append((c, y))
     out.append(([1] * 61, complex(2.0**300, 0.0)))
     out.append(([rng.randint(1, 2**64) for _ in range(61)], complex(-(2.0**300), 2.0**299)))
+    # coefficients 1300 bits apart, beyond the range of one double scale
+    out.append(([rng.randint(1, 2**64), 0, -(3**700), 2**1100 + 1, 5], complex(2.0**-400, 0.5)))
+    out.append(([7, rng.randint(2**1100, 2**1101), 1], complex(-(2.0**600), 2.0**-30)))
     return out
 
 
@@ -425,16 +453,14 @@ class TestPowerSums:
     def test_within_the_documented_bound(self, case):
         # |P - p(y) 2**-E| <= 4 d u sum |c_k| |y|**k 2**-E, and for D with k |c_k|
         coeffs, y = case
-        _, c = _scaled_coefficients(Poly(coeffs))
-        m, x = _split_coefficients(c)
-        d, u = len(c) - 1, Fraction(1, 2**53)
+        m, x = _split_coefficients(coeffs)
+        d, u = len(coeffs) - 1, Fraction(1, 2**53)
         P, D, A, B, E = (v[0] for v in _power_sums(m, x, np.array([y])))
-        g, ints = _dyadic_scale(c)
         f, point = _dyadic_scale([y.real, y.imag])
         h, (radius,) = _dyadic_scale([math.hypot(y.real, y.imag) * (1 + 2.0**-50)])  # >= |y|
-        weighted = [k * ck for k, ck in enumerate(ints)]
-        scale, den, sum_den = Fraction(2) ** int(E), 2 ** (f * d + g), 2 ** (h * d + g)
-        for got, weights, modsum in ((P, ints, A), (D, weighted, B)):
+        weighted = [k * ck for k, ck in enumerate(coeffs)]
+        scale, den, sum_den = Fraction(2) ** int(E), 2 ** (f * d), 2 ** (h * d)
+        for got, weights, modsum in ((P, coeffs, A), (D, weighted, B)):
             want_re, want_im = _scaled_horner(weights, point, f)
             total = Fraction(_scaled_horner(list(map(abs, weights)), (radius, 0), h)[0], sum_den)
             assert math.isfinite(got.real) and math.isfinite(got.imag)
@@ -447,8 +473,7 @@ class TestPowerSums:
     def test_finite_where_the_value_overflows_a_double(self):
         # degree 60 at |y| = 2**300: y**60 = 2**18000, beyond any double
         # Horner, while the scaled terms stay finite
-        c = np.ones(61)
-        m, x = _split_coefficients(c)
+        m, x = _split_coefficients([1] * 61)
         P, D, A, B, E = _power_sums(m, x, np.array([complex(2.0**300, 0.0)]))
         # 1 = 0.5 * 2**1, so the last term is 0.5 * 2**(1 + 60 * 300) and
         # every other term is below 2**-300 of it
@@ -523,19 +548,22 @@ def test_reused_gate_values_change_no_residual():
         if not rs.roots:
             continue
         q = p.deflate_zero()
-        shift, (scale, c) = rs.stats["shift"], _scaled_coefficients(q)
+        shift = rs.stats["shift"]
         fresh = _final_residuals(
-            q.taylor_shift(shift),
-            shift,
-            np.array(rs.complex_roots()),
-            scale,
-            _abs_sum(np.abs(c)),
-            Counter(),
-            {},
+            q.taylor_shift(shift), shift, np.array(rs.complex_roots()), q, Counter(), {}
         )
         assert np.array([r for _, _, r in rs.roots]).tobytes() == fresh.tobytes(), p
         reused += rs.stats["gate_reused"]
     assert reused > 0
+
+
+def test_gate_rejects_where_its_power_sum_overflows():
+    # degree 2100 at |z| = 1.414: the powers of _power_sums, up to 1.414**2100,
+    # overflow, so the sum the gate divides by is not finite and z cannot pass
+    q = Poly([1] * 2101)
+    gate = _final_residuals(q, 0, np.array([-1.414 + 0j, -0.5 + 0j]), q, Counter(), {})
+    assert gate[0] == math.inf
+    assert gate[1] == pytest.approx(1 / 3)  # |q(-1/2)| / q(1/2) = (2/3) / 2
 
 
 def _componentwise_backward_error(q: Poly, z: complex) -> mpmath.mpf:
