@@ -60,8 +60,7 @@ from .realroots import (
     CgCertificate,
     certify_cg,
     check_oddness,
-    count_real_roots,
-    sturm_sequence,
+    squarefree_factors,
 )
 
 __version__ = "0.1.0"
@@ -88,7 +87,6 @@ __all__ = [
     "closed_form",
     "complement",
     "corona",
-    "count_real_roots",
     "disjoint_union",
     "distinct_real_roots",
     "domination_number",
@@ -108,6 +106,6 @@ __all__ = [
     "poly_join",
     "poly_union",
     "roots_csv",
-    "sturm_sequence",
+    "squarefree_factors",
     "to_edge_list",
 ]

@@ -1,12 +1,13 @@
 """Numerical location of complex roots and limit-circle analytics.
 
 Roots are found by simultaneous Aberth-Ehrlich iteration (Newton steps
-corrected by the repulsion of the sibling approximations) on the roots z of q,
-with q evaluated through the shifted basis b(y) = q(y + s), rewritten exactly,
-s the integer nearest the root centroid.  For a domination polynomial s is
-almost always -1, and D(G, y - 1) = sum_U (-1)^|U| y^(n - |N[U]|) has small
-signed counts as coefficients, where the monomial basis has binomial
-coefficients beyond 10^100 that cancel near the roots.  The iterates are the
+corrected by the repulsion of the sibling approximations) on the roots z of
+each squarefree factor q of the polynomial, with q evaluated through the
+shifted basis b(y) = q(y + s), rewritten exactly, s the integer nearest the
+root centroid.  For a domination polynomial s is almost always -1, and
+D(G, y - 1) = sum_U (-1)^|U| y^(n - |N[U]|) has small signed counts as
+coefficients, where the monomial basis has binomial coefficients beyond
+10^100 that cancel near the roots.  The iterates are the
 roots z themselves, in complex doubles, so a small root keeps its relative
 precision however large s is; b is evaluated at y = z - s.  Each pass
 evaluates b once, over the active iterates at the rounded y, as a sum of
@@ -31,11 +32,12 @@ at |z|, and the quotient is formed with the exponents kept apart, so the
 gate does not overflow where the ratio fits a double.  Conversions between
 exact integers and doubles are Python's own correctly rounded ones.
 
-Multiple roots are not certified; they converge only linearly and are
-reported as tight clusters.  The exact step keeps b' resolved near them, so
-h_witness(30), whose nonzero roots are 15-fold, converges; h_witness(40)
-(20-fold) raises NonConvergenceError.  All iterations are deterministic:
-fixed initial guesses, no randomness.
+Repeated roots are never iterated on: the polynomial is split into its
+squarefree factors first (realroots.squarefree_factors, Yun's
+decomposition), each factor is solved once, and a root of multiplicity k is
+reported k times, with the residual of its factor.  The nonzero roots of
+h_witness(40), all 20-fold, take three roots of one cubic.  All iterations
+are deterministic: fixed initial guesses, no randomness.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ import numpy as np
 
 from .errors import CapacityError, NonConvergenceError
 from .polynomials import Poly
+from .realroots import squarefree_factors
 
 #: Roots with |re| at or below this band are treated as imaginary-axis cases.
 REAL_PART_GUARD = 1e-9
 
-#: Nearly-real roots (|im| below this) count as real when matching Sturm counts.
+#: Nearly-real roots (|im| at or below this) are put on the real axis.
 NEAR_REAL_IM = 1e-9
 
-#: Radius used to merge root clusters stemming from multiple roots.
+#: Distance, relative to max(1, |z|), within which a root is paired with its
+#: conjugate.
 CLUSTER_RADIUS = 1e-6
 
 #: Smallest accepted tolerance: below it the double iterates cannot settle.
@@ -74,18 +78,21 @@ _STEP_ROUNDS = 8
 class RootSet:
     """Nonzero roots of a polynomial, with the exactly-deflated zero root.
 
-    Each root is (re, im, residual): residual = (|q(z)| + E) / sum_i |q_i|
-    |z|^i, q = p without its zero root, is the proven componentwise backward
-    error bound that the residual gate held to at most `tolerance` (E =
-    (d + 2) 2**-90, d the degree of q, bounds the truncation of q(z) in fixed
-    point).  For real input the list is conjugate-symmetric.
+    Each root is (re, im, residual), and a root of multiplicity k is k equal
+    entries.  residual = (|q(z)| + E) / sum_i |q_i| |z|^i, q the squarefree
+    factor of p without its zero root that z is a root of, is the proven
+    componentwise backward error bound that the residual gate held to at
+    most `tolerance` (E = (d + 2) 2**-90, d the degree of q, bounds the
+    truncation of q(z) in fixed point).  For real input the list is
+    conjugate-symmetric.
 
-    `stats` counts the work of find_roots: `aberth_iterations`,
-    `double_steps` (trusted double-precision Newton steps), `exact_steps`
-    (fixed-point Newton steps), `gate_evaluations` (one per root), of which
+    `stats` counts the work of find_roots, summed over the `factors`
+    (squarefree factors solved): `aberth_iterations`, `double_steps`
+    (trusted double-precision Newton steps), `exact_steps` (fixed-point
+    Newton steps), `gate_evaluations` (one per distinct root), of which
     `gate_reused` took the value of an exact step at that very point, and
-    the centroid `shift`; all six are 0 when p has no nonzero root.  It takes
-    no part in comparisons.
+    the centroid `shift` of the first factor; all seven are 0 when p has no
+    nonzero root.  It takes no part in comparisons.
     """
 
     zero_multiplicity: int
@@ -397,36 +404,13 @@ def _centroid_shift(q: Poly) -> int:
     return 0 if s == 0 or q.eval_exact(s) == 0 else s
 
 
-def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
-    """Locate all complex roots of p.
-
-    The zero root is removed exactly (its multiplicity is the lowest nonzero
-    coefficient index).  The remaining roots z of q are iterated
-    simultaneously in their own coordinates, with q evaluated as b(z - s), b =
-    q(y + s) rewritten exactly and s the integer nearest their centroid,
-    until the largest correction, each measured relative to max(1, |z|) of
-    its iterate, drops below tol; an iterate whose relative correction drops
-    below tol / 4 is frozen and only repels the others.  A linear q gives its
-    correctly rounded root.  Every root z must then pass the residual gate,
-    evaluated on b at the exactly formed point z - s with a proven truncation
-    bound.  Non-convergence and a missed gate raise, carrying the iterates;
-    they are never returned silently as converged.
-    """
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be a finite number, got {tol}")
-    if tol < MIN_TOL:
-        raise ValueError(f"tolerance below {MIN_TOL} is not achievable in doubles")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a polynomial of degree at least 1")
-    zero_mult = p.zero_root_multiplicity()
-    q = p.deflate_zero()
-    keys = ("aberth_iterations", "double_steps", "exact_steps", "gate_evaluations", "gate_reused")
-    stats, kept = Counter(dict.fromkeys(keys, 0), shift=0), {}
-    if q.degree == 0:
-        return RootSet(zero_mult, (), tol, dict(stats))
-    shift = stats["shift"] = _centroid_shift(q)
+def _solve_squarefree(
+    q: Poly, tol: float, max_iter: int, stats: Counter
+) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of q, of degree >= 1 and without repeated roots, and their
+    gate residuals (see find_roots); the work is added to stats, which
+    keep the shift of the first factor solved."""
+    shift, kept = _centroid_shift(q), {}
     basis = q.taylor_shift(shift)
     bits = [c.bit_length() for c in basis.coeffs if c]
     if max(bits) - min(bits) > 1000 or abs(shift).bit_length() > 1000:
@@ -454,25 +438,60 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
             roots=z.tolist(),
             max_correction=worst,
         )
+    if not stats["factors"]:
+        stats["shift"] = shift
+    stats["factors"] += 1
+    return z, residuals
+
+
+def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
+    """Locate all complex roots of p.
+
+    The zero root is removed exactly (its multiplicity is the lowest nonzero
+    coefficient index), and the rest, q, is split into its squarefree
+    factors q_k (see realroots.squarefree_factors): each is solved once, and
+    its roots are reported k times each.  The roots z of q_k are iterated
+    simultaneously in their own coordinates, with q_k evaluated as b(z - s),
+    b = q_k(y + s) rewritten exactly and s the integer nearest their
+    centroid, until the largest correction, each measured relative to
+    max(1, |z|) of its iterate, drops below tol; an iterate whose relative
+    correction drops below tol / 4 is frozen and only repels the others.  A
+    linear q_k gives its correctly rounded root.  Every root z must then
+    pass the residual gate of q_k, evaluated on b at the exactly formed
+    point z - s with a proven truncation bound.  Non-convergence and a
+    missed gate raise, carrying the iterates of that factor; they are never
+    returned silently as converged.
+    """
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be a finite number, got {tol}")
+    if tol < MIN_TOL:
+        raise ValueError(f"tolerance below {MIN_TOL} is not achievable in doubles")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a polynomial of degree at least 1")
+    zero_mult = p.zero_root_multiplicity()
+    q = p.deflate_zero()
+    keys = ("aberth_iterations", "double_steps", "exact_steps", "gate_evaluations", "gate_reused")
+    stats = Counter(dict.fromkeys(keys, 0), shift=0, factors=0)
+    if q.degree == 0:
+        return RootSet(zero_mult, (), tol, dict(stats))
+    solved = [(*_solve_squarefree(f, tol, max_iter, stats), k) for f, k in squarefree_factors(q)]
+    z = np.concatenate([np.repeat(roots, k) for roots, _, k in solved])
+    residuals = np.concatenate([np.repeat(gate, k) for _, gate, k in solved])
     order = np.lexsort((z.imag, z.real))
     roots = tuple((float(z[i].real), float(z[i].imag), float(residuals[i])) for i in order)
     return RootSet(zero_mult, roots, tol, dict(stats))
 
 
 def distinct_real_roots(rs: RootSet) -> list[float]:
-    """Representatives of near-real root clusters (zero root excluded).
+    """The distinct real nonzero roots, ascending.
 
-    Roots with |im| <= NEAR_REAL_IM are projected to the axis and merged when
-    closer than CLUSTER_RADIUS, so a numerically split multiple root counts
-    once.
+    A k-fold root is k equal rows, and _pair_conjugates puts every root of
+    the near-real band on the axis, so these are the real parts of the rows
+    with im == 0, each once.
     """
-    reals = sorted(re for re, im, _ in rs.roots if abs(im) <= NEAR_REAL_IM)
-    out: list[float] = []
-    for r in reals:
-        if out and r - out[-1] <= CLUSTER_RADIUS:
-            continue
-        out.append(r)
-    return out
+    return sorted({re for re, im, _ in rs.roots if im == 0})
 
 
 def circle_deviation(rs: RootSet, center: complex, radius: float) -> CircleDeviation:

@@ -1,10 +1,11 @@
-"""Exact real-root counting and certification.
+"""Exact real-root certification and the squarefree decomposition.
 
 `certify_cg` counts the distinct negative roots of a domination polynomial
 by Descartes-rule bisection (Vincent-Collins-Akritas; Collins and Akritas
-1976, Rouillier and Zimmermann 2004).  The deflated polynomial is first
-reduced to its squarefree part s -- itself, when a gcd modulo a word-size
-prime proves it squarefree -- and the roots of r(x) = s(-x) are scaled into
+1976, Rouillier and Zimmermann 2004).  The deflated polynomial q is first
+reduced to s = q_1 q_2 ... from its squarefree decomposition q = c q_1 q_2**2
+... (`squarefree_factors`) -- q itself, when a gcd modulo a word-size prime
+proves it squarefree -- and the roots of r(x) = s(-x) are scaled into
 (0, 1) by a power of two.  Each interval is tested by the sign variations of
 (x+1)**d p(1/(x+1)) and split with 2**d p(x/2) and its Taylor shift by 1, so
 every number stays an integer.  Each root found comes with an isolating
@@ -21,13 +22,12 @@ the roots of r(2**e (x+1)), those of r over 2**e less 1, sum to at most 0.
 When s is D(G)/x**gamma for an n-vertex graph G without isolated vertices,
 that centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.
 
-`sturm_sequence` and `count_real_roots` count roots on arbitrary intervals
-with Sturm chains: pseudo-remainders with a positive multiplier
-(|lc|^(delta+1)), reduced to their primitive part at each step, which keeps
-the sign sequence exact.  The certifier uses a chain only as the gcd of its
-squarefree fallback; `count_real_roots` skips its modular test and is its
-independent oracle in the tests.  Signs at the infinities come from leading
-coefficients; signs at rationals num/den from den**d p(num/den), exactly.
+`squarefree_factors` is Yun's decomposition (Yun, SYMSAC 1976); the solver
+of `complexroots` takes it too, and finds each repeated root once, on its
+squarefree factor.  Its gcds run on the primitive remainder sequence:
+pseudo-remainders reduced to their primitive part at each step, so every
+number stays an integer.  Signs at rationals num/den come from den**d
+p(num/den), exactly.
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ import numpy as np
 
 from .polynomials import Poly, taylor_shift_by_one
 
-NEG_INF = float("-inf")
-POS_INF = float("inf")
-
 
 def _primitive(coeffs: Sequence[int]) -> Sequence[int]:
     """Divide out the (positive) integer content; sign pattern is unchanged."""
@@ -55,91 +52,9 @@ def _primitive(coeffs: Sequence[int]) -> Sequence[int]:
     return [k // c for k in coeffs]
 
 
-def _pseudo_rem_signed(a: Poly, b: Poly) -> Poly:
-    """Remainder of |lc(b)|**(deg a - deg b + 1) * a modulo b, exactly.
-
-    The multiplier is positive, so the remainder's signs agree with those of
-    the rational remainder; that is what Sturm's theorem needs.
-    """
-    da, db = a.degree, b.degree
-    bc = b.coeffs
-    lb = bc[-1]
-    e = da - db + 1
-    r = list(a.coeffs)
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        dr = len(r) - 1
-        if dr < db:
-            break
-        lr = r[-1]
-        r = [lb * c for c in r]
-        off = dr - db
-        for i, c in enumerate(bc):
-            r[off + i] -= lr * c
-        e -= 1
-    if e > 0:
-        f = lb**e
-        r = [c * f for c in r]
-    if lb < 0 and (da - db + 1) % 2:
-        r = [-c for c in r]
-    return Poly(r)
-
-
-def _exact_div(p: Poly, g: Poly) -> Poly:
-    """Quotient p / g when the division is exact over the integers."""
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = list(p.coeffs)
-    gd, gl = g.degree, g.coeffs[-1]
-    if len(r) - 1 < gd:
-        raise ArithmeticError("non-exact polynomial division")
-    q = [0] * (len(r) - gd)
-    for i in range(len(r) - 1, gd - 1, -1):
-        c = r[i]
-        if c == 0:
-            continue
-        if c % gl:
-            raise ArithmeticError("non-exact polynomial division")
-        f = c // gl
-        q[i - gd] = f
-        for j, gc in enumerate(g.coeffs):
-            r[i - gd + j] -= f * gc
-    if any(r):
-        raise ArithmeticError("non-exact polynomial division")
-    return Poly(q)
-
-
-def sturm_sequence(p: Poly) -> list[Poly]:
-    """Canonical Sturm chain: p, p', then negated primitive pseudo-remainders.
-
-    The first element is the primitive part of p (a positive rescaling, so
-    sign variations are those of p itself).  The last element is a nonzero
-    constant, or the gcd of p and p' when p has repeated roots.
-    """
-    if p.is_zero:
-        raise ValueError("zero polynomial has no Sturm chain")
-    chain = [Poly(_primitive(p.coeffs))]
-    if p.degree >= 1:
-        chain.append(Poly(_primitive(p.derivative().coeffs)))
-        while chain[-1].degree > 0:
-            r = _pseudo_rem_signed(chain[-2], chain[-1])
-            if r.is_zero:
-                break
-            chain.append(Poly(-k for k in _primitive(r.coeffs)))
-    return chain
-
-
-def _sign_at(p: Poly, x) -> int:
-    """Sign of p at x, exactly: +-inf, or a rational x = num/den evaluated as
-    den**deg(p) * p(num/den) by Horner over the integers (den > 0)."""
-    if isinstance(x, float) and math.isinf(x):
-        lc = p.coeffs[-1]
-        s = 1 if lc > 0 else -1
-        if x < 0 and p.degree % 2:
-            s = -s
-        return s
-    x = Fraction(x)
+def _sign_at(p: Poly, x: Fraction) -> int:
+    """Sign of p at the rational x = num/den, exactly: den**deg(p) * p(num/den)
+    by Horner over the integers (den > 0)."""
     num, den = x.numerator, x.denominator
     acc, scale = 0, 1
     for c in reversed(p.coeffs):
@@ -148,43 +63,7 @@ def _sign_at(p: Poly, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _variations(chain: list[Poly], x) -> int:
-    signs = [s for s in (_sign_at(q, x) for q in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _to_endpoint(value):
-    if isinstance(value, float):
-        if math.isnan(value):
-            raise ValueError("NaN is not a valid interval endpoint")
-        if math.isinf(value):
-            return value
-        return Fraction(value)
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"endpoint must be int, Fraction, float or +-inf, got {type(value)}")
-
-
-def count_real_roots(p: Poly, left=NEG_INF, right=POS_INF) -> int:
-    """Exact number of distinct real roots of p in the open interval (left, right)."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    lo, hi = _to_endpoint(left), _to_endpoint(right)
-    if not lo < hi:
-        raise ValueError(f"invalid interval: need left < right, got ({left}, {right})")
-    if p.degree <= 0:
-        return 0
-    chain = sturm_sequence(p)
-    if chain[-1].degree > 0:  # repeated roots: the chain of p / gcd(p, p')
-        chain = sturm_sequence(_exact_div(chain[0], chain[-1]))
-    # V(a) - V(b) counts roots in (a, b]; V is right-continuous at chain zeros.
-    count = _variations(chain, lo) - _variations(chain, hi)
-    if isinstance(hi, Fraction) and _sign_at(chain[0], hi) == 0:
-        count -= 1
-    return count
-
-
-# -- certification by Descartes-rule bisection ---------------------------------
+# -- squarefree decomposition ---------------------------------------------------
 
 #: A word-size prime for the squarefree test; products of two residues fit int64.
 _PRIME = (1 << 31) - 1
@@ -227,17 +106,98 @@ def _squarefree_mod_prime(p: Poly) -> bool:
     return a.size == 1
 
 
-def _squarefree_part(p: Poly) -> tuple[Poly, bool]:
-    """(s, fallback): s has the distinct roots of p, each once.
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A remainder of m * a modulo b, for some nonzero integer m, exactly.
 
-    s is p itself when the modular test proves p squarefree; otherwise
-    (fallback True) it is p divided by gcd(p, p'), the last element of the
-    Sturm chain (a unit when p is squarefree after all).
+    Each step cancels the leading term with the least integer multiples of
+    the two leading coefficients that do so.
     """
-    if _squarefree_mod_prime(p):
-        return p, False
-    chain = sturm_sequence(p)
-    return _exact_div(chain[0], chain[-1]), True
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) > db:
+        g = math.gcd(r[-1], lb)
+        fr, fb, off = lb // g, r[-1] // g, len(r) - 1 - db
+        r = [fr * c for c in r]
+        for i, c in enumerate(b):
+            r[off + i] -= fb * c
+        r.pop()  # the leading term, now zero
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _gcd(a: Poly, b: Poly) -> Poly:
+    """gcd(a, b) for a nonzero a, primitive and with a positive leading
+    coefficient, by the primitive remainder sequence."""
+    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+    while b:
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    return Poly(a) if a[-1] > 0 else -Poly(a)
+
+
+def _exact_div(p: Poly, g: Poly) -> Poly:
+    """Quotient p / g when the division is exact over the integers."""
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    r = list(p.coeffs)
+    gd, gl = g.degree, g.coeffs[-1]
+    if len(r) - 1 < gd:
+        raise ArithmeticError("non-exact polynomial division")
+    q = [0] * (len(r) - gd)
+    for i in range(len(r) - 1, gd - 1, -1):
+        c = r[i]
+        if c == 0:
+            continue
+        if c % gl:
+            raise ArithmeticError("non-exact polynomial division")
+        f = c // gl
+        q[i - gd] = f
+        for j, gc in enumerate(g.coeffs):
+            r[i - gd + j] -= f * gc
+    if any(r):
+        raise ArithmeticError("non-exact polynomial division")
+    return Poly(q)
+
+
+def _yun_factors(p: Poly) -> list[tuple[Poly, int]]:
+    """squarefree_factors by exact gcds alone, without the modular test.
+
+    With g = gcd(p, p'), b = p / g and c = p' / g are, up to one common
+    constant factor, b = q_1 q_2 ... and c = sum_k k q_k' b / q_k.  Then
+    d = c - b' = sum_k (k - 1) q_k' b / q_k, which q_1 divides and no other
+    q_k does, as they are squarefree and coprime; so gcd(b, d) = q_1, and
+    b / q_1, d / q_1 have the same form in q_2, q_3, ..., each k one less
+    (Yun, SYMSAC 1976).  Every gcd is primitive, so every quotient is exact
+    over the integers (Gauss's lemma).  d is zero once b is one factor.
+    """
+    dp = p.derivative()
+    g = _gcd(p, dp)
+    if g.degree == 0:
+        return [(p, 1)]
+    b, c, k, factors = _exact_div(p, g), _exact_div(dp, g), 1, []
+    while True:
+        d = c - b.derivative()
+        a = _gcd(b, d)
+        if a.degree:
+            factors.append((a, k))
+        if d.is_zero:
+            return factors
+        b, c, k = _exact_div(b, a), _exact_div(d, a), k + 1
+
+
+def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's squarefree decomposition [(q_k, k), ...] of p, of degree >= 1.
+
+    p is a constant times the product of the q_k**k, the q_k squarefree,
+    pairwise coprime and of degree >= 1, in increasing k.  When p is
+    squarefree the list is [(p, 1)], p itself; otherwise each q_k is
+    primitive, with a positive leading coefficient.  The modular test
+    decides most squarefree p without an exact gcd.
+    """
+    return [(p, 1)] if _squarefree_mod_prime(p) else _yun_factors(p)
+
+
+# -- certification by Descartes-rule bisection ---------------------------------
 
 
 def _descartes_test(f: list[int], stats: dict) -> int:
@@ -375,7 +335,9 @@ def certify_cg(p: Poly) -> CgCertificate:
     p must look like a domination polynomial: integer coefficients, none
     negative, so it has no positive root.  The zero root is deflated first;
     the count is of distinct negative roots, found by Descartes-rule
-    bisection on the squarefree part s of the deflated polynomial.  Each
+    bisection on the product s of the squarefree factors of the deflated
+    polynomial (see squarefree_factors), the exact gcd running only where
+    the modular test cannot tell.  Each
     root comes with a witness [a, b], a < b <= 0 with s(a) * s(b) < 0, or
     a == b with s(a) == 0, checked here by exact evaluation before return.
     s is the deflated polynomial itself unless that has a repeated factor.
@@ -390,7 +352,8 @@ def certify_cg(p: Poly) -> CgCertificate:
                  shifts=0, bound_tries=0)
     if q.degree <= 0:
         return CgCertificate(gamma, 0, True, {"witnesses": []}, stats)
-    s, stats["squarefree_fallback"] = _squarefree_part(q)
+    stats["squarefree_fallback"] = fallback = not _squarefree_mod_prime(q)
+    s = math.prod(f for f, _ in _yun_factors(q)) if fallback else q
     pairs = _negative_root_witnesses(s, stats)
     for a, b in pairs:
         sa, sb = _sign_at(s, a), _sign_at(s, b)

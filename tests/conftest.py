@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,130 @@ def subset_sweep(g: Graph) -> Poly:
             if c:
                 counts[base + i] += int(c)
     return Poly(counts)
+
+
+def _primitive_coeffs(coeffs) -> list[int]:
+    """coeffs divided by their (positive) content."""
+    c = math.gcd(*coeffs) or 1
+    return [k // c for k in coeffs]
+
+
+def _signed_pseudo_rem(a: Poly, b: Poly) -> Poly:
+    """Remainder of |lc(b)|**(deg a - deg b + 1) * a modulo b, exactly.
+
+    The multiplier is positive, so the remainder's signs agree with those of
+    the rational remainder; that is what Sturm's theorem needs.
+    """
+    da, db = a.degree, b.degree
+    bc = b.coeffs
+    lb = bc[-1]
+    e = da - db + 1
+    r = list(a.coeffs)
+    while True:
+        while r and r[-1] == 0:
+            r.pop()
+        dr = len(r) - 1
+        if dr < db:
+            break
+        lr = r[-1]
+        r = [lb * c for c in r]
+        off = dr - db
+        for i, c in enumerate(bc):
+            r[off + i] -= lr * c
+        e -= 1
+    if e > 0:
+        f = lb**e
+        r = [c * f for c in r]
+    if lb < 0 and (da - db + 1) % 2:
+        r = [-c for c in r]
+    return Poly(r)
+
+
+def _divide_exactly(p: Poly, g: Poly) -> Poly:
+    """p / g, which must be exact over the integers."""
+    r, gd, gl = list(p.coeffs), g.degree, g.coeffs[-1]
+    q = [0] * (len(r) - gd)
+    for i in range(len(r) - 1, gd - 1, -1):
+        f, rem = divmod(r[i], gl)
+        assert rem == 0, "non-exact polynomial division"
+        q[i - gd] = f
+        for j, gc in enumerate(g.coeffs):
+            r[i - gd + j] -= f * gc
+    assert not any(r), "non-exact polynomial division"
+    return Poly(q)
+
+
+def sturm_sequence(p: Poly) -> list[Poly]:
+    """Canonical Sturm chain: p, p', then negated primitive pseudo-remainders.
+
+    The first element is the primitive part of p (a positive rescaling, so
+    sign variations are those of p itself).  The last element is a nonzero
+    constant, or the gcd of p and p' when p has repeated roots.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial has no Sturm chain")
+    chain = [Poly(_primitive_coeffs(p.coeffs))]
+    if p.degree >= 1:
+        chain.append(Poly(_primitive_coeffs(p.derivative().coeffs)))
+        while chain[-1].degree > 0:
+            r = _signed_pseudo_rem(chain[-2], chain[-1])
+            if r.is_zero:
+                break
+            chain.append(Poly(-k for k in _primitive_coeffs(r.coeffs)))
+    return chain
+
+
+def _sturm_sign(p: Poly, x) -> int:
+    """Sign of p at x: +-inf from the leading coefficient, a rational x =
+    num/den as den**deg(p) * p(num/den) by Horner over the integers."""
+    if isinstance(x, float):
+        s = 1 if p.coeffs[-1] > 0 else -1
+        return -s if x < 0 and p.degree % 2 else s
+    acc, scale = 0, 1
+    for c in reversed(p.coeffs):
+        acc = acc * x.numerator + c * scale
+        scale *= x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_variations(chain: list[Poly], x) -> int:
+    signs = [s for s in (_sturm_sign(q, x) for q in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _endpoint(value):
+    """An interval endpoint as a Fraction, or +-inf kept as a float."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise ValueError("NaN is not a valid interval endpoint")
+        return value if math.isinf(value) else Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"endpoint must be int, Fraction, float or +-inf, got {type(value)}")
+
+
+def count_real_roots(p: Poly, left=-math.inf, right=math.inf) -> int:
+    """Exact number of distinct real roots of p in the open interval (left, right).
+
+    The tests' exact oracle for the certifier and the solver, by Sturm
+    chains (primitive pseudo-remainders with a positive multiplier); it
+    shares no code with either.
+    """
+    if p.is_zero:
+        raise ValueError("zero polynomial")
+    lo, hi = _endpoint(left), _endpoint(right)
+    if not lo < hi:
+        raise ValueError(f"invalid interval: need left < right, got ({left}, {right})")
+    if p.degree <= 0:
+        return 0
+    chain = sturm_sequence(p)
+    if chain[-1].degree > 0:  # repeated roots: the chain of p / gcd(p, p')
+        chain = sturm_sequence(_divide_exactly(chain[0], chain[-1]))
+    # V(a) - V(b) counts roots in (a, b]; V is right-continuous at chain zeros.
+    count = _sturm_variations(chain, lo) - _sturm_variations(chain, hi)
+    if isinstance(hi, Fraction) and _sturm_sign(chain[0], hi) == 0:
+        count -= 1
+    return count
 
 
 def expand_from_roots(root_set, lead: int) -> list[float]:

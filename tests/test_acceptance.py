@@ -34,9 +34,15 @@ from dompoly.formulas import (
 )
 from dompoly.graphs import FamilySpec, corona, join
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import certify_cg, check_oddness, count_real_roots
+from dompoly.realroots import certify_cg, check_oddness
 
-from conftest import criterion_6_joins, criterion_7_coronas, expand_from_roots, random_graph
+from conftest import (
+    count_real_roots,
+    criterion_6_joins,
+    criterion_7_coronas,
+    expand_from_roots,
+    random_graph,
+)
 
 FIXTURES = json.loads(
     (Path(__file__).parent / "fixtures" / "complement_friendship_calibration.json").read_text()

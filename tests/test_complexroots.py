@@ -10,6 +10,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -42,9 +43,9 @@ from dompoly.formulas import (
     poly_friendship,
 )
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import certify_cg, count_real_roots
+from dompoly.realroots import certify_cg
 
-from conftest import record_digests
+from conftest import count_real_roots, record_digests
 
 
 class TestFindRoots:
@@ -64,13 +65,12 @@ class TestFindRoots:
         assert abs(vals[1] - (-3 + math.sqrt(5)) / 2) < 1e-12
         assert all(abs(z.imag) == 0 for z in rs.complex_roots())
 
-    def test_quadruple_root_cluster(self):
+    def test_quadruple_root_reported_four_times(self):
+        # (x + 1)^4 is solved as its squarefree factor x + 1, once
         rs = find_roots(binomial_power(4))
-        assert len(rs.roots) == 4
-        # accuracy degrades to a cluster, but residuals must meet tolerance
-        for re, im, residual in rs.roots:
-            assert abs(complex(re, im) + 1) < 1e-3
-            assert residual <= rs.tolerance
+        assert [root[:2] for root in rs.roots] == [(-1.0, 0.0)] * 4
+        assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
+        assert (rs.stats["factors"], rs.stats["gate_evaluations"]) == (1, 1)
 
     def test_no_nonzero_roots(self):
         rs = find_roots(Poly([0, 0, 0, 1]))  # x^3
@@ -189,12 +189,13 @@ class TestFindRoots:
             "gate_evaluations",
             "gate_reused",
             "shift",
+            "factors",
         }
         # no nonzero root: every counter is there, and zero
         for p in (Poly([0, 0, 0, 1]), poly_complement_friendship(1)):
             assert find_roots(p).stats == dict.fromkeys(keys, 0), p
         rs = find_roots(poly_complement_friendship(40))
-        assert rs.stats["shift"] == -1
+        assert (rs.stats["shift"], rs.stats["factors"]) == (-1, 1)
         assert rs.stats.keys() == keys
         assert rs.stats["gate_evaluations"] == len(rs.roots) == 78
         assert rs.stats["aberth_iterations"] > 0
@@ -224,10 +225,16 @@ class TestFindRoots:
         assert RootSet(0, (), 1e-12, {"exact_steps": 3}) == RootSet(0, (), 1e-12)
 
     def test_dynamic_range_capacity_guard(self):
-        from dompoly.errors import CapacityError
-
+        # x^2 - 2^1201 is squarefree, and its coefficients span 1,201 bits
         with pytest.raises(CapacityError):
-            find_roots(binomial_power(1100))
+            find_roots(Poly([-(2**1201), 0, 1]))
+
+    def test_one_factor_of_multiplicity_1100(self):
+        # (x + 1)^1100 spans 1,100 bits, but its squarefree factor x + 1 none
+        rs = find_roots(binomial_power(1100))
+        assert [root[:2] for root in rs.roots] == [(-1.0, 0.0)] * 1100
+        assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
+        assert rs.stats["factors"] == 1
 
     def test_monomial_range_beyond_doubles(self):
         # K_1010: q = ((1 + x)^1010 - 1) / x, whose coefficients span 1,004
@@ -668,6 +675,14 @@ class TestReconstruction:
 
 
 class TestSolverAgainstSturm:
+    @pytest.mark.parametrize("m", [10**6, 10**7, 10**8])
+    def test_close_simple_roots_stay_apart(self, m):
+        # (m x + m)(m x + m + 1): the simple roots -1 and -1 - 1/m
+        p = Poly([m, m]) * Poly([m + 1, m])
+        rs = find_roots(p)
+        assert distinct_real_roots(rs) == pytest.approx([-(m + 1) / m, -1.0], rel=1e-12)
+        assert count_real_roots(p) == 2
+
     def test_real_root_counts_agree(self):
         rng = random.Random(42)
         done = 0
@@ -684,11 +699,28 @@ class TestSolverAgainstSturm:
     @pytest.mark.parametrize("n", range(10, 15))
     def test_multiple_roots_agree_with_the_certifier(self, n):
         # h_witness(10..14) has roots of multiplicity 5 and more, which the
-        # solver reports as clusters
+        # solver finds once each, on their squarefree factor
         p = poly_H(n)
         solver_count = len(distinct_real_roots(find_roots(p)))
         assert solver_count == count_real_roots(p.deflate_zero())
         assert solver_count == certify_cg(p).nonzero_real_root_count
+
+
+class TestRepeatedRoots:
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_h_witness_multiplicities_match_sqf_list(self, n):
+        # D(h_witness(n)) = x^gamma times powers of two factors
+        p = poly_H(n)
+        q = p.deflate_zero()
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly(q.coeffs[::-1], x, domain="ZZ").sqf_list()
+        rs = find_roots(p)
+        counts = Counter(Counter(root[:2] for root in rs.roots).values())
+        want = Counter()
+        for f, k in factors:
+            want[k] += f.degree()
+        assert counts == want
+        assert rs.stats["gate_evaluations"] == sum(want.values())
 
 
 class TestCircleDeviation:

@@ -71,6 +71,7 @@ _FAMILIES = [
     "compute --family complete:1..4 --oracle",
     "compute --family path:3 --oracle",
     "roots --family h_witness:10",  # every nonzero root is 5-fold
+    "roots --family h_witness:40",  # every nonzero root is 20-fold
     "roots --family friendship:68",
     "roots --family book:68",
 ]

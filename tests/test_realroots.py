@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,14 +31,12 @@ from dompoly.realroots import (
     _descartes_test,
     _scaled_below_one,
     _squarefree_mod_prime,
-    _squarefree_part,
     certify_cg,
     check_oddness,
-    count_real_roots,
-    sturm_sequence,
+    squarefree_factors,
 )
 
-from conftest import random_graph
+from conftest import count_real_roots, random_graph, sturm_sequence
 
 X = Poly.X
 INF = float("inf")
@@ -110,7 +109,8 @@ class TestCountRealRoots:
         def refuse(p):
             raise AssertionError("count_real_roots ran the certifier's modular test")
 
-        monkeypatch.setattr(realroots, "_squarefree_mod_prime", refuse)
+        for name in ("_squarefree_mod_prime", "squarefree_factors", "_yun_factors"):
+            monkeypatch.setattr(realroots, name, refuse)
         assert count_real_roots(Poly([-2, 0, 1])) == 2  # squarefree
         assert count_real_roots(Poly([-1, 1]) ** 2 * Poly([2, 1])) == 2  # (x-1)^2 (x+2)
 
@@ -142,6 +142,63 @@ class TestCountRealRoots:
                 continue  # borderline conjugate pair, sampler unreliable
             assert count_real_roots(p) == len(distinct), coeffs
             checked += 1
+
+
+def _sqf_list(p: Poly) -> list[tuple[Poly, int]]:
+    """sympy's squarefree decomposition of p, constant left out."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(p.coeffs[::-1], x, domain="ZZ").sqf_list()
+    return [(Poly(int(c) for c in f.all_coeffs()[::-1]), k) for f, k in factors]
+
+
+def _normalized(p: Poly) -> Poly:
+    """p divided by its content, with a positive leading coefficient."""
+    c = math.gcd(*p.coeffs) * (1 if p.coeffs[-1] > 0 else -1)
+    return Poly(k // c for k in p.coeffs)
+
+
+def _seeded_products(seed: int, count: int) -> list[Poly]:
+    """c times a product of f_i**k_i: 1-4 factors f_i of degree 1..4 with
+    coefficients up to 30, k_i in 1..4, c in 1..6 with either sign."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        p = Poly([rng.choice((-1, 1)) * rng.randint(1, 6)])
+        for _ in range(rng.randint(1, 4)):
+            f = [rng.randint(-30, 30) for _ in range(rng.randint(2, 5))]
+            if f[-1]:
+                p = p * Poly(f) ** rng.randint(1, 4)
+        if p.degree >= 1:
+            out.append(p)
+    return out
+
+
+class TestSquarefreeFactors:
+    @pytest.mark.parametrize(
+        "p",
+        _seeded_products(2030, 60)
+        + [
+            -(Poly([1, 1]) ** 3) * Poly([2, 0, 3]),  # negative leading coefficient
+            6 * Poly([-1, 2]) ** 2 * Poly([5, 1, 1]),  # content 6
+            Poly([1, _PRIME]) ** 2 * Poly([3, 1]),  # lc divisible by the prime
+            _PRIME * Poly([1, 1]) * Poly([-7, 0, 1]) ** 3,
+            Poly([1, 3, 1]) * Poly([2, 1]) * Poly([-5, 4]),  # squarefree
+            # squarefree, which only the exact gcd can tell: the prime divides lc
+            6 * Poly([1, 2 * _PRIME]) * Poly([1, 0, 1]),
+            -Poly([5, 3 * _PRIME]),
+            Poly([-3, 1]) ** 5,
+        ],
+    )
+    def test_matches_sympy_sqf_list(self, p):
+        factors = squarefree_factors(p)
+        want = _sqf_list(p)
+        assert [(_normalized(f), k) for f, k in factors] == want
+        assert [k for _, k in factors] == sorted(k for _, k in factors)
+        product = math.prod((f**k for f, k in factors), start=Poly.ONE)
+        assert p.coeffs[-1] * product == product.coeffs[-1] * p  # p up to a constant
+        if want == [(_normalized(p), 1)]:
+            assert factors == [(p, 1)] and factors[0][0] is p
+        else:
+            assert all(f == _normalized(f) for f, _ in factors)
 
 
 class TestCertifyCg:
@@ -421,7 +478,8 @@ class TestCentroidStart:
     def test_centroid_on_a_power_of_two(self, p):
         # all three give r = x^2 - 4x + 6, whose roots have the centroid 2,
         # and r(2(x+1)) = 4x^2 + 2 passes: the start must be e = 1, not 2
-        s, _ = _squarefree_part(p.deflate_zero())
+        [(s, k)] = squarefree_factors(p.deflate_zero())
+        assert k == 1
         r = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
         assert r == [6, -4, 1]
         stats = {"shifts": 0, "bound_tries": 0}
