@@ -12,11 +12,13 @@ roots z themselves, in complex doubles, so a small root keeps its relative
 precision however large s is; b is evaluated at y = z - s.  Each pass
 evaluates b once, over the active iterates at the rounded y, as a sum of
 powers scaled exactly by powers of two, so that no term overflows; a Newton
-step uses that value while its error bound shows it is trustworthy, and an
-exact fixed-point step at y, formed exactly, once cancellation eats the
-double significand.  That is the last step or two of most roots, once the
-iterate sits where the double value is rounding noise (about 1.14 exact
-steps per root over complement_friendship:1..42).  The
+step uses that value while its error bound shows it is trustworthy.  Once
+cancellation eats the double significand, the iterate takes an exact
+fixed-point step at y, formed exactly: the last step or two of most roots,
+where the double value is rounding noise (about 1.14 exact steps per root
+over complement_friendship:1..42).  Such a step evaluates only b exactly
+where the pass's double b'(y) is certified to 2**-26 (every exact step of
+complement_friendship:1..42), and b' exactly too where it is not.  The
 fixed-point evaluation at x is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the
 remainder of b modulo the real quadratic (t - x)(t - conj x), whose
 coefficients 2 Re x and |x|^2 are held exactly, costs two real products per
@@ -27,9 +29,11 @@ truncation error at the fraction bits it carries, gives the componentwise
 backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which must be at most
 tol and is reported as the root's residual; where a root sits bitwise on the
 point of its last exact step, the gate takes that step's first value, the
-same evaluation.  The denominator is the same power sum as the pass's, of q
-at |z|, and the quotient is formed with the exponents kept apart, so the
-gate does not overflow where the ratio fits a double.  Conversions between
+same evaluation, and the conjugate of a point already evaluated takes that
+point's remainder, which is the same.  The denominator is the same power
+sum as the pass's, of q at |z|, and the quotient is formed with the
+exponents kept apart, so the gate does not overflow where the ratio fits a
+double.  Conversions between
 exact integers and doubles are Python's own correctly rounded ones.
 
 Repeated roots are never iterated on: the polynomial is split into its
@@ -70,6 +74,13 @@ MIN_TOL = 1e-14
 #: Margin factor on the error bound of the double-precision evaluation.
 _NOISE_MARGIN = 64.0
 
+#: Margin factor on the error bound of the double derivative that an exact
+#: Newton step takes for b'(x): 2**26, half the double significand.  A step
+#: whose b' is off by 2**-26 relative leaves 2**-26 of the iterate's error,
+#: below an ulp of z once the iterate carries half its bits, as it does where
+#: its double value has become noise.
+_DERIVATIVE_MARGIN = 2.0 ** (53 // 2)
+
 #: Evaluations an exact Newton step may take, each with 64 more fraction bits.
 _STEP_ROUNDS = 8
 
@@ -89,10 +100,12 @@ class RootSet:
     `stats` counts the work of find_roots, summed over the `factors`
     (squarefree factors solved): `aberth_iterations`, `double_steps`
     (trusted double-precision Newton steps), `exact_steps` (fixed-point
-    Newton steps), `gate_evaluations` (one per distinct root), of which
-    `gate_reused` took the value of an exact step at that very point, and
-    the centroid `shift` of the first factor; all seven are 0 when p has no
-    nonzero root.  It takes no part in comparisons.
+    Newton steps), of which `exact_derivatives` also evaluated b' exactly,
+    `gate_evaluations` (one per distinct root), of which `gate_reused` took
+    the value of an exact step at that very point and `gate_shared` the
+    value at its conjugate, and the centroid `shift` of the first factor;
+    all nine are 0 when p has no nonzero root.  It takes no part in
+    comparisons.
     """
 
     zero_multiplicity: int
@@ -122,8 +135,9 @@ def _fbits_for(deg: int, z: complex) -> int:
     return 96 + 64 * ((extra + 63) // 64)
 
 
-def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[int, int]:
-    """coeffs at x = (xr + i*xi) / 2**fbits in fixed point, (re, im) * 2**fbits.
+def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[int, int, int]:
+    """coeffs at x = (xr + i*xi) / 2**fbits in fixed point, (re, im) * 2**fbits,
+    followed by the imaginary part im' * 2**fbits of their value at conj x.
 
     Goertzel's evaluation (Knuth, TAOCP Vol. 2, 4.6.4): the real recurrence
     b_k = c_k + r*b_{k+1} - s*b_{k+2} leaves the remainder b_1*t + b_0 - r*b_1
@@ -133,12 +147,16 @@ def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[i
     unit, reach the value as exactly that error times x^k; the two floors of
     the last step add less than sqrt(2) units.  At the fbits of _fbits_for
     each of those d + 2 error terms is under 2**(fbits - 90) units, so the
-    value is off by less than (d + 2) 2**(fbits - 90) units."""
+    value is off by less than (d + 2) 2**(fbits - 90) units.  conj x has the
+    same r, s, b_0 and b_1, so its value is (re, im') with im' the floor of
+    -xi*b_1 / 2**fbits, which is -im - 1 where xi*b_1 is no multiple of
+    2**fbits."""
     r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
     b0 = b1 = 0
     for c in reversed(coeffs):
         b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
-    return b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
+    m = xi * b1
+    return b0 - ((xr * b1) >> fbits), m >> fbits, (-m) >> fbits
 
 
 def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int, int, int]:
@@ -152,20 +170,43 @@ def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int,
 
 
 def _newton_step(
-    coeffs: Sequence[int], shift: int, z: complex, kept: dict | None = None
+    coeffs: Sequence[int],
+    shift: int,
+    z: complex,
+    kept: dict | None = None,
+    derivative: tuple[complex, int] | None = None,
 ) -> complex:
     """b(x)/b'(x) of the integer polynomial b = coeffs at x = z - shift, rounded
     to a complex double.
 
-    The loop of _fixed_value runs alongside the same recurrence over b_d..b_2,
-    the coefficients of the quotient Q of b by t^2 - r*t + s, which gives
-    Q(x); then b'(x) = Q(x)*(x - conj x) + b_1, at four real products per
-    coefficient in all.  Where the terms of b' cancel, its value can sit a
-    few units above the truncation error, so the evaluation is repeated with
-    64 more fraction bits each time, for at most _STEP_ROUNDS evaluations,
-    until |b'(x)| has at least 64 bits.  The first evaluation is
-    _shifted_value(coeffs, shift, z), bit for bit; kept, when given,
-    receives it as kept[z] = (re, im, fbits) for the residual gate."""
+    derivative, when given, is (D, E) of _power_sums at the double y = z -
+    shift, certified: y b'(y) = D 2**E within 2**-26 relative.  Then only
+    b(x) is evaluated exactly, and the step is b(x) y / (D 2**E), formed with
+    the exponents of b(x) and E kept apart, so that nothing overflows short
+    of the double range.  Otherwise the loop of _fixed_value runs alongside
+    the same recurrence over b_d..b_2, the coefficients of the quotient Q of
+    b by t^2 - r*t + s, which gives Q(x); then b'(x) = Q(x)*(x - conj x) +
+    b_1, at four real products per coefficient in all.  Where the terms of b'
+    cancel, its value can sit a few units above the truncation error, so the
+    evaluation is repeated with 64 more fraction bits each time, for at most
+    _STEP_ROUNDS evaluations, until |b'(x)| has at least 64 bits.  The first
+    evaluation is _shifted_value(coeffs, shift, z), bit for bit; kept, when
+    given, receives it as kept[z] = (re, im, fbits, im') for the residual
+    gate."""
+    if derivative is not None:
+        pr, pi, fbits, _ = value = _shifted_value(coeffs, shift, z)
+        if kept is not None:
+            kept[z] = value
+        dv, top = derivative
+        j = max(pr.bit_length(), pi.bit_length())
+        ratio = complex(pr / (1 << j), pi / (1 << j)) * (z - shift) / dv
+        step = []
+        for part in (ratio.real, ratio.imag):
+            try:
+                step.append(math.ldexp(part, j - fbits - top))
+            except OverflowError:  # beyond the double range
+                step.append(math.copysign(math.inf, part))
+        return complex(*step)
     for round_ in range(_STEP_ROUNDS):
         xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z, 64 * round_)
         r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
@@ -180,7 +221,7 @@ def _newton_step(
         dr, di = b1 - ((2 * xi * qi) >> fbits), (2 * xi * qr) >> fbits
         den = dr * dr + di * di
         if round_ == 0 and kept is not None:
-            kept[z] = pr, pi, fbits
+            kept[z] = pr, pi, fbits, (-xi * b1) >> fbits
         if den.bit_length() > 128:
             break
     if den == 0:
@@ -195,12 +236,15 @@ def _newton_step(
     return complex(*step)
 
 
-def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, int, int]:
+def _shifted_value(
+    coeffs: Sequence[int], shift: int, z: complex
+) -> tuple[int, int, int, int]:
     """b(z - shift) of the integer polynomial b = coeffs as fixed-point (re, im,
-    fbits), at the point _fixed_point forms exactly."""
+    fbits), at the point _fixed_point forms exactly, followed by im', which
+    makes (re, im', fbits, im) the value at conj z (see _fixed_value)."""
     xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z)
-    pr, pi = _fixed_value(coeffs, xr, xi, fbits)
-    return pr, pi, fbits
+    pr, pi, pi_conj = _fixed_value(coeffs, xr, xi, fbits)
+    return pr, pi, fbits, pi_conj
 
 
 # -- double-precision helpers ---------------------------------------------------
@@ -282,11 +326,15 @@ def _aberth_iterate(
     is trusted where |P| > noise A and |D| > noise B, noise = _NOISE_MARGIN
     times 4 d u, the bound _power_sums gives (the scale 2**-E cancels on both
     sides); otherwise the iterate takes an exact step, and kept receives that
-    step's first value (see _newton_step).  stats counts passes, trusted
-    double steps and exact steps."""
+    step's first value (see _newton_step).  The exact step takes b' from D
+    where |D| > _DERIVATIVE_MARGIN 4 d u B, which puts D within 2**-26 of y
+    b'(y) 2**-E.
+    stats counts passes, trusted double steps, exact steps and those of them
+    that evaluated b' exactly."""
     m, x = _split_coefficients(b.coeffs)
     z, d = shift + _initial_guesses(b), b.degree
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
+    certified_factor = _DERIVATIVE_MARGIN * 4.0 * d * 2.0**-53
     max_corr = math.inf
     # Points whose correction has dropped well below tol are frozen: they sit
     # on their root and only contribute repulsion, saving evaluations.
@@ -297,19 +345,22 @@ def _aberth_iterate(
             # a non-finite iterate has neither a double value nor a fixed point
             live = np.flatnonzero(active & np.isfinite(z))
             y = z[live] - shift
-            pv, dv, abs_p, abs_d, _ = _power_sums(m, x, y)
+            pv, dv, abs_p, abs_d, top = _power_sums(m, x, y)
             # a non-finite sum fails these comparisons
             reliable = (np.abs(pv) > noise_factor * abs_p) & (np.abs(dv) > noise_factor * abs_d)
+            certified = np.abs(dv) > certified_factor * abs_d
             w = np.zeros(d, dtype=complex)
             w[live[reliable]] = y[reliable] * (pv[reliable] / dv[reliable])
-            exact = live[~reliable]
+            exact = np.flatnonzero(~reliable)
             stats["double_steps"] += len(live) - len(exact)
             stats["exact_steps"] += len(exact)
+            stats["exact_derivatives"] += len(exact) - int(certified[exact].sum())
             if len(kept) > 2 * d:  # forget the values of points that moved on
                 for point in kept.keys() - set(z.tolist()):
                     del kept[point]
-            for i in exact:
-                w[i] = _newton_step(b.coeffs, shift, complex(z[i]), kept)
+            for k in exact:
+                derivative = (complex(dv[k]), int(top[k])) if certified[k] else None
+                w[live[k]] = _newton_step(b.coeffs, shift, complex(z[live[k]]), kept, derivative)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             recip = 1.0 / diff
@@ -376,16 +427,25 @@ def _final_residuals(
     componentwise backward error (Higham, Accuracy and Stability of
     Numerical Algorithms, 5.1) from above.  p is kept[z] where an exact step
     already computed it at that very point (equal points have equal
-    fixed-point forms), else _shifted_value.  |p| = a 2**j and the
-    denominator A 2**S, by _power_sums of q at |z|, keep their exponents
-    apart, so the quotient is a / A and (d + 2) / A, each scaled by an exact
-    power of two: it overflows to an infinite residual only where it exceeds
-    the double range, or where A does (at degree 2046 and above)."""
+    fixed-point forms); else, where conj z is in kept or was evaluated here,
+    the value at z that conj z's carries (see _shifted_value), the one
+    _shifted_value gives at z bit for bit; else _shifted_value.  |p| = a 2**j
+    and the denominator A 2**S, by _power_sums of q at |z|, keep their
+    exponents apart, so the quotient is a / A and (d + 2) / A, each scaled by
+    an exact power of two: it overflows to an infinite residual only where it
+    exceeds the double range, or where A does (at degree 2046 and above)."""
     stats["gate_evaluations"] += len(z)
     mantissa, exponent = np.empty(len(z)), np.empty(len(z), dtype=np.int64)
+    values = {}
     for i, zi in enumerate(z.tolist()):
-        stats["gate_reused"] += zi in kept
-        pr, pi, fbits = kept.get(zi) or _shifted_value(basis.coeffs, shift, zi)
+        if zi in kept:
+            stats["gate_reused"] += 1
+            pr, pi, fbits, _ = kept[zi]
+        elif mirror := kept.get(zi.conjugate()) or values.get(zi.conjugate()):
+            stats["gate_shared"] += 1
+            pr, _, fbits, pi = mirror
+        else:
+            pr, pi, fbits, _ = values[zi] = _shifted_value(basis.coeffs, shift, zi)
         j = max(pr.bit_length(), pi.bit_length())
         mantissa[i], exponent[i] = math.hypot(pr / (1 << j), pi / (1 << j)), j - fbits
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -472,7 +532,15 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         raise ValueError("need a polynomial of degree at least 1")
     zero_mult = p.zero_root_multiplicity()
     q = p.deflate_zero()
-    keys = ("aberth_iterations", "double_steps", "exact_steps", "gate_evaluations", "gate_reused")
+    keys = (
+        "aberth_iterations",
+        "double_steps",
+        "exact_steps",
+        "exact_derivatives",
+        "gate_evaluations",
+        "gate_reused",
+        "gate_shared",
+    )
     stats = Counter(dict.fromkeys(keys, 0), shift=0, factors=0)
     if q.degree == 0:
         return RootSet(zero_mult, (), tol, dict(stats))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -186,8 +187,10 @@ class TestFindRoots:
             "aberth_iterations",
             "double_steps",
             "exact_steps",
+            "exact_derivatives",
             "gate_evaluations",
             "gate_reused",
+            "gate_shared",
             "shift",
             "factors",
         }
@@ -205,6 +208,14 @@ class TestFindRoots:
         # each pass steps every active iterate at most once, in doubles or exactly
         steps = rs.stats["double_steps"] + rs.stats["exact_steps"]
         assert 0 < rs.stats["double_steps"] and steps <= rs.stats["aberth_iterations"] * 78
+        # every exact step takes the pass's double b', and the conjugate of a
+        # root evaluated before shares its value
+        assert rs.stats["exact_derivatives"] == 0
+        assert 0 < rs.stats["gate_shared"] <= 78 - rs.stats["gate_reused"]
+        # friendship:70 has exact steps where b' cancels (see
+        # test_step_where_the_derivative_cancels), which evaluate b' exactly
+        rs = find_roots(poly_friendship(70))
+        assert 0 < rs.stats["exact_derivatives"] <= rs.stats["exact_steps"]
 
     @pytest.mark.parametrize("e", [120, 180])
     def test_gate_takes_roots_whose_power_sums_overflow_a_double(self, e):
@@ -380,6 +391,66 @@ class TestFusedNewtonStep:
             # the value kept for the gate is the first evaluation's, not the
             # one with the fraction bits added for b'
             assert kept == {y + shift: _shifted_value(b, shift, y + shift)}
+        # the pass's double b' is not certified there, so the step is this one
+        m, x = _split_coefficients(b)
+        _, D, _, B, _ = (v[0] for v in _power_sums(m, x, np.array([y])))
+        assert abs(D) <= complexroots._DERIVATIVE_MARGIN * 4 * (len(b) - 1) * 2.0**-53 * B
+
+    def test_step_beyond_the_double_range_is_infinite(self):
+        # b = 2**1100 + x at z = 1 with b'(y) taken as 2**-100: the step
+        # 2**1200 exceeds the double range in either sign
+        for sign in (1, -1):
+            step = _newton_step((sign * 2**1100, 1), 0, 1 + 0j, None, (2.0**-100, 0))
+            assert step == complex(sign * math.inf, 0.0)
+
+    @pytest.mark.parametrize("case", range(24))
+    def test_step_with_the_certified_double_derivative(self, case):
+        # where the pass's D is certified, taking b' from it moves the step by
+        # at most 2**-26 relative, plus the roundings of the two steps
+        b, shift, points = _certified_step_cases()[case]
+        d, (m, x), met = len(b) - 1, _split_coefficients(b), 0
+        for z in points:
+            y = z - shift  # rounded, as the pass rounds it
+            _, D, _, B, E = (v[0] for v in _power_sums(m, x, np.array([y])))
+            if not abs(D) > complexroots._DERIVATIVE_MARGIN * 4 * d * 2.0**-53 * B:
+                continue
+            met += 1
+            full = _newton_step(b, shift, z)
+            kept = {}
+            step = _newton_step(b, shift, z, kept, (complex(D), int(E)))
+            assert kept == {z: _shifted_value(b, shift, z)}
+            slack = 2.0**-26 * abs(full) + 4 * math.ulp(abs(full))
+            assert abs(step - full) <= slack, (d, z)
+        assert met > 0
+
+
+@functools.cache
+def _certified_step_cases():
+    """(b, shift, points z) of degree <= 200: the roots find_roots gives for
+    complement_friendship:40 and :100, friendship:30 and book:30, where the
+    double value of b is noise, as at an exact step; and seeded integer
+    polynomials with points beside and away from their roots."""
+    out = []
+    for p in (
+        poly_complement_friendship(40),
+        poly_complement_friendship(100),
+        poly_friendship(30),
+        poly_book(30),
+    ):
+        rs = find_roots(p)
+        shift = rs.stats["shift"]
+        out.append((p.deflate_zero().taylor_shift(shift).coeffs, shift, rs.complex_roots()))
+    rng = np.random.default_rng(2031)
+    while len(out) < 24:
+        d = int(rng.choice((2, 7, 30, 90, 200)))
+        b = [int(c) for c in rng.integers(-(2**40), 2**40, size=d + 1)]
+        b[0], b[-1] = b[0] or 1, b[-1] or 1
+        roots = np.roots(b[::-1])
+        near = roots[rng.permutation(d)[:5]] * (1 + 1e-12)
+        shift = len(out) % 2 - 1
+        points = np.concatenate([near, roots[:3] * 1.5]) + shift
+        out.append((b, shift, [complex(z) for z in points]))
+    return out
 
 
 #: Components that need more fraction bits than the evaluation scale alone gives.
@@ -408,15 +479,56 @@ class TestGateArithmetic:
         coeffs, shift, z = case
         w = (Fraction(z.real) - shift, Fraction(z.imag))
         # the identity polynomial returns the fixed-point point itself
-        xr, xi, fbits = _shifted_value((0, 1), shift, z)
+        xr, xi, fbits, _ = _shifted_value((0, 1), shift, z)
         assert (Fraction(xr, 2**fbits), Fraction(xi, 2**fbits)) == w
-        pr, pi, fbits = _shifted_value(coeffs, shift, z)
+        pr, pi, fbits, _ = _shifted_value(coeffs, shift, z)
         er, ei = Fraction(coeffs[-1]), Fraction(0)
         for c in reversed(coeffs[:-1]):
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
         # each of the d + 2 error terms is under 2**-90 at the scale 2**fbits
         bound = (len(coeffs) + 1) * Fraction(2) ** (fbits - 90)
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_gate_points())
+    @example(([1, -3, 1], 0, complex(1e-20, -3e-21)))
+    @example(([2**64] * 41, 3, complex(5.5, 2.0**-45)))
+    def test_conjugate_shares_the_remainder(self, case):
+        # conj z has the same r, s and remainder, so its value is the one
+        # the value at z carries
+        coeffs, shift, z = case
+        pr, pi, fbits, pi_conj = _shifted_value(coeffs, shift, z)
+        assert _shifted_value(coeffs, shift, z.conjugate()) == (pr, pi_conj, fbits, pi)
+        # and the gate, which takes it, computes the residuals it would from
+        # the two fresh values
+        assume(coeffs[-1] != 0)
+        q, points = Poly(coeffs), np.array([z, z.conjugate()])
+        fresh = {w: _shifted_value(coeffs, shift, w) for w in points.tolist()}
+        shared, reused = Counter(), Counter()
+        gate = _final_residuals(q, shift, points, q, shared, {})
+        assert gate.tobytes() == _final_residuals(q, shift, points, q, reused, fresh).tobytes()
+        assert (shared["gate_shared"], reused["gate_reused"]) == (1, 2)
+
+    def test_conjugate_value_where_the_floor_is_uneven(self):
+        # at most points xi*b_1 is no multiple of 2**fbits, so the conjugate's
+        # imaginary part is not the negated one
+        uneven = 0
+        for coeffs, shift, z in _conjugate_value_cases(2029, 200):
+            pr, pi, fbits, pi_conj = _shifted_value(coeffs, shift, z)
+            assert _shifted_value(coeffs, shift, z.conjugate()) == (pr, pi_conj, fbits, pi)
+            uneven += pi_conj != -pi
+        assert uneven > 150
+
+
+def _conjugate_value_cases(seed: int, count: int):
+    """(integer coefficients of degree 2..60, shift, z off the real axis)."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        coeffs = [rng.randint(-(2**64), 2**64) for _ in range(rng.randint(3, 61))]
+        shift = rng.randint(-3, 3)
+        z = complex(shift + rng.uniform(-1.5, 1.5), rng.choice((-1, 1)) * rng.uniform(1e-9, 1.5))
+        out.append((coeffs, shift, z))
+    return out
 
 
 def _power_sum_cases(seed: int, count: int):
@@ -536,6 +648,19 @@ def _conjugate_sets(seed: int, count: int) -> list[np.ndarray]:
         rng.shuffle(pts)
         out.append(np.array(pts, dtype=complex))
     return out
+
+
+def test_coincident_iterates_move_by_one(monkeypatch):
+    # two iterates start on the same point: their repulsion sums are not
+    # finite, and each takes the correction 1.0 in place of a NaN; the third
+    # takes its Aberth step
+    start = np.array([0.5 + 0.5j, 0.5 + 0.5j, -1.5 + 0.25j])
+    monkeypatch.setattr(complexroots, "_initial_guesses", lambda b: start)
+    b = Poly([2, -1, -2, 1])  # (x - 1)(x + 1)(x - 2)
+    z, converged, _ = complexroots._aberth_iterate(b, 0, 1e-12, 1, Counter(), {})
+    assert not converged
+    assert (start - z)[:2].tolist() == [1.0, 1.0]
+    assert math.isfinite(abs(z[2])) and z[2] != start[2]
 
 
 @pytest.mark.parametrize("z", _conjugate_sets(2028, 200))
