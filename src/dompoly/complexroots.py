@@ -22,18 +22,18 @@ complement_friendship:1..42), and b' exactly too where it is not.  The
 fixed-point evaluation at x is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the
 remainder of b modulo the real quadratic (t - x)(t - conj x), whose
 coefficients 2 Re x and |x|^2 are held exactly, costs two real products per
-coefficient, and four with the derivative, where complex Horner takes four
-and eight.  Each root z must then pass a residual gate: q(z) = b(z - s), by
-the same evaluation, plus E = (d + 2) 2**-90, the proven bound on its
-truncation error at the fraction bits it carries, gives the componentwise
-backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which must be at most
-tol and is reported as the root's residual; where a root sits bitwise on the
-point of its last exact step, the gate takes that step's first value, the
-same evaluation, and the conjugate of a point already evaluated takes that
-point's remainder, which is the same.  The denominator is the same power
-sum as the pass's, of q at |z|, and the quotient is formed with the
-exponents kept apart, so the gate does not overflow where the ratio fits a
-double.  Conversions between
+coefficient, and four with b', the same recurrence over its coefficients,
+where complex Horner takes four and eight.  Each root z must then pass a
+residual gate: q(z) = b(z - s), by the same evaluation, plus E = (d + 2)
+2**-90, the proven bound on its truncation error at the fraction bits it
+carries, gives the componentwise backward-error bound (|q(z)| + E) /
+sum_i |q_i| |z|^i, which must be at most tol and is reported as the root's
+residual; where a root sits bitwise on the point of its last exact step,
+the gate takes that step's first value, the same evaluation, and the
+conjugate of a point already evaluated takes that point's remainder, which
+is the same.  The denominator is the same power sum as the pass's, of q at
+|z|, and the quotient is formed with the exponents kept apart, so the gate
+does not overflow where the ratio fits a double.  Conversions between
 exact integers and doubles are Python's own correctly rounded ones.
 
 Repeated roots are never iterated on: the polynomial is split into its
@@ -46,6 +46,7 @@ are deterministic: fixed initial guesses, no randomness.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -171,32 +172,31 @@ def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int,
 
 def _newton_step(
     coeffs: Sequence[int],
+    dcoeffs: Sequence[int],
     shift: int,
     z: complex,
     kept: dict | None = None,
     derivative: tuple[complex, int] | None = None,
 ) -> complex:
-    """b(x)/b'(x) of the integer polynomial b = coeffs at x = z - shift, rounded
-    to a complex double.
+    """b(x)/b'(x) of the integer polynomial b = coeffs, of derivative b' =
+    dcoeffs, at x = z - shift, rounded to a complex double.
 
+    b(x) is first _shifted_value(coeffs, shift, z); kept, when given,
+    receives it as kept[z] = (re, im, fbits, im') for the residual gate.
     derivative, when given, is (D, E) of _power_sums at the double y = z -
-    shift, certified: y b'(y) = D 2**E within 2**-26 relative.  Then only
-    b(x) is evaluated exactly, and the step is b(x) y / (D 2**E), formed with
-    the exponents of b(x) and E kept apart, so that nothing overflows short
-    of the double range.  Otherwise the loop of _fixed_value runs alongside
-    the same recurrence over b_d..b_2, the coefficients of the quotient Q of
-    b by t^2 - r*t + s, which gives Q(x); then b'(x) = Q(x)*(x - conj x) +
-    b_1, at four real products per coefficient in all.  Where the terms of b'
-    cancel, its value can sit a few units above the truncation error, so the
-    evaluation is repeated with 64 more fraction bits each time, for at most
-    _STEP_ROUNDS evaluations, until |b'(x)| has at least 64 bits.  The first
-    evaluation is _shifted_value(coeffs, shift, z), bit for bit; kept, when
-    given, receives it as kept[z] = (re, im, fbits, im') for the residual
-    gate."""
+    shift, certified: y b'(y) = D 2**E within 2**-26 relative.  Then the
+    step is b(x) y / (D 2**E), formed with the exponents of b(x) and E kept
+    apart, so that nothing overflows short of the double range.  Otherwise
+    b'(x) is _fixed_value of dcoeffs at the same point and fbits, off by
+    less than (d + 1) 2**(fbits - 90) units for b of degree d, at two real
+    products per coefficient more.  Where the terms of b' cancel, its value
+    can sit a few units above that bound, so b and b' are evaluated again
+    with 64 more fraction bits each time, for at most _STEP_ROUNDS
+    evaluations, until |b'(x)| has at least 64 bits."""
+    pr, pi, fbits, _ = value = _shifted_value(coeffs, shift, z)
+    if kept is not None:
+        kept[z] = value
     if derivative is not None:
-        pr, pi, fbits, _ = value = _shifted_value(coeffs, shift, z)
-        if kept is not None:
-            kept[z] = value
         dv, top = derivative
         j = max(pr.bit_length(), pi.bit_length())
         ratio = complex(pr / (1 << j), pi / (1 << j)) * (z - shift) / dv
@@ -209,19 +209,10 @@ def _newton_step(
         return complex(*step)
     for round_ in range(_STEP_ROUNDS):
         xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z, 64 * round_)
-        r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
-        b0 = b1 = e0 = e1 = 0
-        for c in reversed(coeffs[2:]):
-            b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
-            e0, e1 = b0 + ((r * e0) >> fbits) - ((s * e1) >> f2), e0
-        for c in reversed(coeffs[:2]):
-            b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
-        pr, pi = b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
-        qr, qi = e0 - ((xr * e1) >> fbits), (xi * e1) >> fbits
-        dr, di = b1 - ((2 * xi * qi) >> fbits), (2 * xi * qr) >> fbits
+        if round_:
+            pr, pi, _ = _fixed_value(coeffs, xr, xi, fbits)
+        dr, di, _ = _fixed_value(dcoeffs, xr, xi, fbits)
         den = dr * dr + di * di
-        if round_ == 0 and kept is not None:
-            kept[z] = pr, pi, fbits, (-xi * b1) >> fbits
         if den.bit_length() > 128:
             break
     if den == 0:
@@ -331,7 +322,7 @@ def _aberth_iterate(
     b'(y) 2**-E.
     stats counts passes, trusted double steps, exact steps and those of them
     that evaluated b' exactly."""
-    m, x = _split_coefficients(b.coeffs)
+    (m, x), dcoeffs = _split_coefficients(b.coeffs), b.derivative().coeffs
     z, d = shift + _initial_guesses(b), b.degree
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     certified_factor = _DERIVATIVE_MARGIN * 4.0 * d * 2.0**-53
@@ -358,9 +349,9 @@ def _aberth_iterate(
             if len(kept) > 2 * d:  # forget the values of points that moved on
                 for point in kept.keys() - set(z.tolist()):
                     del kept[point]
-            for k in exact:
+            for k, zk in zip(exact, z[live[exact]].tolist()):
                 derivative = (complex(dv[k]), int(top[k])) if certified[k] else None
-                w[live[k]] = _newton_step(b.coeffs, shift, complex(z[live[k]]), kept, derivative)
+                w[live[k]] = _newton_step(b.coeffs, dcoeffs, shift, zk, kept, derivative)
             diff = z[:, None] - z[None, :]
             np.fill_diagonal(diff, 1.0)
             recip = 1.0 / diff
@@ -566,8 +557,8 @@ def circle_deviation(rs: RootSet, center: complex, radius: float) -> CircleDevia
     """Max and mean of | |z - center| - radius | over the nonzero roots."""
     if not rs.roots:
         raise ValueError("root set has no nonzero roots")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (cmath.isfinite(center) and math.isfinite(radius) and radius > 0):
+        raise ValueError(f"need a finite center and radius > 0, got {center}, {radius}")
     devs = [abs(abs(z - center) - radius) for z in rs.complex_roots()]
     return CircleDeviation(max(devs), sum(devs) / len(devs))
 

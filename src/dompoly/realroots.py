@@ -194,6 +194,8 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
     primitive, with a positive leading coefficient.  The modular test
     decides most squarefree p without an exact gcd.
     """
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a polynomial of degree at least 1")
     return [(p, 1)] if _squarefree_mod_prime(p) else _yun_factors(p)
 
 

@@ -328,7 +328,7 @@ class TestExactConversions:
     @example(-1, 1 << 1100)
     def test_newton_step_ratio_is_correctly_rounded(self, a, b):
         # at z = 0 the Newton step of a + b*x is exactly a / b
-        step = _newton_step((a, b), 0, 0j)
+        step = _newton_step((a, b), (b,), 0, 0j)
         exact = Fraction(a, b)
         assert step.imag == 0.0
         if abs(exact) >= 2**1024 - 2**970:  # rounds beyond the largest double
@@ -358,7 +358,7 @@ _near_real = st.builds(
 )
 
 
-class TestFusedNewtonStep:
+class TestExactNewtonStep:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(-50, 50), min_size=2, max_size=25).filter(lambda c: c[-1] != 0),
@@ -371,7 +371,7 @@ class TestFusedNewtonStep:
     def test_step_agrees_with_exact_ratio(self, coeffs, re, im):
         exact = _exact_newton_step(coeffs, (Fraction(re), Fraction(im)))
         assume(exact is not None)
-        step = _newton_step(coeffs, 0, complex(re, im))
+        step = _newton_step(coeffs, Poly(coeffs).derivative().coeffs, 0, complex(re, im))
         ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
         assert abs(Fraction(step.real) - exact[0]) <= ulp
         assert abs(Fraction(step.imag) - exact[1]) <= ulp
@@ -380,12 +380,13 @@ class TestFusedNewtonStep:
         # a stalled friendship:70 iterate: |b'(y)| ~ 2**-62, so 96 fraction
         # bits leave it 34 bits and the step read -4.591e-11 + 1.351e-12i
         b = poly_friendship(70).deflate_zero().taylor_shift(-1).coeffs
+        db = Poly(b).derivative().coeffs
         y = complex(-0.7059324841892143, -0.015880687302828364)
         exact = _exact_newton_step(b, (Fraction(y.real), Fraction(y.imag)))
         ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
         for shift in (0, -1):  # the same point as y, or as z = y - 1
             kept = {}
-            step = _newton_step(b, shift, y + shift, kept)
+            step = _newton_step(b, db, shift, y + shift, kept)
             assert abs(Fraction(step.real) - exact[0]) <= ulp
             assert abs(Fraction(step.imag) - exact[1]) <= ulp
             # the value kept for the gate is the first evaluation's, not the
@@ -400,7 +401,7 @@ class TestFusedNewtonStep:
         # b = 2**1100 + x at z = 1 with b'(y) taken as 2**-100: the step
         # 2**1200 exceeds the double range in either sign
         for sign in (1, -1):
-            step = _newton_step((sign * 2**1100, 1), 0, 1 + 0j, None, (2.0**-100, 0))
+            step = _newton_step((sign * 2**1100, 1), (1,), 0, 1 + 0j, None, (2.0**-100, 0))
             assert step == complex(sign * math.inf, 0.0)
 
     @pytest.mark.parametrize("case", range(24))
@@ -409,19 +410,28 @@ class TestFusedNewtonStep:
         # at most 2**-26 relative, plus the roundings of the two steps
         b, shift, points = _certified_step_cases()[case]
         d, (m, x), met = len(b) - 1, _split_coefficients(b), 0
+        db = Poly(b).derivative().coeffs
         for z in points:
             y = z - shift  # rounded, as the pass rounds it
             _, D, _, B, E = (v[0] for v in _power_sums(m, x, np.array([y])))
             if not abs(D) > complexroots._DERIVATIVE_MARGIN * 4 * d * 2.0**-53 * B:
                 continue
             met += 1
-            full = _newton_step(b, shift, z)
+            full = _newton_step(b, db, shift, z)
             kept = {}
-            step = _newton_step(b, shift, z, kept, (complex(D), int(E)))
+            step = _newton_step(b, db, shift, z, kept, (complex(D), int(E)))
             assert kept == {z: _shifted_value(b, shift, z)}
             slack = 2.0**-26 * abs(full) + 4 * math.ulp(abs(full))
             assert abs(step - full) <= slack, (d, z)
         assert met > 0
+
+    def test_step_at_a_critical_point_is_fixed(self):
+        # b = 1 + x**2 at x = 0: b'(x) is exactly 0 in every round, so the
+        # step is the deterministic 2**-20 (1 + |z|), at z = 0 and at z = -1
+        for shift, z, want in ((0, 0j, 2.0**-20), (-1, -1 + 0j, 2.0**-19)):
+            kept = {}
+            assert _newton_step((1, 0, 1), (0, 2), shift, z, kept) == complex(want, 0.0)
+            assert kept == {z: _shifted_value((1, 0, 1), shift, z)}
 
 
 @functools.cache
@@ -874,6 +884,14 @@ class TestCircleDeviation:
             circle_deviation(RootSet(2, (), 1e-12), -1 + 0j, 1.0)
         with pytest.raises(ValueError):
             circle_deviation(RootSet(0, ((1.0, 0.0, 0.0),), 1e-12), 0j, -1.0)
+        for center, radius in (
+            (0j, math.nan),
+            (0j, math.inf),
+            (complex(math.nan, 0.0), 1.0),
+            (complex(0.0, -math.inf), 1.0),
+        ):
+            with pytest.raises(ValueError):
+                circle_deviation(RootSet(0, ((1.0, 0.0, 0.0),), 1e-12), center, radius)
 
 
 class TestRealPartQueries:

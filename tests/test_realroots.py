@@ -200,6 +200,11 @@ class TestSquarefreeFactors:
         else:
             assert all(f == _normalized(f) for f, _ in factors)
 
+    @pytest.mark.parametrize("p", [Poly(), Poly([5])])
+    def test_rejects_degree_below_one(self, p):
+        with pytest.raises(ValueError, match="degree at least 1"):
+            squarefree_factors(p)
+
 
 class TestCertifyCg:
     @pytest.mark.parametrize("n", range(1, 11))
