@@ -7,33 +7,45 @@ shifted basis b(y) = q(y + s), rewritten exactly, s the integer nearest the
 root centroid.  For a domination polynomial s is almost always -1, and
 D(G, y - 1) = sum_U (-1)^|U| y^(n - |N[U]|) has small signed counts as
 coefficients, where the monomial basis has binomial coefficients beyond
-10^100 that cancel near the roots.  The iterates are the
-roots z themselves, in complex doubles, so a small root keeps its relative
-precision however large s is; b is evaluated at y = z - s.  Each pass
-evaluates b once, over the active iterates at the rounded y, as a sum of
-powers scaled exactly by powers of two, so that no term overflows; a Newton
-step uses that value while its error bound shows it is trustworthy.  Once
-cancellation eats the double significand, the iterate takes an exact
-fixed-point step at y, formed exactly: the last step or two of most roots,
-where the double value is rounding noise (about 1.14 exact steps per root
-over complement_friendship:1..42).  Such a step evaluates only b exactly
-where the pass's double b'(y) is certified to 2**-26 (every exact step of
-complement_friendship:1..42), and b' exactly too where it is not.  The
-fixed-point evaluation at x is Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the
-remainder of b modulo the real quadratic (t - x)(t - conj x), whose
-coefficients 2 Re x and |x|^2 are held exactly, costs two real products per
-coefficient, and four with b', the same recurrence over its coefficients,
-where complex Horner takes four and eight.  Each root z must then pass a
-residual gate: q(z) = b(z - s), by the same evaluation, plus E = (d + 2)
-2**-90, the proven bound on its truncation error at the fraction bits it
-carries, gives the componentwise backward-error bound (|q(z)| + E) /
-sum_i |q_i| |z|^i, which must be at most tol and is reported as the root's
-residual; where a root sits bitwise on the point of its last exact step,
-the gate takes that step's first value, the same evaluation, and the
-conjugate of a point already evaluated takes that point's remainder, which
-is the same.  The denominator is the same power sum as the pass's, of q at
-|z|, and the quotient is formed with the exponents kept apart, so the gate
-does not overflow where the ratio fits a double.  Conversions between
+10^100 that cancel near the roots.
+
+q has real coefficients, so its real roots are counted and isolated
+exactly first, by the Descartes bisection that realroots.certify_cg runs
+(realroots._real_root_witnesses), and its non-real roots come in conjugate
+pairs.  Only the r real roots and the m = (d - r) / 2 non-real roots in the
+upper half plane are iterated: the repulsion of an iterate runs over the
+others, the conjugates of the upper ones and the real ones, so each pair
+costs one set of steps, and a real iterate, whose repulsion is real, stays
+on the axis and inside its isolating interval.  Each real root is then
+proven to be the double nearest the root by exact signs at the midpoints
+between doubles.
+
+The iterates are the roots z themselves, in complex doubles, so a small
+root keeps its relative precision however large s is; b is evaluated at y =
+z - s.  Each pass evaluates b once, over the active iterates at the rounded
+y, as a sum of powers scaled exactly by powers of two, so that no term
+overflows; a Newton step uses that value while its error bound shows it is
+trustworthy.  Once cancellation eats the double significand, the iterate
+takes an exact fixed-point step at y, formed exactly: the last step or two
+of most roots, where the double value is rounding noise (about 1.12 exact
+steps per iterate, 0.56 per root found, over complement_friendship:1..42).
+Such a step evaluates only b exactly where the pass's double b'(y) is
+certified to 2**-26 (every exact step of complement_friendship:1..42), and
+b' exactly too where it is not.  The fixed-point evaluation at x is
+Goertzel's (Knuth, TAOCP Vol. 2, 4.6.4): the remainder of b modulo the real
+quadratic (t - x)(t - conj x), whose coefficients 2 Re x and |x|^2 are held
+exactly, costs two real products per coefficient, and four with b', the
+same recurrence over its coefficients, where complex Horner takes four and
+eight.  Each real and upper root z must then pass a residual gate: q(z) =
+b(z - s), by the same evaluation, plus E = (d + 2) 2**-90, the proven bound
+on its truncation error at the fraction bits it carries, gives the
+componentwise backward-error bound (|q(z)| + E) / sum_i |q_i| |z|^i, which
+must be at most tol and is reported as the root's residual, and its
+conjugate's, since |q(conj z)| = |q(z)|; where a root sits bitwise on the
+point of its last exact step, the gate takes that step's first value, the
+same evaluation.  The denominator is the same power sum as the pass's, of q
+at |z|, and the quotient is formed with the exponents kept apart, so the
+gate does not overflow where the ratio fits a double.  Conversions between
 exact integers and doubles are Python's own correctly rounded ones.
 
 Repeated roots are never iterated on: the polynomial is split into its
@@ -47,6 +59,7 @@ are deterministic: fixed initial guesses, no randomness.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -57,17 +70,10 @@ import numpy as np
 
 from .errors import CapacityError, NonConvergenceError
 from .polynomials import Poly
-from .realroots import squarefree_factors
+from .realroots import _real_root_witnesses, _sign_at, squarefree_factors
 
 #: Roots with |re| at or below this band are treated as imaginary-axis cases.
 REAL_PART_GUARD = 1e-9
-
-#: Nearly-real roots (|im| at or below this) are put on the real axis.
-NEAR_REAL_IM = 1e-9
-
-#: Distance, relative to max(1, |z|), within which a root is paired with its
-#: conjugate.
-CLUSTER_RADIUS = 1e-6
 
 #: Smallest accepted tolerance: below it the double iterates cannot settle.
 MIN_TOL = 1e-14
@@ -95,18 +101,20 @@ class RootSet:
     factor of p without its zero root that z is a root of, is the proven
     componentwise backward error bound that the residual gate held to at
     most `tolerance` (E = (d + 2) 2**-90, d the degree of q, bounds the
-    truncation of q(z) in fixed point).  For real input the list is
-    conjugate-symmetric.
+    truncation of q(z) in fixed point).  The list is conjugate-symmetric,
+    a root and its conjugate with one residual, and the rows with im == 0
+    are exactly the real roots, each the double nearest a root.
 
     `stats` counts the work of find_roots, summed over the `factors`
-    (squarefree factors solved): `aberth_iterations`, `double_steps`
-    (trusted double-precision Newton steps), `exact_steps` (fixed-point
-    Newton steps), of which `exact_derivatives` also evaluated b' exactly,
-    `gate_evaluations` (one per distinct root), of which `gate_reused` took
-    the value of an exact step at that very point and `gate_shared` the
-    value at its conjugate, and the centroid `shift` of the first factor;
-    all nine are 0 when p has no nonzero root.  It takes no part in
-    comparisons.
+    (squarefree factors solved): `aberth_iterations` (passes),
+    `double_steps` (trusted double-precision Newton steps), `exact_steps`
+    (fixed-point Newton steps), of which `exact_derivatives` also evaluated
+    b' exactly, `gate_evaluations` (one per distinct real root and per
+    conjugate pair), of which `gate_reused` took the value of an exact step
+    at that very point, `real_roots` (distinct real roots, found by exact
+    isolation), `sign_evaluations` (exact signs spent bracketing them), and
+    the centroid `shift` of the first factor; all ten are 0 when p has no
+    nonzero root.  It takes no part in comparisons.
     """
 
     zero_multiplicity: int
@@ -136,9 +144,8 @@ def _fbits_for(deg: int, z: complex) -> int:
     return 96 + 64 * ((extra + 63) // 64)
 
 
-def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[int, int, int]:
-    """coeffs at x = (xr + i*xi) / 2**fbits in fixed point, (re, im) * 2**fbits,
-    followed by the imaginary part im' * 2**fbits of their value at conj x.
+def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[int, int]:
+    """coeffs at x = (xr + i*xi) / 2**fbits in fixed point, (re, im) * 2**fbits.
 
     Goertzel's evaluation (Knuth, TAOCP Vol. 2, 4.6.4): the real recurrence
     b_k = c_k + r*b_{k+1} - s*b_{k+2} leaves the remainder b_1*t + b_0 - r*b_1
@@ -148,16 +155,12 @@ def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[i
     unit, reach the value as exactly that error times x^k; the two floors of
     the last step add less than sqrt(2) units.  At the fbits of _fbits_for
     each of those d + 2 error terms is under 2**(fbits - 90) units, so the
-    value is off by less than (d + 2) 2**(fbits - 90) units.  conj x has the
-    same r, s, b_0 and b_1, so its value is (re, im') with im' the floor of
-    -xi*b_1 / 2**fbits, which is -im - 1 where xi*b_1 is no multiple of
-    2**fbits."""
+    value is off by less than (d + 2) 2**(fbits - 90) units."""
     r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
     b0 = b1 = 0
     for c in reversed(coeffs):
         b0, b1 = (c << fbits) + ((r * b0) >> fbits) - ((s * b1) >> f2), b0
-    m = xi * b1
-    return b0 - ((xr * b1) >> fbits), m >> fbits, (-m) >> fbits
+    return b0 - ((xr * b1) >> fbits), (xi * b1) >> fbits
 
 
 def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int, int, int]:
@@ -182,7 +185,7 @@ def _newton_step(
     dcoeffs, at x = z - shift, rounded to a complex double.
 
     b(x) is first _shifted_value(coeffs, shift, z); kept, when given,
-    receives it as kept[z] = (re, im, fbits, im') for the residual gate.
+    receives it as kept[z] = (re, im, fbits) for the residual gate.
     derivative, when given, is (D, E) of _power_sums at the double y = z -
     shift, certified: y b'(y) = D 2**E within 2**-26 relative.  Then the
     step is b(x) y / (D 2**E), formed with the exponents of b(x) and E kept
@@ -193,7 +196,7 @@ def _newton_step(
     can sit a few units above that bound, so b and b' are evaluated again
     with 64 more fraction bits each time, for at most _STEP_ROUNDS
     evaluations, until |b'(x)| has at least 64 bits."""
-    pr, pi, fbits, _ = value = _shifted_value(coeffs, shift, z)
+    pr, pi, fbits = value = _shifted_value(coeffs, shift, z)
     if kept is not None:
         kept[z] = value
     if derivative is not None:
@@ -210,8 +213,8 @@ def _newton_step(
     for round_ in range(_STEP_ROUNDS):
         xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z, 64 * round_)
         if round_:
-            pr, pi, _ = _fixed_value(coeffs, xr, xi, fbits)
-        dr, di, _ = _fixed_value(dcoeffs, xr, xi, fbits)
+            pr, pi = _fixed_value(coeffs, xr, xi, fbits)
+        dr, di = _fixed_value(dcoeffs, xr, xi, fbits)
         den = dr * dr + di * di
         if den.bit_length() > 128:
             break
@@ -227,31 +230,34 @@ def _newton_step(
     return complex(*step)
 
 
-def _shifted_value(
-    coeffs: Sequence[int], shift: int, z: complex
-) -> tuple[int, int, int, int]:
+def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, int, int]:
     """b(z - shift) of the integer polynomial b = coeffs as fixed-point (re, im,
-    fbits), at the point _fixed_point forms exactly, followed by im', which
-    makes (re, im', fbits, im) the value at conj z (see _fixed_value)."""
+    fbits), at the point _fixed_point forms exactly."""
     xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z)
-    pr, pi, pi_conj = _fixed_value(coeffs, xr, xi, fbits)
-    return pr, pi, fbits, pi_conj
+    return (*_fixed_value(coeffs, xr, xi, fbits), fbits)
 
 
 # -- double-precision helpers ---------------------------------------------------
 
 
-def _initial_guesses(p: Poly) -> np.ndarray:
-    """Deterministic start: points on the circle of the geometric-mean root
-    modulus |c0/cd|^(1/d), at a fixed 0.4 rad angular offset.
+def _initial_guesses(p: Poly, m: int) -> np.ndarray:
+    """m deterministic starts in the upper half plane: of the d points on the
+    circle of the geometric-mean root modulus |c0/cd|^(1/d) at angles 0.4 +
+    2 pi k / d (the start for all d roots), the m in the upper half plane
+    farthest from the real axis, by angle; all of them when p has no real
+    root, as an upper half plane holds d / 2 of the d points.
 
     The geometric mean always lies between the smallest and largest root
     modulus, so the start circle threads the root cloud even when classical
     upper root bounds are astronomically loose (binomial-heavy coefficients).
+    The real roots are iterated from their own starts, so the points nearest
+    the axis, which would otherwise head for them, are the ones left out.
     """
     d = p.degree
     radius = 2.0 ** ((math.log2(abs(p.coeffs[0])) - math.log2(abs(p.coeffs[-1]))) / d)
-    angles = 2.0 * np.pi * np.arange(d) / d + 0.4
+    angles = (2.0 * np.pi * np.arange(d) / d + 0.4) % (2.0 * np.pi)
+    upper = angles[np.sin(angles) > 0]
+    angles = np.sort(upper[np.argsort(-np.sin(upper), kind="stable")[:m]])
     return radius * np.exp(1j * angles)
 
 
@@ -277,7 +283,9 @@ def _power_sums(
     sqrt(2); the powers u**k come from one cumprod, and each is applied to
     ldexp(m_k, x_k + k e - E), at most 1 in modulus, an exact power-of-two
     scaling, so no term overflows below degree 2046 and P, D stay finite
-    where p(y) does not fit a double.  Each power is k - 1 complex products
+    where p(y) does not fit a double.  Each point's terms are one contiguous
+    row, and every sum runs along it, so a point's four sums are the same
+    bits whichever other points share the call.  Each power is k - 1 complex products
     from u, each off by at most sqrt(5) units u = 2**-53, the rounding of
     m_k adds one, and the product by the real factor and the sum of the
     d + 1 terms add d + 1 more:
@@ -287,126 +295,236 @@ def _power_sums(
     or a sum along the powers, so the bits do not depend on a BLAS."""
     ay = np.abs(y)
     e = np.rint(np.log2(np.where(ay > 0, ay, 1.0))).astype(np.int32)
-    k = np.arange(len(m), dtype=np.int32)[:, None]
-    u = np.empty((len(m), len(y)), dtype=complex)
-    u[0] = 1.0
-    u[1:] = np.ldexp(y.real, -e) + 1j * np.ldexp(y.imag, -e)
-    np.cumprod(u, axis=0, out=u)
-    scale = x[:, None] + k * e
-    top = scale.max(axis=0)
-    terms = np.ldexp(m[:, None], scale - top) * u
+    k = np.arange(len(m), dtype=np.int32)
+    u = np.empty((len(y), len(m)), dtype=complex)
+    u[:, 0] = 1.0
+    u[:, 1:] = (np.ldexp(y.real, -e) + 1j * np.ldexp(y.imag, -e))[:, None]
+    np.cumprod(u, axis=1, out=u)
+    scale = x + k * e[:, None]
+    top = scale.max(axis=1)
+    terms = np.ldexp(m, scale - top[:, None]) * u
     moduli = np.abs(terms)
     return (
-        terms.sum(axis=0),
-        (k * terms).sum(axis=0),
-        moduli.sum(axis=0),
-        (k * moduli).sum(axis=0),
+        terms.sum(axis=1),
+        (k * terms).sum(axis=1),
+        moduli.sum(axis=1),
+        (k * moduli).sum(axis=1),
         top,
     )
 
 
 def _aberth_iterate(
-    b: Poly, shift: int, tol: float, max_iter: int, stats: Counter, kept: dict
-) -> tuple[np.ndarray, bool, float]:
-    """Aberth iteration on the roots z of b(z - shift), from shift plus the
-    initial guesses of b; (iterates, converged, largest relative correction
-    of the last pass).
+    b: Poly, shift: int, brackets: list[_Bracket], tol: float, max_iter: int,
+    stats: Counter, kept: dict,
+) -> tuple[np.ndarray, np.ndarray, bool, float]:
+    """Aberth iteration on the roots of b(z - shift): its m = (d - r) / 2
+    non-real roots in the upper half plane, from shift plus the initial
+    guesses of b, and its r real roots, one in each exact bracket, from the
+    bracket's midpoint.  Returns (upper iterates, real iterates, converged,
+    largest relative correction of the upper iterates in the last pass),
+    and narrows the brackets (see _real_steps).
 
     Each pass evaluates b once, by _power_sums, at y = z - shift rounded, for
-    the active iterates only.  The double Newton step w = b(y)/b'(y) = y P / D
-    is trusted where |P| > noise A and |D| > noise B, noise = _NOISE_MARGIN
-    times 4 d u, the bound _power_sums gives (the scale 2**-E cancels on both
-    sides); otherwise the iterate takes an exact step, and kept receives that
-    step's first value (see _newton_step).  The exact step takes b' from D
-    where |D| > _DERIVATIVE_MARGIN 4 d u B, which puts D within 2**-26 of y
-    b'(y) 2**-E.
-    stats counts passes, trusted double steps, exact steps and those of them
-    that evaluated b' exactly."""
-    (m, x), dcoeffs = _split_coefficients(b.coeffs), b.derivative().coeffs
-    z, d = shift + _initial_guesses(b), b.degree
+    the active iterates, real and upper.  The double Newton step w =
+    b(y)/b'(y) = y P / D is trusted where |P| > noise A and |D| > noise B,
+    noise = _NOISE_MARGIN times 4 d u, the bound _power_sums gives (the scale
+    2**-E cancels on both sides); otherwise the iterate takes an exact step,
+    and kept receives that step's first value (see _newton_step).  The exact
+    step takes b' from D where |D| > _DERIVATIVE_MARGIN 4 d u B, which puts
+    D within 2**-26 of y b'(y) 2**-E.  Aberth's correction is then w / (1 -
+    w sum 1 / (z - v)), v over the other upper iterates, the conjugate of
+    every upper iterate, its own included (1 / (2i Im z)), and the real
+    iterates: the 2m + r points stand for all the roots of b, kept
+    conjugate-symmetric, so no conjugate is ever stepped.  A real iterate's
+    sum is real, so it stays on the axis.  The upper iterates converge when
+    every correction relative to max(1, |z|) is below tol; an iterate whose
+    relative correction drops below tol / 4 is frozen and only repels the
+    others, and so is a real iterate that _real_steps settles.  stats counts
+    passes, trusted double steps, exact steps and those of them that
+    evaluated b' exactly."""
+    (mk, xk), dcoeffs = _split_coefficients(b.coeffs), b.derivative().coeffs
+    d, r = b.degree, len(brackets)
+    m = (d - r) // 2
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     certified_factor = _DERIVATIVE_MARGIN * 4.0 * d * 2.0**-53
-    max_corr = math.inf
+    x = np.array([bracket.middle() for bracket in brackets])
+    z, own = shift + _initial_guesses(b, m), np.arange(m)
+    todo = [j for j, bracket in enumerate(brackets) if not bracket.settled()]
+    max_corr, converged = (math.inf, False) if m else (0.0, True)
     # Points whose correction has dropped well below tol are frozen: they sit
     # on their root and only contribute repulsion, saving evaluations.
-    active = np.ones(d, dtype=bool)
+    active = np.ones(m, dtype=bool)
+    # every point, upper, lower and real, in the order of the repulsion sums
+    points = np.concatenate([z, z.conj(), x])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
+            if converged and not todo:
+                break
             stats["aberth_iterations"] += 1
             # a non-finite iterate has neither a double value nor a fixed point
-            live = np.flatnonzero(active & np.isfinite(z))
-            y = z[live] - shift
-            pv, dv, abs_p, abs_d, top = _power_sums(m, x, y)
-            # a non-finite sum fails these comparisons
-            reliable = (np.abs(pv) > noise_factor * abs_p) & (np.abs(dv) > noise_factor * abs_d)
-            certified = np.abs(dv) > certified_factor * abs_d
-            w = np.zeros(d, dtype=complex)
-            w[live[reliable]] = y[reliable] * (pv[reliable] / dv[reliable])
-            exact = np.flatnonzero(~reliable)
-            stats["double_steps"] += len(live) - len(exact)
-            stats["exact_steps"] += len(exact)
-            stats["exact_derivatives"] += len(exact) - int(certified[exact].sum())
-            if len(kept) > 2 * d:  # forget the values of points that moved on
-                for point in kept.keys() - set(z.tolist()):
+            live = own[active & np.isfinite(z)] if not converged else own[:0]
+            if len(kept) > 2 * (m + r):  # forget the values of points that moved on
+                for point in kept.keys() - set(z.tolist()) - set(x.tolist()):
                     del kept[point]
-            for k, zk in zip(exact, z[live[exact]].tolist()):
-                derivative = (complex(dv[k]), int(top[k])) if certified[k] else None
-                w[live[k]] = _newton_step(b.coeffs, dcoeffs, shift, zk, kept, derivative)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            recip = 1.0 / diff
-            np.fill_diagonal(recip, 0.0)
-            denom = 1.0 - w * recip.sum(axis=1)
-            denom = np.where(denom == 0, 1.0, denom)
-            corr = w / denom
+            # a frozen upper iterate keeps its row: its correction is 0 unless
+            # it coincides with another point, and then 1.0, as for any other
+            upper = own[: 0 if converged else m]
+            rows, stepped = upper, live
+            if todo:
+                rows = np.concatenate([upper, np.array(todo, dtype=int) + 2 * m])
+                stepped = np.concatenate([live, np.arange(len(upper), len(rows))])
+            moving = points[rows[stepped]]
+            y = moving - shift
+            pv, dv, abs_p, abs_d, top = _power_sums(mk, xk, y)
+            # a non-finite sum fails these comparisons
+            abs_dv = np.abs(dv)
+            reliable = (np.abs(pv) > noise_factor * abs_p) & (abs_dv > noise_factor * abs_d)
+            w = np.zeros(len(rows), dtype=complex)
+            w[stepped] = y * (pv / dv)
+            exact = np.flatnonzero(~reliable).tolist()
+            stats["double_steps"] += len(y) - len(exact)
+            stats["exact_steps"] += len(exact)
+            for k in exact:
+                certified = abs_dv[k] > certified_factor * abs_d[k]
+                stats["exact_derivatives"] += not certified
+                derivative = (complex(dv[k]), int(top[k])) if certified else None
+                zk = complex(moving[k])
+                w[stepped[k]] = _newton_step(b.coeffs, dcoeffs, shift, zk, kept, derivative)
+            diff = points[rows][:, None] - points
+            diff[np.arange(len(rows)), rows] = np.inf  # a point does not repel itself
+            denom = 1.0 - w * (1.0 / diff).sum(axis=1)
+            corr = w / np.where(denom == 0, 1.0, denom)
             corr = np.where(np.isfinite(corr), corr, 1.0)
+            if todo:
+                todo = _real_steps(x, todo, corr[len(upper) :].real, tol, brackets, stats)
+                points[2 * m :] = x
+            if converged:
+                continue
+            corr = corr[:m]
             # Near-collisions make the denominator tiny and would fling the
             # iterate far out; damp each step to the scale of its iterate.
             mag = np.abs(corr)
             cap = np.maximum(1.0, np.abs(z))
             corr = np.where(mag > cap, corr * (cap / mag), corr)
             z = z - corr
+            points[:m], points[m : 2 * m] = z, z.conj()
             # relative to the iterate's scale, so a far root can settle too
             mag = np.abs(corr) / cap
             active &= mag >= 0.25 * tol
             max_corr = float(mag.max())
-            if max_corr < tol or not active.any():
-                return z, True, max_corr
-    return z, False, max_corr
+            converged = max_corr < tol or not active.any()
+    return z, x, converged, max_corr
 
 
-def _pair_conjugates(z: np.ndarray) -> np.ndarray:
-    """Symmetrize the root multiset under conjugation.
+@dataclass
+class _Bracket:
+    """An exact bracket [lo, hi] of one real root of q: lo < hi with q of
+    sign -right at lo and right at hi, or lo == hi, the root; ends holds
+    them rounded to doubles."""
 
-    Roots within the near-real band snap to the axis; the rest, in the upper
-    half plane taken by (re, im), are greedily matched with the nearest
-    candidate for their conjugate, the lowest index on a tie, and the pair is
-    replaced by its symmetrized mean.  Anything left unmatched is kept as-is.
-    The distances of all candidates are taken at once, by the same hypot as
-    abs of a complex, and a matched candidate's column is set to infinity:
-    it can win a later row only when no candidate is at a finite distance,
-    and then nothing matches.
-    """
-    out = z.copy()
-    upper, lower = z.imag > NEAR_REAL_IM, z.imag < -NEAR_REAL_IM
-    band = ~(upper | lower)
-    out[band] = z.real[band]
-    pos, neg = np.flatnonzero(upper), np.flatnonzero(lower)
-    if not len(neg):
-        return out
-    pos = pos[np.lexsort((z.imag[pos], z.real[pos]))]
-    gap = z[neg][None, :] - z[pos].conj()[:, None]
-    dist = np.hypot(gap.real, gap.imag)
-    for row, i in enumerate(pos):
-        col = np.argmin(dist[row])
-        if dist[row, col] <= CLUSTER_RADIUS * max(1.0, abs(z[i])):
-            j = neg[col]
-            re = 0.5 * (z[i].real + z[j].real)
-            im = 0.5 * (z[i].imag - z[j].imag)
-            out[i] = complex(re, im)
-            out[j] = complex(re, -im)
-            dist[:, col] = np.inf
-    return out
+    q: Poly
+    lo: Fraction
+    hi: Fraction
+    right: int
+    ends: tuple[float, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ends = (float(self.lo), float(self.hi))
+
+    def middle(self) -> float:
+        return float((self.lo + self.hi) / 2)
+
+    def narrow(self, t: Fraction, stats: Counter) -> int:
+        """Move the end of the sign of q(t), t in [lo, hi], to t, and return
+        that sign; both ends when it is 0."""
+        stats["sign_evaluations"] += 1
+        sign = _sign_at(self.q, t)
+        if sign != -self.right:
+            self.hi = t
+        if sign != self.right:
+            self.lo = t
+        self.ends = (float(self.lo), float(self.hi))
+        return sign
+
+    def settled(self) -> bool:
+        """True when no double lies strictly between the ends rounded."""
+        lo, hi = self.ends
+        return math.nextafter(lo, math.inf) >= hi
+
+
+def _real_steps(
+    x: np.ndarray, todo: list[int], corr: np.ndarray, tol: float,
+    brackets: list[_Bracket], stats: Counter,
+) -> list[int]:
+    """Step the real iterates x[todo] by their corrections, in place;
+    returns those still iterating.
+
+    An iterate settles once its correction is below tol / 4 relative to
+    max(1, |x|), moving only if its step stays inside its bracket, or once
+    no double lies strictly inside the bracket: _nearest_double takes it
+    from there.  Any other step that would leave the bracket heads for the
+    end it crosses, and the root may lie in the rounding cell of that end's
+    double, which no step from inside can reach: one exact sign at the
+    cell's inner edge tells, and if the root is there the bracket shrinks
+    into the cell and the iterate moves to the end and settles.  Otherwise
+    the bracket is bisected, one exact sign each, until it is no wider than
+    the modulus of its middle (a bracket with an end at 0 halves until it
+    has none), and the iterate moves to that middle."""
+    rest = []
+    for j, step in zip(todo, corr.tolist()):
+        bracket = brackets[j]
+        lo, hi = bracket.ends
+        new = x[j] - step
+        inside = lo < new < hi  # NaN excluded
+        if inside:
+            x[j] = new
+        if abs(step) < 0.25 * tol * max(1.0, abs(x[j])):
+            continue
+        if not inside:
+            end, other = (lo, hi) if new <= lo else (hi, lo)
+            edge = _midpoint(end, math.nextafter(end, other))
+            if end and bracket.lo < edge < bracket.hi:  # q has no root in the cell of 0
+                bracket.narrow(edge, stats)
+            x[j] = end
+            if not bracket.settled():
+                while bracket.narrow((bracket.lo + bracket.hi) / 2, stats):
+                    if bracket.hi - bracket.lo <= abs(bracket.lo + bracket.hi) / 2:
+                        break
+                x[j] = bracket.middle()
+        if not bracket.settled():
+            rest.append(j)
+    return rest
+
+
+def _nearest_double(bracket: _Bracket, x: float, stats: Counter) -> float:
+    """The double nearest the root of q in the bracket, from the estimate x.
+
+    The root lies in the rounding cell of x when q changes sign neither
+    between x and the midpoint with its upper neighbour nor between x and
+    the midpoint with its lower one: two exact signs at those midpoints, of
+    which one is spared when it lies outside the bracket.  Each sign narrows
+    the bracket; a root beyond a midpoint moves x one double that way, twice
+    at most, and then to the middle of the bracket.  A root at a midpoint is
+    exactly half way, and float rounds it to even."""
+    for moves in itertools.count():
+        up = _midpoint(x, math.nextafter(x, math.inf))
+        down = _midpoint(math.nextafter(x, -math.inf), x)
+        for mid in (up, down):
+            if bracket.lo < mid < bracket.hi and not bracket.narrow(mid, stats):
+                return float(mid)
+        if down <= bracket.lo and bracket.hi <= up:
+            return x
+        if moves < 2:
+            x = math.nextafter(x, math.inf if bracket.lo >= up else -math.inf)
+        else:
+            x = bracket.middle()
+
+
+def _midpoint(a: float, b: float) -> Fraction:
+    """(a + b) / 2 exactly."""
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    scale = max(da, db)  # a power of two, as da and db are
+    return Fraction(na * (scale // da) + nb * (scale // db), 2 * scale)
 
 
 def _final_residuals(
@@ -418,25 +536,21 @@ def _final_residuals(
     componentwise backward error (Higham, Accuracy and Stability of
     Numerical Algorithms, 5.1) from above.  p is kept[z] where an exact step
     already computed it at that very point (equal points have equal
-    fixed-point forms); else, where conj z is in kept or was evaluated here,
-    the value at z that conj z's carries (see _shifted_value), the one
-    _shifted_value gives at z bit for bit; else _shifted_value.  |p| = a 2**j
+    fixed-point forms), else _shifted_value.  For real q the bound holds at
+    conj z too, since |q(conj z)| = |q(z)| and the denominator is the same,
+    so a conjugate is never gated on its own.  |p| = a 2**j
     and the denominator A 2**S, by _power_sums of q at |z|, keep their
     exponents apart, so the quotient is a / A and (d + 2) / A, each scaled by
     an exact power of two: it overflows to an infinite residual only where it
     exceeds the double range, or where A does (at degree 2046 and above)."""
     stats["gate_evaluations"] += len(z)
     mantissa, exponent = np.empty(len(z)), np.empty(len(z), dtype=np.int64)
-    values = {}
     for i, zi in enumerate(z.tolist()):
         if zi in kept:
             stats["gate_reused"] += 1
-            pr, pi, fbits, _ = kept[zi]
-        elif mirror := kept.get(zi.conjugate()) or values.get(zi.conjugate()):
-            stats["gate_shared"] += 1
-            pr, _, fbits, pi = mirror
+            pr, pi, fbits = kept[zi]
         else:
-            pr, pi, fbits, _ = values[zi] = _shifted_value(basis.coeffs, shift, zi)
+            pr, pi, fbits = _shifted_value(basis.coeffs, shift, zi)
         j = max(pr.bit_length(), pi.bit_length())
         mantissa[i], exponent[i] = math.hypot(pr / (1 << j), pi / (1 << j)), j - fbits
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -470,19 +584,39 @@ def _solve_squarefree(
             " precision; scale the family index down"
         )
     if q.degree == 1:
-        z = np.array([complex(-q.coeffs[0] / q.coeffs[1])])
+        stats["real_roots"] += 1
+        real, upper = np.array([-q.coeffs[0] / q.coeffs[1]]), np.empty(0, dtype=complex)
     else:
-        z, converged, max_corr = _aberth_iterate(basis, shift, tol, max_iter, stats, kept)
-        if not converged:
+        pairs = _real_root_witnesses(q)
+        r = len(pairs)
+        stats["real_roots"] += r
+        # q changes sign at each of its simple real roots, so just right of
+        # the j-th its sign is its leading coefficient's times (-1)**(r - 1 - j)
+        lead = 1 if q.coeffs[-1] > 0 else -1
+        brackets = [_Bracket(q, a, b, lead * (-1) ** (r - 1 - j)) for j, (a, b) in enumerate(pairs)]
+        upper, approx, converged, max_corr = _aberth_iterate(
+            basis, shift, brackets, tol, max_iter, stats, kept
+        )
+        # an iterate that crossed the axis stands for the same conjugate pair
+        upper = np.where(upper.imag < 0, upper.conj(), upper)
+        if not converged or (upper.imag == 0).any():
             raise NonConvergenceError(
                 f"no convergence within {max_iter} iterations"
                 f" (max correction {max_corr:.3e})",
-                roots=z.tolist(),
+                roots=[*approx.tolist(), *upper.tolist(), *upper.conj().tolist()],
                 max_correction=max_corr,
             )
-        z = _pair_conjugates(z)
-    residuals = _final_residuals(basis, shift, z, q, stats, kept)
-    worst = float(residuals.max())
+        real = np.array(
+            [
+                _nearest_double(bracket, x, stats) if bracket.lo < bracket.hi else float(bracket.lo)
+                for bracket, x in zip(brackets, approx.tolist())
+            ]
+        )
+    gated = np.concatenate([real, upper])
+    gate = _final_residuals(basis, shift, gated, q, stats, kept)
+    z = np.concatenate([gated, upper.conj()])
+    residuals = np.concatenate([gate, gate[len(real):]])
+    worst = float(gate.max())
     if worst > tol:
         raise NonConvergenceError(
             f"residual {worst:.3e} exceeds tolerance {tol:.3e}",
@@ -501,17 +635,20 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     The zero root is removed exactly (its multiplicity is the lowest nonzero
     coefficient index), and the rest, q, is split into its squarefree
     factors q_k (see realroots.squarefree_factors): each is solved once, and
-    its roots are reported k times each.  The roots z of q_k are iterated
-    simultaneously in their own coordinates, with q_k evaluated as b(z - s),
-    b = q_k(y + s) rewritten exactly and s the integer nearest their
-    centroid, until the largest correction, each measured relative to
-    max(1, |z|) of its iterate, drops below tol; an iterate whose relative
-    correction drops below tol / 4 is frozen and only repels the others.  A
-    linear q_k gives its correctly rounded root.  Every root z must then
-    pass the residual gate of q_k, evaluated on b at the exactly formed
-    point z - s with a proven truncation bound.  Non-convergence and a
-    missed gate raise, carrying the iterates of that factor; they are never
-    returned silently as converged.
+    its roots are reported k times each.  The real roots of q_k are isolated
+    exactly, and they and its non-real roots in the upper half plane are
+    iterated simultaneously in their own coordinates (see _aberth_iterate),
+    with q_k evaluated as b(z - s), b = q_k(y + s) rewritten exactly and s
+    the integer nearest their centroid, until the largest correction of an
+    upper iterate, measured relative to max(1, |z|), drops below tol; an
+    iterate whose relative correction drops below tol / 4 is frozen and
+    only repels the others.  Each real root is then proven the double
+    nearest it (see _nearest_double); a linear q_k gives its correctly
+    rounded root directly.  Every real and upper root z must then pass the
+    residual gate of q_k, evaluated on b at the exactly formed point z - s
+    with a proven truncation bound, which holds at conj z as well.
+    Non-convergence and a missed gate raise, carrying the iterates of that
+    factor; they are never returned silently as converged.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol}")
@@ -530,7 +667,8 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         "exact_derivatives",
         "gate_evaluations",
         "gate_reused",
-        "gate_shared",
+        "real_roots",
+        "sign_evaluations",
     )
     stats = Counter(dict.fromkeys(keys, 0), shift=0, factors=0)
     if q.degree == 0:
@@ -546,9 +684,10 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
 def distinct_real_roots(rs: RootSet) -> list[float]:
     """The distinct real nonzero roots, ascending.
 
-    A k-fold root is k equal rows, and _pair_conjugates puts every root of
-    the near-real band on the axis, so these are the real parts of the rows
-    with im == 0, each once.
+    A k-fold root is k equal rows, and the rows with im == 0 are exactly the
+    real roots that exact isolation proved, each the double nearest its
+    root (non-real roots never sit on the axis), so these are their real
+    parts, each once.
     """
     return sorted({re for re, im, _ in rs.roots if im == 0})
 

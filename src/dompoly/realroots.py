@@ -10,7 +10,9 @@ proves it squarefree -- and the roots of r(x) = s(-x) are scaled into
 (x+1)**d p(1/(x+1)) and split with 2**d p(x/2) and its Taylor shift by 1, so
 every number stays an integer.  Each root found comes with an isolating
 interval, or the exact root itself, which the certificate reports as a
-witness that one exact evaluation checks.
+witness that one exact evaluation checks.  The solver of `complexroots`
+takes its real roots from the same isolation, run on both sides of 0
+(`_real_root_witnesses`).
 
 Every Taylor shift runs on one kernel, `polynomials.taylor_shift_by_one`,
 on plain coefficient lists; it yields the coefficients from the lowest
@@ -35,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -293,6 +296,29 @@ def _negative_root_witnesses(s: Poly, stats: dict) -> list[tuple[Fraction, Fract
     pairs = [(-scale * Fraction(c + 1, 1 << k), -scale * Fraction(c, 1 << k)) for c, k in isolated]
     pairs += [(-scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
     return sorted(pairs)
+
+
+def _real_root_witnesses(s: Poly) -> list[tuple[Fraction, Fraction]]:
+    """One pair (a, b), a <= b, per distinct real root of squarefree s with
+    s(0) != 0, ascending, as _negative_root_witnesses gives them: the
+    negative roots from s, the positive ones from s(-x), reflected.  A side
+    on which the coefficients show no sign variation has no root (Descartes'
+    rule of signs) and is skipped: the positive side of every polynomial
+    without negative coefficients."""
+    stats = Counter()
+    mirror = Poly([-a if i % 2 else a for i, a in enumerate(s.coeffs)])
+    pairs = []
+    if _sign_varies(mirror.coeffs):
+        pairs += _negative_root_witnesses(s, stats)
+    if _sign_varies(s.coeffs):
+        pairs += [(-b, -a) for a, b in _negative_root_witnesses(mirror, stats)]
+    return sorted(pairs)
+
+
+def _sign_varies(coeffs: Sequence[int]) -> bool:
+    """True when the nonzero coefficients do not all have one sign."""
+    signs = {c > 0 for c in coeffs if c}
+    return len(signs) > 1
 
 
 @dataclass(frozen=True)

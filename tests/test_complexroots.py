@@ -17,13 +17,11 @@ from hypothesis import strategies as st
 
 from dompoly import complexroots
 from dompoly.complexroots import (
-    CLUSTER_RADIUS,
     CSV_HEADER,
-    NEAR_REAL_IM,
     _final_residuals,
     _fixed_point,
+    _nearest_double,
     _newton_step,
-    _pair_conjugates,
     _power_sums,
     _shifted_value,
     _split_coefficients,
@@ -44,7 +42,7 @@ from dompoly.formulas import (
     poly_friendship,
 )
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import certify_cg
+from dompoly.realroots import certify_cg, squarefree_factors
 
 from conftest import count_real_roots, record_digests
 
@@ -129,10 +127,12 @@ class TestFindRoots:
     @pytest.mark.parametrize("r", [10**7, 10**12, 2**100])
     def test_far_root(self, r):
         # (x + 1)(x + r): the iterate that goes out to -r must take true
-        # Newton steps there, exact ones once the double value is unreliable
+        # Newton steps there, exact ones once the double value is unreliable;
+        # at r = 10**12 two iterates once settled on -1 and the gate passed both
         rs = find_roots(Poly([r, r + 1, 1]))
         assert [(re, im) for re, im, _ in rs.roots] == [(-float(r), 0.0), (-1.0, 0.0)]
         assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
+        assert rs.stats["real_roots"] == 2
 
     def test_far_root_settles_relative_to_its_modulus(self):
         # an absolute correction cannot drop below tol = 1e-12 at |z| ~ 1.2e5,
@@ -142,6 +142,32 @@ class TestFindRoots:
         assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
         assert sum(re for re, _, _ in rs.roots) == pytest.approx(123456.0, rel=1e-15)
 
+    @pytest.mark.parametrize("other", [Poly([1]), Poly([1, 0, 1]), Poly([2, 1, 1])])
+    def test_real_roots_closer_than_an_ulp_settle(self, other):
+        # (3x - 1)(3 2**70 x - 2**70 - 3): the roots 1/3 and 1/3 + 2**-70 are
+        # closer than an ulp of 1/3, so no double lies inside the brackets
+        # that separate them and their iterates settle at once; once they
+        # spent an exact sign and an exact step in each of 500 passes
+        p = Poly([-1, 3]) * Poly([-(2**70) - 3, 3 * 2**70]) * other
+        rs = find_roots(p)
+        assert [re for re, im, _ in rs.roots if im == 0] == [1 / 3, 1 / 3]
+        assert rs.stats["real_roots"] == 2
+        assert rs.stats["aberth_iterations"] <= 10
+
+    @pytest.mark.parametrize("other", [Poly([1]), Poly([1, 0, 1])])
+    def test_root_in_the_cell_of_a_bracket_end_settles(self, other):
+        # roots 1/2 - 2**-70, 1/2 + 2**-70 and 1/2 + 2**-69: the first is
+        # isolated in (0, 1/2), and its nearest double is the end 1/2, which
+        # no step from inside the bracket reaches; once every step that
+        # crossed it bisected the bracket by one exact sign, for 70 passes
+        p = other
+        for r in (Fraction(1, 2) - Fraction(1, 2**70), Fraction(1, 2) + Fraction(1, 2**70)):
+            p = p * Poly([-r.numerator, r.denominator])
+        p = p * Poly([-(2**68) - 1, 2**69])
+        rs = find_roots(p)
+        assert [re for re, im, _ in rs.roots if im == 0] == [0.5] * 3
+        assert rs.stats["aberth_iterations"] <= 10
+
     @pytest.mark.parametrize(
         "p",
         [Poly([23, 1653, 831, 2233, 1]), Poly([7, -123456, 1]), Poly([2**100, 2**100 + 1, 1])],
@@ -150,7 +176,7 @@ class TestFindRoots:
     def test_one_pass_and_one_gate_in_the_shifted_basis(self, p):
         rs = find_roots(p)
         assert rs.stats["shift"] != 0
-        assert rs.stats["gate_evaluations"] == p.degree == len(rs.roots)
+        assert rs.stats["gate_evaluations"] == _gated(rs) and len(rs.roots) == p.degree
 
     def test_linear_root_is_correctly_rounded(self):
         # rounding the scaled coefficients first gave -0.007421816414603854
@@ -190,7 +216,8 @@ class TestFindRoots:
             "exact_derivatives",
             "gate_evaluations",
             "gate_reused",
-            "gate_shared",
+            "real_roots",
+            "sign_evaluations",
             "shift",
             "factors",
         }
@@ -200,22 +227,34 @@ class TestFindRoots:
         rs = find_roots(poly_complement_friendship(40))
         assert (rs.stats["shift"], rs.stats["factors"]) == (-1, 1)
         assert rs.stats.keys() == keys
-        assert rs.stats["gate_evaluations"] == len(rs.roots) == 78
+        # no real root, so 39 conjugate pairs: one gate and one iterate each
+        assert (rs.stats["real_roots"], rs.stats["sign_evaluations"]) == (0, 0)
+        assert rs.stats["gate_evaluations"] == len(rs.roots) // 2 == 39
         assert rs.stats["aberth_iterations"] > 0
         assert rs.stats["exact_steps"] > 0
         # some roots sit bitwise on the point of their last exact step
         assert 0 < rs.stats["gate_reused"] <= rs.stats["exact_steps"]
         # each pass steps every active iterate at most once, in doubles or exactly
         steps = rs.stats["double_steps"] + rs.stats["exact_steps"]
-        assert 0 < rs.stats["double_steps"] and steps <= rs.stats["aberth_iterations"] * 78
-        # every exact step takes the pass's double b', and the conjugate of a
-        # root evaluated before shares its value
+        assert 0 < rs.stats["double_steps"] and steps <= rs.stats["aberth_iterations"] * 39
+        # every exact step takes the pass's double b'
         assert rs.stats["exact_derivatives"] == 0
-        assert 0 < rs.stats["gate_shared"] <= 78 - rs.stats["gate_reused"]
         # friendship:70 has exact steps where b' cancels (see
-        # test_step_where_the_derivative_cancels), which evaluate b' exactly
+        # test_step_where_the_derivative_cancels), which evaluate b' exactly,
+        # and two real roots, each bracketed by two exact signs
         rs = find_roots(poly_friendship(70))
         assert 0 < rs.stats["exact_derivatives"] <= rs.stats["exact_steps"]
+        assert rs.stats["real_roots"] == len(distinct_real_roots(rs)) == 2
+        assert rs.stats["sign_evaluations"] >= 2 * rs.stats["real_roots"]
+        assert rs.stats["gate_evaluations"] == _gated(rs) == 2 + 69
+
+    def test_upper_half_halves_the_exact_steps(self):
+        # each conjugate pair takes one set of steps: 992 exact steps over
+        # complement_friendship:31..42 when both halves were iterated
+        total = sum(
+            find_roots(poly_complement_friendship(n)).stats["exact_steps"] for n in range(31, 43)
+        )
+        assert total <= 520
 
     @pytest.mark.parametrize("e", [120, 180])
     def test_gate_takes_roots_whose_power_sums_overflow_a_double(self, e):
@@ -295,7 +334,7 @@ def _seeded_sweep(seed: int, count: int) -> list[Poly]:
 @pytest.mark.parametrize("p", _seeded_sweep(2026, 100), ids=[f"sweep{i}" for i in range(100)])
 def test_seeded_sweep_solves(p):
     rs = find_roots(p)
-    assert rs.stats["gate_evaluations"] == len(rs.roots) == p.degree
+    assert rs.stats["gate_evaluations"] == _gated(rs) and len(rs.roots) == p.degree
     assert all(residual <= rs.tolerance for _, _, residual in rs.roots)
 
 
@@ -489,56 +528,15 @@ class TestGateArithmetic:
         coeffs, shift, z = case
         w = (Fraction(z.real) - shift, Fraction(z.imag))
         # the identity polynomial returns the fixed-point point itself
-        xr, xi, fbits, _ = _shifted_value((0, 1), shift, z)
+        xr, xi, fbits = _shifted_value((0, 1), shift, z)
         assert (Fraction(xr, 2**fbits), Fraction(xi, 2**fbits)) == w
-        pr, pi, fbits, _ = _shifted_value(coeffs, shift, z)
+        pr, pi, fbits = _shifted_value(coeffs, shift, z)
         er, ei = Fraction(coeffs[-1]), Fraction(0)
         for c in reversed(coeffs[:-1]):
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
         # each of the d + 2 error terms is under 2**-90 at the scale 2**fbits
         bound = (len(coeffs) + 1) * Fraction(2) ** (fbits - 90)
         assert (pr - er * 2**fbits) ** 2 + (pi - ei * 2**fbits) ** 2 <= bound**2
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(_gate_points())
-    @example(([1, -3, 1], 0, complex(1e-20, -3e-21)))
-    @example(([2**64] * 41, 3, complex(5.5, 2.0**-45)))
-    def test_conjugate_shares_the_remainder(self, case):
-        # conj z has the same r, s and remainder, so its value is the one
-        # the value at z carries
-        coeffs, shift, z = case
-        pr, pi, fbits, pi_conj = _shifted_value(coeffs, shift, z)
-        assert _shifted_value(coeffs, shift, z.conjugate()) == (pr, pi_conj, fbits, pi)
-        # and the gate, which takes it, computes the residuals it would from
-        # the two fresh values
-        assume(coeffs[-1] != 0)
-        q, points = Poly(coeffs), np.array([z, z.conjugate()])
-        fresh = {w: _shifted_value(coeffs, shift, w) for w in points.tolist()}
-        shared, reused = Counter(), Counter()
-        gate = _final_residuals(q, shift, points, q, shared, {})
-        assert gate.tobytes() == _final_residuals(q, shift, points, q, reused, fresh).tobytes()
-        assert (shared["gate_shared"], reused["gate_reused"]) == (1, 2)
-
-    def test_conjugate_value_where_the_floor_is_uneven(self):
-        # at most points xi*b_1 is no multiple of 2**fbits, so the conjugate's
-        # imaginary part is not the negated one
-        uneven = 0
-        for coeffs, shift, z in _conjugate_value_cases(2029, 200):
-            pr, pi, fbits, pi_conj = _shifted_value(coeffs, shift, z)
-            assert _shifted_value(coeffs, shift, z.conjugate()) == (pr, pi_conj, fbits, pi)
-            uneven += pi_conj != -pi
-        assert uneven > 150
-
-
-def _conjugate_value_cases(seed: int, count: int):
-    """(integer coefficients of degree 2..60, shift, z off the real axis)."""
-    rng, out = random.Random(seed), []
-    for _ in range(count):
-        coeffs = [rng.randint(-(2**64), 2**64) for _ in range(rng.randint(3, 61))]
-        shift = rng.randint(-3, 3)
-        z = complex(shift + rng.uniform(-1.5, 1.5), rng.choice((-1, 1)) * rng.uniform(1e-9, 1.5))
-        out.append((coeffs, shift, z))
-    return out
 
 
 def _power_sum_cases(seed: int, count: int):
@@ -599,6 +597,33 @@ class TestPowerSums:
             # the moduli sum is the sum the noise bound is drawn from
             assert abs(Fraction(modsum) * scale - total) <= total / 10**9
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(2**64), 2**64), min_size=2, max_size=61).filter(lambda c: c[-1]),
+        st.lists(
+            st.complex_numbers(max_magnitude=2.0**40, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_a_point_gives_the_same_bits_in_any_batch(self, coeffs, points):
+        # each point's four sums and exponent, alone and beside the others
+        m, x = _split_coefficients(coeffs)
+        batch = _power_sums(m, x, np.array(points, dtype=complex))
+        for i, y in enumerate(points):
+            alone = _power_sums(m, x, np.array([y], dtype=complex))
+            for one, many in zip(alone, batch):
+                assert one.tobytes() == many[i : i + 1].tobytes(), (coeffs, points, i)
+
+    def test_gate_residual_does_not_depend_on_the_batch(self):
+        # 2**44 + 2x^5 + x^7 at 0.25i read 1 - 2**-52 alone and 1.0 beside
+        # its conjugate while the power sums ran down columns of the batch
+        q, z = Poly([2**44, 0, 0, 0, 0, 2, 0, 1]), 0.25j
+        alone = _final_residuals(q, 0, np.array([z]), q, Counter(), {})
+        both = _final_residuals(q, 0, np.array([z, z.conjugate()]), q, Counter(), {})
+        assert alone.tolist() == both[:1].tolist() == [1 - 2.0**-52]
+        assert both[0] == both[1]
+
     def test_finite_where_the_value_overflows_a_double(self):
         # degree 60 at |y| = 2**300: y**60 = 2**18000, beyond any double
         # Horner, while the scaled terms stay finite
@@ -610,72 +635,31 @@ class TestPowerSums:
         assert (P[0], D[0], A[0], B[0]) == (0.5, 30.0, 0.5, 30.0)
 
 
-def _greedy_pairing(z: np.ndarray) -> np.ndarray:
-    """The original greedy search of _pair_conjugates, one candidate at a time."""
-    out = z.copy()
-    pos = sorted(
-        (i for i in range(len(z)) if z[i].imag > NEAR_REAL_IM),
-        key=lambda i: (z[i].real, z[i].imag),
-    )
-    neg = [i for i in range(len(z)) if z[i].imag < -NEAR_REAL_IM]
-    for i in set(range(len(z))) - set(pos) - set(neg):
-        out[i] = z[i].real
-    unused = set(neg)
-    for i in pos:
-        if not unused:
-            break
-        target = z[i].conjugate()
-        j = min(unused, key=lambda j: (abs(z[j] - target), j))
-        if abs(z[j] - target) <= CLUSTER_RADIUS * max(1.0, abs(z[i])):
-            re = 0.5 * (z[i].real + z[j].real)
-            im = 0.5 * (z[i].imag - z[j].imag)
-            out[i] = complex(re, im)
-            out[j] = complex(re, -im)
-            unused.discard(j)
-    return out
-
-
-def _conjugate_sets(seed: int, count: int) -> list[np.ndarray]:
-    """Conjugate pairs perturbed within and beyond CLUSTER_RADIUS, near-real
-    points, repeated points and candidates at equal distances, shuffled."""
-    rng, out = random.Random(seed), []
-    for _ in range(count):
-        pts = []
-        for _ in range(rng.randint(0, 12)):
-            a = complex(rng.uniform(-3, 1), rng.uniform(0.01, 2)) * 10 ** rng.randint(-2, 3)
-            kind = rng.randrange(5)
-            if kind == 0:  # an exact pair, the upper point repeated
-                pts += [a, a, a.conjugate()]
-            elif kind == 1:  # two lower candidates at the same distance
-                h = 2.0**-30
-                pts += [a, a.conjugate() + h, a.conjugate() - h]
-            elif kind == 2:  # a pair perturbed by up to 1e-5 of its modulus
-                pts += [a, a.conjugate() * (1 + rng.uniform(-1e-5, 1e-5))]
-            elif kind == 3:  # an unpaired point
-                pts.append(rng.choice((a, a.conjugate())))
-            else:  # near the real axis
-                pts.append(complex(a.real, rng.choice((0.0, -0.0, 1e-10, -NEAR_REAL_IM, 2e-9))))
-        rng.shuffle(pts)
-        out.append(np.array(pts, dtype=complex))
-    return out
-
-
 def test_coincident_iterates_move_by_one(monkeypatch):
     # two iterates start on the same point: their repulsion sums are not
     # finite, and each takes the correction 1.0 in place of a NaN; the third
     # takes its Aberth step
     start = np.array([0.5 + 0.5j, 0.5 + 0.5j, -1.5 + 0.25j])
-    monkeypatch.setattr(complexroots, "_initial_guesses", lambda b: start)
-    b = Poly([2, -1, -2, 1])  # (x - 1)(x + 1)(x - 2)
-    z, converged, _ = complexroots._aberth_iterate(b, 0, 1e-12, 1, Counter(), {})
-    assert not converged
+    monkeypatch.setattr(complexroots, "_initial_guesses", lambda b, m: start)
+    b = Poly([36, 0, 49, 0, 14, 0, 1])  # (x^2 + 1)(x^2 + 4)(x^2 + 9)
+    z, x, converged, _ = complexroots._aberth_iterate(b, 0, [], 1e-12, 1, Counter(), {})
+    assert not converged and len(x) == 0
     assert (start - z)[:2].tolist() == [1.0, 1.0]
     assert math.isfinite(abs(z[2])) and z[2] != start[2]
 
 
-@pytest.mark.parametrize("z", _conjugate_sets(2028, 200))
-def test_pairing_matches_the_greedy_search(z):
-    assert _pair_conjugates(z).tobytes() == _greedy_pairing(z).tobytes()
+def test_real_iterates_stay_real_and_bracketed():
+    # (x^2 + 1)(x - 1)(x + 1)(x + 3): the real iterates take Aberth's correction
+    # from the upper iterate and its conjugate, which is real, and stay in
+    # their brackets; the upper one converges to i
+    b = Poly([1, 0, 1]) * Poly([-1, 1]) * Poly([3, 1]) * Poly([1, 1])
+    ends = [(-4, -2, 1), (Fraction(-3, 2), 0, -1), (Fraction(1, 2), 2, 1)]
+    brackets = [complexroots._Bracket(b, Fraction(lo), Fraction(hi), sign) for lo, hi, sign in ends]
+    z, x, converged, _ = complexroots._aberth_iterate(b, 0, brackets, 1e-12, 100, Counter(), {})
+    assert converged and abs(z[0] - 1j) < 1e-12
+    assert x.dtype == float
+    assert all(lo <= v <= hi for v, (lo, hi, _) in zip(x, ends))
+    assert x.tolist() == pytest.approx([-3.0, -1.0, 1.0], abs=1e-12)
 
 
 _GATE_REUSE_CASES = [poly_complement_friendship(n) for n in range(1, 43)] + [
@@ -691,10 +675,13 @@ def test_reused_gate_values_change_no_residual():
             continue
         q = p.deflate_zero()
         shift = rs.stats["shift"]
-        fresh = _final_residuals(
-            q.taylor_shift(shift), shift, np.array(rs.complex_roots()), q, Counter(), {}
-        )
-        assert np.array([r for _, _, r in rs.roots]).tobytes() == fresh.tobytes(), p
+        gated = [root for root in rs.roots if root[1] >= 0]
+        points = np.array([complex(re, im) for re, im, _ in gated])
+        fresh = _final_residuals(q.taylor_shift(shift), shift, points, q, Counter(), {})
+        assert np.array([r for _, _, r in gated]).tobytes() == fresh.tobytes(), p
+        # a conjugate takes its partner's residual
+        residual = {(re, im): r for re, im, r in rs.roots}
+        assert all(residual[re, -im] == r for re, im, r in rs.roots), p
         reused += rs.stats["gate_reused"]
     assert reused > 0
 
@@ -753,9 +740,12 @@ class TestReportedResidual:
             complexroots, "_final_residuals", lambda *a: compared.append(gate(*a)) or compared[-1]
         )
         rs = find_roots(p)
-        # the gate runs once, over every root
+        # the gate runs once, over every real and upper root, and a lower
+        # root takes its conjugate's value
         assert len(compared) == 1
-        assert sorted(r for _, _, r in rs.roots) == sorted(compared[0].tolist())
+        assert sorted(r for _, im, r in rs.roots if im >= 0) == sorted(compared[0].tolist())
+        residual = {(re, im): r for re, im, r in rs.roots}
+        assert all(residual[re, -im] == r for re, im, r in rs.roots)
 
 
 ROOT_COLUMNS_FILE = Path(__file__).parent / "fixtures" / "root_columns.json"
@@ -841,6 +831,104 @@ class TestSolverAgainstSturm:
         assert solver_count == certify_cg(p).nonzero_real_root_count
 
 
+def _gated(rs) -> int:
+    """The roots the gate evaluates: one per distinct real root and per
+    conjugate pair, a pair standing for its upper root."""
+    return len({root[:2] for root in rs.roots if root[1] >= 0})
+
+
+def _proven_real_cases() -> list[tuple[str, Poly]]:
+    """friendship:2..29, book:2..39, h_witness:1..30 and the seeded sweep."""
+    cases = [(f"friendship{n}", poly_friendship(n)) for n in range(2, 30)]
+    cases += [(f"book{n}", poly_book(n)) for n in range(2, 40)]
+    cases += [(f"h_witness{n}", poly_H(n)) for n in range(1, 31)]
+    return cases + [(f"sweep{i}", p) for i, p in enumerate(_seeded_sweep(2026, 100))]
+
+
+_PROVEN_REAL_CASES = _proven_real_cases()
+
+
+@functools.cache
+def _proven_real_solve(i: int):
+    return find_roots(_PROVEN_REAL_CASES[i][1])
+
+
+def _assert_nearest_double(sp: sympy.Poly, a, b, value: float) -> None:
+    """value is the double nearest the one root of the squarefree sp in its
+    isolating interval [a, b] (sympy rationals): sympy changes sign over the
+    part of [a, b] in the rounding cell of value, or vanishes on it, and a
+    root on an end of the cell, half way between two doubles, rounds to
+    value, the even one."""
+    a, b = Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q))
+    lo = max(a, (Fraction(math.nextafter(value, -math.inf)) + Fraction(value)) / 2)
+    hi = min(b, (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2)
+    assert lo <= hi, (value, float(a), float(b))
+    signs = [sympy.sign(sp.eval(sympy.Rational(v.numerator, v.denominator))) for v in (lo, hi)]
+    for end, sign in zip((lo, hi), signs):
+        if sign == 0:
+            assert float(end) == value
+            return
+    assert signs[0] != signs[1], (value, float(a), float(b))
+
+
+class TestProvenRealRoots:
+    """The rows with im == 0 are the real roots that exact isolation proved:
+    as many for each squarefree factor as its Sturm count, and each the
+    double nearest a real root by sympy's own isolation, which shares no
+    code with the Descartes routine."""
+
+    @pytest.mark.parametrize(
+        "i", range(len(_PROVEN_REAL_CASES)), ids=[name for name, _ in _PROVEN_REAL_CASES]
+    )
+    def test_real_rows_per_factor_match_the_sturm_count(self, i):
+        p, rs = _PROVEN_REAL_CASES[i][1], _proven_real_solve(i)
+        # a real root of the factor q_k is k equal rows
+        got = Counter(Counter(re for re, im, _ in rs.roots if im == 0).values())
+        want = Counter()
+        for f, k in squarefree_factors(p.deflate_zero()):
+            want[k] += count_real_roots(f)
+        assert got == +want
+        assert rs.stats["real_roots"] == sum(want.values())
+
+    @pytest.mark.parametrize(
+        "i", range(len(_PROVEN_REAL_CASES)), ids=[name for name, _ in _PROVEN_REAL_CASES]
+    )
+    def test_real_rows_are_the_nearest_doubles(self, i):
+        p, rs = _PROVEN_REAL_CASES[i][1], _proven_real_solve(i)
+        t = sympy.Symbol("t")
+        sp = sympy.Poly(p.deflate_zero().coeffs[::-1], t, domain="ZZ").sqf_part()
+        intervals = sp.intervals()
+        values = sorted({re for re, im, _ in rs.roots if im == 0})
+        assert len(values) == len(intervals)
+        for value, ((a, b), _) in zip(values, intervals):
+            _assert_nearest_double(sp, a, b, value)
+
+
+class TestNearestDouble:
+    def test_root_half_way_between_doubles_rounds_to_even(self):
+        # (2**53 x - 2**53 - 1)(x^2 + 1): the real root 1 + 2**-53 lies half
+        # way between 1 and its upper neighbour, and 1 is the even one
+        p = Poly([-(2**53) - 1, 2**53]) * Poly([1, 0, 1])
+        rs = find_roots(p)
+        assert distinct_real_roots(rs) == [1.0]
+        for start in (1.0, 1.0 + 2.0**-52):
+            bracket = complexroots._Bracket(p, Fraction(1, 2), Fraction(2), 1)
+            assert _nearest_double(bracket, start, Counter()) == 1.0
+
+    @pytest.mark.parametrize("start", [0.9, 0.3333, 2.0**-40, 1.0 - 2.0**-53])
+    def test_far_estimate_is_searched_out(self, start):
+        # (3x - 1)(x^2 + 1) on (0, 1): from any estimate the search ends on
+        # the double nearest 1/3, bisecting (0, 1) after two moves
+        p = Poly([-1, 3]) * Poly([1, 0, 1])
+        stats, bracket = Counter(), complexroots._Bracket(p, Fraction(0), Fraction(1), 1)
+        assert _nearest_double(bracket, start, stats) == 1 / 3
+        assert stats["sign_evaluations"] <= 2 * 60
+        # and leaves the bracket around the cell of the root
+        assert Fraction(math.nextafter(1 / 3, 0)) < bracket.lo < bracket.hi < Fraction(
+            math.nextafter(1 / 3, 1)
+        )
+
+
 class TestRepeatedRoots:
     @pytest.mark.parametrize("n", range(1, 61))
     def test_h_witness_multiplicities_match_sqf_list(self, n):
@@ -855,7 +943,7 @@ class TestRepeatedRoots:
         for f, k in factors:
             want[k] += f.degree()
         assert counts == want
-        assert rs.stats["gate_evaluations"] == sum(want.values())
+        assert rs.stats["gate_evaluations"] == _gated(rs)
 
 
 class TestCircleDeviation:

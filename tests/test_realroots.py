@@ -492,3 +492,57 @@ class TestCentroidStart:
         assert (e, list(unit)) == _plain_bound(r) == (1, [3, -4, 2])
         assert stats["bound_tries"] == 1
         assert certify_cg(p).stats["bound_exponent"] == 1
+
+
+class TestRealRootWitnesses:
+    """_real_root_witnesses: the certifier's isolation on both sides of 0."""
+
+    def test_roots_on_both_sides(self):
+        # (x - 3)(x + 2)(x^2 + 1)
+        s = Poly([-6, -1, 1]) * Poly([1, 0, 1])
+        pairs = realroots._real_root_witnesses(s)
+        assert len(pairs) == count_real_roots(s) == 2
+        for (a, b), root in zip(pairs, (-2, 3)):
+            assert a <= root <= b
+            if a < b:
+                assert realroots._sign_at(s, a) * realroots._sign_at(s, b) < 0
+            else:
+                assert realroots._sign_at(s, a) == 0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.lists(st.integers(-20, 20), min_size=2, max_size=12).filter(lambda c: c[0] and c[-1]))
+    def test_as_many_as_the_sturm_count(self, coeffs):
+        s = math.prod(f for f, _ in squarefree_factors(Poly(coeffs)))
+        pairs = realroots._real_root_witnesses(s)
+        assert len(pairs) == count_real_roots(s)
+        assert pairs == sorted(pairs) and all(a <= b for a, b in pairs)
+
+    def test_a_side_without_sign_variation_is_not_searched(self, monkeypatch):
+        searched, isolate = [], realroots._negative_root_witnesses
+        monkeypatch.setattr(
+            realroots,
+            "_negative_root_witnesses",
+            lambda s, stats: searched.append(s) or isolate(s, stats),
+        )
+        # no negative coefficient: only the negative side is searched
+        q = poly_book(6).deflate_zero()
+        assert len(realroots._real_root_witnesses(q)) == count_real_roots(q) > 0
+        assert searched == [q]
+        searched.clear()
+        # x^2 + 1: neither side has a sign variation
+        assert realroots._real_root_witnesses(Poly([1, 0, 1])) == []
+        assert searched == []
+
+    def test_the_solver_and_the_certifier_share_it(self, monkeypatch):
+        from dompoly.complexroots import find_roots
+
+        searched, isolate = [], realroots._negative_root_witnesses
+        monkeypatch.setattr(
+            realroots,
+            "_negative_root_witnesses",
+            lambda s, stats: searched.append(s) or isolate(s, stats),
+        )
+        p = poly_book(6)
+        find_roots(p)
+        certify_cg(p)
+        assert searched == [p.deflate_zero()] * 2
