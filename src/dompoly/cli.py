@@ -172,13 +172,41 @@ def _write_output(text: str, out: str | None) -> None:
 # -- subcommands ------------------------------------------------------------------
 
 
+def _json_array(items: list[str], indent: str, quote: str = "") -> str:
+    """An indent=2 JSON array of `items`, each wrapped in `quote`, with its
+    closing bracket at `indent`."""
+    if not items:
+        return "[]"
+    step = indent + "  "
+    sep = f"{quote},\n{step}{quote}"
+    return f"[\n{step}{quote}{sep.join(items)}{quote}\n{indent}]"
+
+
+def _compute_record(label: str, params: tuple[int, ...], p: Poly, indent: str) -> str:
+    step = indent + "  "
+    family = json.dumps(label)
+    params_json = _json_array([str(v) for v in params], step)
+    coeffs_json = _json_array([str(c) for c in p.coeffs], step, '"')
+    return (
+        f'{{\n{step}"family": {family},\n{step}"params": {params_json},'
+        f'\n{step}"coeffs": {coeffs_json}\n{indent}}}'
+    )
+
+
+def _compute_json(instances: list[tuple[str, tuple[int, ...], Poly]]) -> str:
+    """Exactly the bytes of ``json.dumps(payload, indent=2)``, where payload
+    is {"family", "params", "coeffs": decimal strings} for one instance, else
+    an array of them.  With ``indent`` set, json runs its pure-Python encoder;
+    here only the label goes through ``json.dumps`` (the C encoder), and the
+    numbers, which never need escaping, are joined directly.
+    """
+    if len(instances) == 1:
+        return _compute_record(*instances[0], "")
+    return _json_array([_compute_record(*inst, "  ") for inst in instances], "")
+
+
 def _cmd_compute(args) -> int:
-    records = [
-        {"family": label, "params": list(params), "coeffs": [str(c) for c in p.coeffs]}
-        for label, params, p in _instances(args)
-    ]
-    payload = records[0] if len(records) == 1 else records
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(_compute_json(_instances(args)) + "\n", args.out)
     return 0
 
 

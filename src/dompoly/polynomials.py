@@ -27,7 +27,10 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+import re
 from typing import Iterable, Iterator
+
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 class Poly:
@@ -40,6 +43,20 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+
+    @staticmethod
+    def _from_ints(cs: list[int]) -> "Poly":
+        """A Poly of `cs`, a list of ints that it consumes, with trailing
+        zeros stripped and without ``__init__``'s ``operator.index`` pass.
+
+        Only for the results of the operations below, whose entries are ints
+        by construction.
+        """
+        while cs and not cs[-1]:
+            cs.pop()
+        p = object.__new__(Poly)
+        p.coeffs = tuple(cs)
+        return p
 
     # -- structure ---------------------------------------------------------
 
@@ -116,12 +133,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._from_ints(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._from_ints([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
         q = Poly._coerce(other)
@@ -148,7 +165,7 @@ class Poly:
                 continue
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-        return Poly(out)
+        return Poly._from_ints(out)
 
     __rmul__ = __mul__
 
@@ -177,10 +194,10 @@ class Poly:
             if rem:
                 raise ArithmeticError(f"inexact division in Miller's recurrence at x^{j}")
             a.append(q)
-        return Poly([0] * (s * k) + a)
+        return Poly._from_ints([0] * (s * k) + a)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
+        return Poly._from_ints([i * c for i, c in enumerate(self.coeffs[1:], 1)])
 
     def taylor_shift(self, s: int) -> "Poly":
         """The polynomial y -> self(y + s), exactly; the roots move by -s.
@@ -193,7 +210,7 @@ class Poly:
             return self
         powers = list(itertools.accumulate([1] + [s] * self.degree, operator.mul))
         g = [c * w for c, w in zip(self.coeffs, powers)]
-        return Poly(c // w for c, w in zip(taylor_shift_by_one(reversed(g)), powers))
+        return Poly._from_ints([c // w for c, w in zip(taylor_shift_by_one(reversed(g)), powers)])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -217,7 +234,7 @@ class Poly:
 
     def deflate_zero(self) -> "Poly":
         """Divide out x**zero_root_multiplicity exactly."""
-        return Poly(self.coeffs[self.zero_root_multiplicity():])
+        return Poly._from_ints(list(self.coeffs[self.zero_root_multiplicity():]))
 
     # -- serialization ---------------------------------------------------------
 
@@ -231,10 +248,21 @@ class Poly:
 
     @classmethod
     def from_json(cls, text: str) -> "Poly":
+        """The inverse of ``to_json``.  A coefficient is a decimal string
+        (``-?[0-9]+``) or a JSON integer; anything else, floats and booleans
+        included, raises ``ValueError``.
+        """
         obj = json.loads(text)
-        if not isinstance(obj, dict) or "coeffs" not in obj:
-            raise ValueError("expected an object with a 'coeffs' field")
-        return cls(int(c) for c in obj["coeffs"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), list):
+            raise ValueError("expected an object with a 'coeffs' list")
+        cs = []
+        for c in obj["coeffs"]:
+            if isinstance(c, str) and _DECIMAL.fullmatch(c):
+                c = int(c)
+            elif type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not a decimal integer")
+            cs.append(c)
+        return cls(cs)
 
 
 Poly.ZERO = Poly()
@@ -268,4 +296,4 @@ def binomial_power(n: int) -> Poly:
     row = [1]
     for k in range(n // 2):
         row.append(row[-1] * (n - k) // (k + 1))
-    return Poly(row + row[: (n + 1) // 2][::-1])
+    return Poly._from_ints(row + row[: (n + 1) // 2][::-1])

@@ -4,6 +4,8 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dompoly import cli, enumeration
 from dompoly.errors import NonConvergenceError
@@ -79,6 +81,43 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--family", "friendship:1", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["coeffs"] == ["0", "3", "3", "1"]
+
+
+# An edge-list file stem can hold any character, lone surrogates included.
+_labels = st.text(
+    st.characters(blacklist_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "€", "😀", "\ud800", "\udfff"])
+)
+_coefficients = st.integers() | st.builds(
+    lambda digits, lead: lead * 10**digits + 7, st.integers(1000, 4000), st.integers(-9, 9)
+)
+_instances = st.tuples(
+    _labels,
+    st.lists(st.integers(0, 10**6), max_size=3).map(tuple),
+    st.lists(_coefficients, max_size=8).map(Poly),
+)
+
+
+class TestComputeWriter:
+    """The compute output is byte for byte what ``json.dumps(payload,
+    indent=2)`` gives, on the running interpreter."""
+
+    @staticmethod
+    def reference(instances):
+        records = [
+            {"family": label, "params": list(params), "coeffs": [str(c) for c in p.coeffs]}
+            for label, params, p in instances
+        ]
+        return json.dumps(records[0] if len(records) == 1 else records, indent=2)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_instances, max_size=4))
+    @example([("F", (2,), Poly([0, 1, 8, 10, 5, 1]))])
+    @example([('a"b\\c\x01\u00e9\ud800', (), Poly())])
+    @example([("x", (3, 5), Poly([-(10**3000) - 1])), ("", (1,), Poly([0, 0, -2]))])
+    @example([])
+    def test_matches_json_dumps_indent_2(self, instances):
+        assert cli._compute_json(instances) == self.reference(instances)
 
 
 class TestCertify:

@@ -26,6 +26,28 @@ def test_trailing_zeros_trimmed():
 def test_rejects_non_integer_coefficients():
     with pytest.raises(TypeError):
         Poly([1.5])
+    with pytest.raises(TypeError):
+        Poly(["1"])
+
+
+_operands = st.lists(st.integers(-(2**70), 2**70) | st.just(0), max_size=12).map(Poly)
+
+
+def _normalised(p):
+    return all(type(c) is int for c in p.coeffs) and (not p.coeffs or p.coeffs[-1] != 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_operands, _operands, st.integers(0, 4), st.integers(-3, 3), st.integers(0, 60))
+def test_results_stay_normalised(p, q, k, s, n):
+    """The operations that build their results without re-validating them
+    still return exact ints with no trailing zero."""
+    results = [p + q, p - q, -p, p * q, p**k, p.derivative(), p.taylor_shift(s), binomial_power(n)]
+    if p:
+        results.append(p.deflate_zero())
+    for r in results:
+        assert type(r.coeffs) is tuple and _normalised(r)
+    assert p + (-p) == Poly() and (p + (-p)).coeffs == ()
 
 
 def test_basic_arithmetic():
@@ -190,6 +212,39 @@ def test_json_round_trip():
     assert json.loads(Poly().to_json()) == {"coeffs": []}
     with pytest.raises(ValueError):
         Poly.from_json('{"nope": []}')
+
+
+def test_from_json_accepts_json_integers():
+    assert Poly.from_json('{"coeffs": [1, "-2", 0, "007", "-0"]}').coeffs == (1, -2, 0, 7)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        "[1.5]",
+        '[1.5, "2"]',
+        "[2.0]",
+        "[true]",
+        "[false]",
+        "[null]",
+        '[" 7 "]',
+        '["1_0"]',
+        '["+7"]',
+        '["7\\n"]',
+        '["\\u0661"]',  # ARABIC-INDIC DIGIT ONE, which int() accepts
+        '["0x10"]',
+        '["1e3"]',
+        '["1.0"]',
+        '[""]',
+        '["-"]',
+        "[[1]]",
+        '"12"',
+        "null",
+    ],
+)
+def test_from_json_rejects_what_to_json_never_writes(coeffs):
+    with pytest.raises(ValueError):
+        Poly.from_json('{"coeffs": %s}' % coeffs)
 
 
 def test_str_rendering():
