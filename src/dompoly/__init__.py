@@ -12,11 +12,9 @@ limit-curve analysis.
 from .complexroots import (
     CircleDeviation,
     RootSet,
-    boundary_real_part_roots,
     circle_deviation,
     distinct_real_roots,
     find_roots,
-    has_positive_real_part,
     roots_csv,
 )
 from .enumeration import (
@@ -78,7 +76,6 @@ __all__ = [
     "Poly",
     "RootSet",
     "binomial_power",
-    "boundary_real_part_roots",
     "build_family",
     "certify_cg",
     "cg_family_factor",
@@ -92,7 +89,6 @@ __all__ = [
     "domination_number",
     "domination_polynomial",
     "find_roots",
-    "has_positive_real_part",
     "is_dominating",
     "join",
     "parse_edge_list",

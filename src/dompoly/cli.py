@@ -14,7 +14,9 @@ capacity exceeded, 3 solver non-convergence, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -227,13 +229,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = _certificate_rows(args)
-    lines = ["family,n,gamma,nonzero_real_root_count,in_cg"]
-    for row in rows:
-        lines.append(
-            f"{row['family']},{row['n']},{row['gamma']},"
-            f"{row['nonzero_real_root_count']},{str(row['in_cg']).lower()}"
-        )
-    _write_output("\n".join(lines) + "\n", args.out)
+    keys = ("family", "n", "gamma", "nonzero_real_root_count")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([*keys, "in_cg"])
+    writer.writerows([*(row[k] for k in keys), str(row["in_cg"]).lower()] for row in rows)
+    _write_output(out.getvalue(), args.out)
     all_in = all(row["in_cg"] for row in rows)
     print(f"all_in_cg: {str(all_in).lower()}", file=sys.stderr)
     return 0

@@ -11,14 +11,16 @@ coefficients, where the monomial basis has binomial coefficients beyond
 
 q has real coefficients, so its real roots are counted and isolated
 exactly first, by the Descartes bisection that realroots.certify_cg runs
-(realroots._real_root_witnesses), and its non-real roots come in conjugate
+(realroots._real_root_brackets), and its non-real roots come in conjugate
 pairs.  Only the r real roots and the m = (d - r) / 2 non-real roots in the
 upper half plane are iterated: the repulsion of an iterate runs over the
 others, the conjugates of the upper ones and the real ones, so each pair
 costs one set of steps, and a real iterate, whose repulsion is real, stays
-on the axis and inside its isolating interval.  Each real root is then
-proven to be the double nearest the root by exact signs at the midpoints
-between doubles.
+on the axis and inside its exact bracket.  Each real root is then proven to
+be the double nearest the root by exact signs at the midpoints between
+doubles.  Every exact operation on the real line, the brackets, their signs
+and that proof, lives in realroots; this module only iterates, in doubles
+and in fixed point.
 
 The iterates are the roots z themselves, in complex doubles, so a small
 root keeps its relative precision however large s is; b is evaluated at y =
@@ -59,7 +61,8 @@ are deterministic: fixed initial guesses, no randomness.
 from __future__ import annotations
 
 import cmath
-import itertools
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -70,10 +73,7 @@ import numpy as np
 
 from .errors import CapacityError, NonConvergenceError
 from .polynomials import Poly
-from .realroots import _real_root_witnesses, _sign_at, squarefree_factors
-
-#: Roots with |re| at or below this band are treated as imaginary-axis cases.
-REAL_PART_GUARD = 1e-9
+from .realroots import _Bracket, _nearest_double, _real_root_brackets, squarefree_factors
 
 #: Smallest accepted tolerance: below it the double iterates cannot settle.
 MIN_TOL = 1e-14
@@ -112,9 +112,11 @@ class RootSet:
     b' exactly, `gate_evaluations` (one per distinct real root and per
     conjugate pair), of which `gate_reused` took the value of an exact step
     at that very point, `real_roots` (distinct real roots, found by exact
-    isolation), `sign_evaluations` (exact signs spent bracketing them), and
-    the centroid `shift` of the first factor; all ten are 0 when p has no
-    nonzero root.  It takes no part in comparisons.
+    isolation), `sign_evaluations` (exact signs spent bracketing them),
+    `nodes` and `shifts` (the isolation's intervals tested and Taylor shifts
+    started, over both sides of 0, as in realroots.CgCertificate.stats), and
+    the centroid `shift` of the first factor; all twelve are 0 when p has
+    no nonzero root.  It takes no part in comparisons.
     """
 
     zero_multiplicity: int
@@ -416,42 +418,6 @@ def _aberth_iterate(
     return z, x, converged, max_corr
 
 
-@dataclass
-class _Bracket:
-    """An exact bracket [lo, hi] of one real root of q: lo < hi with q of
-    sign -right at lo and right at hi, or lo == hi, the root; ends holds
-    them rounded to doubles."""
-
-    q: Poly
-    lo: Fraction
-    hi: Fraction
-    right: int
-    ends: tuple[float, float] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.ends = (float(self.lo), float(self.hi))
-
-    def middle(self) -> float:
-        return float((self.lo + self.hi) / 2)
-
-    def narrow(self, t: Fraction, stats: Counter) -> int:
-        """Move the end of the sign of q(t), t in [lo, hi], to t, and return
-        that sign; both ends when it is 0."""
-        stats["sign_evaluations"] += 1
-        sign = _sign_at(self.q, t)
-        if sign != -self.right:
-            self.hi = t
-        if sign != self.right:
-            self.lo = t
-        self.ends = (float(self.lo), float(self.hi))
-        return sign
-
-    def settled(self) -> bool:
-        """True when no double lies strictly between the ends rounded."""
-        lo, hi = self.ends
-        return math.nextafter(lo, math.inf) >= hi
-
-
 def _real_steps(
     x: np.ndarray, todo: list[int], corr: np.ndarray, tol: float,
     brackets: list[_Bracket], stats: Counter,
@@ -462,14 +428,8 @@ def _real_steps(
     An iterate settles once its correction is below tol / 4 relative to
     max(1, |x|), moving only if its step stays inside its bracket, or once
     no double lies strictly inside the bracket: _nearest_double takes it
-    from there.  Any other step that would leave the bracket heads for the
-    end it crosses, and the root may lie in the rounding cell of that end's
-    double, which no step from inside can reach: one exact sign at the
-    cell's inner edge tells, and if the root is there the bracket shrinks
-    into the cell and the iterate moves to the end and settles.  Otherwise
-    the bracket is bisected, one exact sign each, until it is no wider than
-    the modulus of its middle (a bracket with an end at 0 halves until it
-    has none), and the iterate moves to that middle."""
+    from there.  Any other step that would leave the bracket goes where
+    the bracket's exact signs send it (see _Bracket.cross)."""
     rest = []
     for j, step in zip(todo, corr.tolist()):
         bracket = brackets[j]
@@ -481,50 +441,10 @@ def _real_steps(
         if abs(step) < 0.25 * tol * max(1.0, abs(x[j])):
             continue
         if not inside:
-            end, other = (lo, hi) if new <= lo else (hi, lo)
-            edge = _midpoint(end, math.nextafter(end, other))
-            if end and bracket.lo < edge < bracket.hi:  # q has no root in the cell of 0
-                bracket.narrow(edge, stats)
-            x[j] = end
-            if not bracket.settled():
-                while bracket.narrow((bracket.lo + bracket.hi) / 2, stats):
-                    if bracket.hi - bracket.lo <= abs(bracket.lo + bracket.hi) / 2:
-                        break
-                x[j] = bracket.middle()
+            x[j] = bracket.cross(new <= lo, stats)
         if not bracket.settled():
             rest.append(j)
     return rest
-
-
-def _nearest_double(bracket: _Bracket, x: float, stats: Counter) -> float:
-    """The double nearest the root of q in the bracket, from the estimate x.
-
-    The root lies in the rounding cell of x when q changes sign neither
-    between x and the midpoint with its upper neighbour nor between x and
-    the midpoint with its lower one: two exact signs at those midpoints, of
-    which one is spared when it lies outside the bracket.  Each sign narrows
-    the bracket; a root beyond a midpoint moves x one double that way, twice
-    at most, and then to the middle of the bracket.  A root at a midpoint is
-    exactly half way, and float rounds it to even."""
-    for moves in itertools.count():
-        up = _midpoint(x, math.nextafter(x, math.inf))
-        down = _midpoint(math.nextafter(x, -math.inf), x)
-        for mid in (up, down):
-            if bracket.lo < mid < bracket.hi and not bracket.narrow(mid, stats):
-                return float(mid)
-        if down <= bracket.lo and bracket.hi <= up:
-            return x
-        if moves < 2:
-            x = math.nextafter(x, math.inf if bracket.lo >= up else -math.inf)
-        else:
-            x = bracket.middle()
-
-
-def _midpoint(a: float, b: float) -> Fraction:
-    """(a + b) / 2 exactly."""
-    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
-    scale = max(da, db)  # a power of two, as da and db are
-    return Fraction(na * (scale // da) + nb * (scale // db), 2 * scale)
 
 
 def _final_residuals(
@@ -583,35 +503,22 @@ def _solve_squarefree(
             "coefficient dynamic range or root centroid exceeds double"
             " precision; scale the family index down"
         )
-    if q.degree == 1:
-        stats["real_roots"] += 1
-        real, upper = np.array([-q.coeffs[0] / q.coeffs[1]]), np.empty(0, dtype=complex)
-    else:
-        pairs = _real_root_witnesses(q)
-        r = len(pairs)
-        stats["real_roots"] += r
-        # q changes sign at each of its simple real roots, so just right of
-        # the j-th its sign is its leading coefficient's times (-1)**(r - 1 - j)
-        lead = 1 if q.coeffs[-1] > 0 else -1
-        brackets = [_Bracket(q, a, b, lead * (-1) ** (r - 1 - j)) for j, (a, b) in enumerate(pairs)]
-        upper, approx, converged, max_corr = _aberth_iterate(
-            basis, shift, brackets, tol, max_iter, stats, kept
+    isolation = Counter()
+    brackets = _real_root_brackets(q, isolation)
+    stats.update(nodes=isolation["nodes"], shifts=isolation["shifts"], real_roots=len(brackets))
+    upper, approx, converged, max_corr = _aberth_iterate(
+        basis, shift, brackets, tol, max_iter, stats, kept
+    )
+    # an iterate that crossed the axis stands for the same conjugate pair
+    upper = np.where(upper.imag < 0, upper.conj(), upper)
+    if not converged or (upper.imag == 0).any():
+        raise NonConvergenceError(
+            f"no convergence within {max_iter} iterations"
+            f" (max correction {max_corr:.3e})",
+            roots=[*approx.tolist(), *upper.tolist(), *upper.conj().tolist()],
+            max_correction=max_corr,
         )
-        # an iterate that crossed the axis stands for the same conjugate pair
-        upper = np.where(upper.imag < 0, upper.conj(), upper)
-        if not converged or (upper.imag == 0).any():
-            raise NonConvergenceError(
-                f"no convergence within {max_iter} iterations"
-                f" (max correction {max_corr:.3e})",
-                roots=[*approx.tolist(), *upper.tolist(), *upper.conj().tolist()],
-                max_correction=max_corr,
-            )
-        real = np.array(
-            [
-                _nearest_double(bracket, x, stats) if bracket.lo < bracket.hi else float(bracket.lo)
-                for bracket, x in zip(brackets, approx.tolist())
-            ]
-        )
+    real = np.array([_nearest_double(b, x, stats) for b, x in zip(brackets, approx.tolist())])
     gated = np.concatenate([real, upper])
     gate = _final_residuals(basis, shift, gated, q, stats, kept)
     z = np.concatenate([gated, upper.conj()])
@@ -643,12 +550,11 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     upper iterate, measured relative to max(1, |z|), drops below tol; an
     iterate whose relative correction drops below tol / 4 is frozen and
     only repels the others.  Each real root is then proven the double
-    nearest it (see _nearest_double); a linear q_k gives its correctly
-    rounded root directly.  Every real and upper root z must then pass the
-    residual gate of q_k, evaluated on b at the exactly formed point z - s
-    with a proven truncation bound, which holds at conj z as well.
-    Non-convergence and a missed gate raise, carrying the iterates of that
-    factor; they are never returned silently as converged.
+    nearest it (see realroots._nearest_double).  Every real and upper root
+    z must then pass the residual gate of q_k, evaluated on b at the exactly
+    formed point z - s with a proven truncation bound, which holds at conj
+    z as well.  Non-convergence and a missed gate raise, carrying the
+    iterates of that factor; they are never returned silently as converged.
     """
     if not math.isfinite(tol):
         raise ValueError(f"tolerance must be a finite number, got {tol}")
@@ -669,6 +575,8 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         "gate_reused",
         "real_roots",
         "sign_evaluations",
+        "nodes",
+        "shifts",
     )
     stats = Counter(dict.fromkeys(keys, 0), shift=0, factors=0)
     if q.degree == 0:
@@ -702,27 +610,15 @@ def circle_deviation(rs: RootSet, center: complex, radius: float) -> CircleDevia
     return CircleDeviation(max(devs), sum(devs) / len(devs))
 
 
-def has_positive_real_part(rs: RootSet) -> bool:
-    """True iff some nonzero root lies strictly right of the imaginary axis.
-
-    Strictness uses the REAL_PART_GUARD band; roots inside the band are not
-    counted here (see boundary_real_part_roots).
-    """
-    return any(re > REAL_PART_GUARD for re, _, _ in rs.roots)
-
-
-def boundary_real_part_roots(rs: RootSet) -> tuple[tuple[float, float, float], ...]:
-    """Roots whose real part sits within the guard band around zero."""
-    return tuple(r for r in rs.roots if abs(r[0]) <= REAL_PART_GUARD)
-
-
 CSV_HEADER = "family,n,re,im,residual"
 
 
 def roots_csv(entries: Iterable[tuple[str, int, RootSet]]) -> str:
-    """Render (family, n, RootSet) entries as CSV, one row per nonzero root."""
-    lines = [CSV_HEADER]
+    """Render (family, n, RootSet) entries as CSV, one row per nonzero root,
+    floats as repr; a label with a comma, quote or newline is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
     for family, n, rs in entries:
-        for re, im, residual in rs.roots:
-            lines.append(f"{family},{n},{re!r},{im!r},{residual!r}")
-    return "\n".join(lines) + "\n"
+        writer.writerows((family, n, repr(re), repr(im), repr(res)) for re, im, res in rs.roots)
+    return out.getvalue()

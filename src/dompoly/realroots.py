@@ -10,9 +10,11 @@ proves it squarefree -- and the roots of r(x) = s(-x) are scaled into
 (x+1)**d p(1/(x+1)) and split with 2**d p(x/2) and its Taylor shift by 1, so
 every number stays an integer.  Each root found comes with an isolating
 interval, or the exact root itself, which the certificate reports as a
-witness that one exact evaluation checks.  The solver of `complexroots`
-takes its real roots from the same isolation, run on both sides of 0
-(`_real_root_witnesses`).
+witness that exact evaluation checks.  Every exact operation on the real
+line lives here: the solver of `complexroots` takes its real roots from the
+same isolation, run on both sides of 0 (`_real_root_brackets`), as the
+certifier's `_Bracket`s, narrows them by exact signs (`_Bracket.cross`) and
+proves each root the double nearest it (`_nearest_double`).
 
 Every Taylor shift runs on one kernel, `polynomials.taylor_shift_by_one`,
 on plain coefficient lists; it yields the coefficients from the lowest
@@ -38,7 +40,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -282,43 +284,136 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
         e += 1
 
 
-def _negative_root_witnesses(s: Poly, stats: dict) -> list[tuple[Fraction, Fraction]]:
-    """One pair (a, b), a <= b <= 0, per distinct negative root of squarefree s.
+def _positive_roots(r: Sequence[int], stats: dict) -> list[tuple[Fraction, Fraction]]:
+    """One pair (a, b), 0 <= a <= b, per distinct positive root of squarefree
+    r, coefficients ascending.
 
-    a < b isolates one root with s(a) * s(b) < 0; a == b is a root.  The
-    roots of s(-x) are scaled into (0, 1) by a power of two, so the
-    endpoints are dyadic rationals.
+    a < b isolates one root; a == b is a root.  The roots are scaled into
+    (0, 1) by a power of two, so the ends are dyadic rationals.
     """
-    e, unit = _scaled_below_one([-a if i % 2 else a for i, a in enumerate(s.coeffs)], stats)
+    e, unit = _scaled_below_one(r, stats)
     stats["bound_exponent"] = e
     isolated, exact = _unit_interval_roots(unit, stats)
     scale = Fraction(1 << e)
-    pairs = [(-scale * Fraction(c + 1, 1 << k), -scale * Fraction(c, 1 << k)) for c, k in isolated]
-    pairs += [(-scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
-    return sorted(pairs)
+    pairs = [(scale * Fraction(c, 1 << k), scale * Fraction(c + 1, 1 << k)) for c, k in isolated]
+    pairs += [(scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
+    return pairs
 
 
-def _real_root_witnesses(s: Poly) -> list[tuple[Fraction, Fraction]]:
-    """One pair (a, b), a <= b, per distinct real root of squarefree s with
-    s(0) != 0, ascending, as _negative_root_witnesses gives them: the
-    negative roots from s, the positive ones from s(-x), reflected.  A side
-    on which the coefficients show no sign variation has no root (Descartes'
-    rule of signs) and is skipped: the positive side of every polynomial
-    without negative coefficients."""
-    stats = Counter()
-    mirror = Poly([-a if i % 2 else a for i, a in enumerate(s.coeffs)])
+def _real_root_brackets(s: Poly, stats: dict) -> list[_Bracket]:
+    """One _Bracket per distinct real root of squarefree s with s(0) != 0,
+    ascending: the positive roots from s, the negative ones from s(-x),
+    reflected, searched in that order, so stats keep the negative side's
+    bound_exponent.  A side on which the coefficients show no sign
+    variation has no root (Descartes' rule of signs) and is skipped: the
+    positive side of every polynomial without negative coefficients.
+
+    s changes sign at each of its simple real roots, so just right of the
+    j-th of r its sign is its leading coefficient's times (-1)**(r - 1 - j).
+    """
+    mirror = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
     pairs = []
-    if _sign_varies(mirror.coeffs):
-        pairs += _negative_root_witnesses(s, stats)
     if _sign_varies(s.coeffs):
-        pairs += [(-b, -a) for a, b in _negative_root_witnesses(mirror, stats)]
-    return sorted(pairs)
+        pairs += _positive_roots(s.coeffs, stats)
+    if _sign_varies(mirror):
+        pairs += [(-b, -a) for a, b in _positive_roots(mirror, stats)]
+    pairs.sort()
+    r, lead = len(pairs), 1 if s.coeffs[-1] > 0 else -1
+    return [_Bracket(s, lo, hi, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]
 
 
 def _sign_varies(coeffs: Sequence[int]) -> bool:
     """True when the nonzero coefficients do not all have one sign."""
     signs = {c > 0 for c in coeffs if c}
     return len(signs) > 1
+
+
+@dataclass
+class _Bracket:
+    """An exact bracket [lo, hi] of one real root of q: lo < hi with q of
+    sign -right at lo and right at hi, or lo == hi, the root; ends holds
+    them rounded to doubles."""
+
+    q: Poly
+    lo: Fraction
+    hi: Fraction
+    right: int
+    ends: tuple[float, float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ends = (float(self.lo), float(self.hi))
+
+    def middle(self) -> float:
+        return float((self.lo + self.hi) / 2)
+
+    def narrow(self, t: Fraction, stats: Counter) -> int:
+        """Move the end of the sign of q(t), t in [lo, hi], to t, and return
+        that sign; both ends when it is 0."""
+        stats["sign_evaluations"] += 1
+        sign = _sign_at(self.q, t)
+        if sign != -self.right:
+            self.hi = t
+        if sign != self.right:
+            self.lo = t
+        self.ends = (float(self.lo), float(self.hi))
+        return sign
+
+    def settled(self) -> bool:
+        """True when no double lies strictly between the ends rounded."""
+        lo, hi = self.ends
+        return math.nextafter(lo, math.inf) >= hi
+
+    def cross(self, below: bool, stats: Counter) -> float:
+        """Where an iterate goes whose step leaves the bracket below lo (or
+        above hi).  The root may lie in the rounding cell of the end's
+        double, which no step from inside can reach: one exact sign at the
+        cell's inner edge tells, and if it is there the bracket shrinks into
+        the cell and the iterate goes to the end.  Otherwise the bracket is
+        bisected, one exact sign each, until it is no wider than the modulus
+        of its middle (an end at 0 halves away), and the iterate goes there."""
+        lo, hi = self.ends
+        end, other = (lo, hi) if below else (hi, lo)
+        edge = _midpoint(end, math.nextafter(end, other))
+        if end and self.lo < edge < self.hi:  # q has no root in the cell of 0
+            self.narrow(edge, stats)
+        if self.settled():
+            return end
+        while self.narrow((self.lo + self.hi) / 2, stats):
+            if self.hi - self.lo <= abs(self.lo + self.hi) / 2:
+                break
+        return self.middle()
+
+
+def _nearest_double(bracket: _Bracket, x: float, stats: Counter) -> float:
+    """The double nearest the root of q in the bracket, from the estimate x.
+
+    The root lies in the rounding cell of x when q changes sign neither
+    between x and the midpoint with its upper neighbour nor between x and
+    the midpoint with its lower one: two exact signs at those midpoints, of
+    which one is spared when it lies outside the bracket, and both where
+    the bracket is the root itself.  Each sign narrows the bracket; a root
+    beyond a midpoint moves x one double that way, twice at most, and then
+    to the middle of the bracket.  A root at a midpoint is exactly half way,
+    and float rounds it to even."""
+    for moves in itertools.count():
+        up = _midpoint(x, math.nextafter(x, math.inf))
+        down = _midpoint(math.nextafter(x, -math.inf), x)
+        for mid in (up, down):
+            if bracket.lo < mid < bracket.hi and not bracket.narrow(mid, stats):
+                return float(mid)
+        if down <= bracket.lo and bracket.hi <= up:
+            return x
+        if moves < 2:
+            x = math.nextafter(x, math.inf if bracket.lo >= up else -math.inf)
+        else:
+            x = bracket.middle()
+
+
+def _midpoint(a: float, b: float) -> Fraction:
+    """(a + b) / 2 exactly."""
+    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
+    scale = max(da, db)  # a power of two, as da and db are
+    return Fraction(na * (scale // da) + nb * (scale // db), 2 * scale)
 
 
 @dataclass(frozen=True)
@@ -365,10 +460,12 @@ def certify_cg(p: Poly) -> CgCertificate:
     the count is of distinct negative roots, found by Descartes-rule
     bisection on the product s of the squarefree factors of the deflated
     polynomial (see squarefree_factors), the exact gcd running only where
-    the modular test cannot tell.  Each
-    root comes with a witness [a, b], a < b <= 0 with s(a) * s(b) < 0, or
-    a == b with s(a) == 0, checked here by exact evaluation before return.
-    s is the deflated polynomial itself unless that has a repeated factor.
+    the modular test cannot tell.  Each root comes with a witness [a, b],
+    the ends of its _Bracket: a < b <= 0 with s of sign -right at a and
+    right at b, the side the bracket was given by the parity of the roots
+    above it, or a == b with s(a) == 0, checked here by exact evaluation
+    before return.  s is the deflated polynomial itself unless that has a
+    repeated factor.
     """
     if p.is_zero:
         raise ValueError("zero polynomial is not a domination polynomial")
@@ -382,13 +479,13 @@ def certify_cg(p: Poly) -> CgCertificate:
         return CgCertificate(gamma, 0, True, {"witnesses": []}, stats)
     stats["squarefree_fallback"] = fallback = not _squarefree_mod_prime(q)
     s = math.prod(f for f, _ in _yun_factors(q)) if fallback else q
-    pairs = _negative_root_witnesses(s, stats)
-    for a, b in pairs:
-        sa, sb = _sign_at(s, a), _sign_at(s, b)
-        if not (b <= 0 and (sa * sb < 0 if a < b else a == b and sa == 0)):
-            raise AssertionError(f"certifier witness [{a}, {b}] fails its exact check")
-    evidence = {"witnesses": [[str(a), str(b)] for a, b in pairs]}
-    return CgCertificate(gamma, len(pairs), not pairs, evidence, stats)
+    brackets = _real_root_brackets(s, stats)
+    for b in brackets:
+        signs = _sign_at(s, b.lo), _sign_at(s, b.hi)
+        if not (b.lo <= b.hi <= 0 and signs == ((-b.right, b.right) if b.lo < b.hi else (0, 0))):
+            raise AssertionError(f"certifier witness [{b.lo}, {b.hi}] fails its exact check")
+    evidence = {"witnesses": [[str(b.lo), str(b.hi)] for b in brackets]}
+    return CgCertificate(gamma, len(brackets), not brackets, evidence, stats)
 
 
 def check_oddness(p: Poly) -> bool:

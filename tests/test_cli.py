@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import re
@@ -250,6 +252,27 @@ class TestRoots:
         first = info.value.__cause__
         assert isinstance(first, NonConvergenceError)
         assert len(first.roots) == 2 * 11 - 2 and first.max_correction > 0
+
+
+class TestCsvLabels:
+    """An edge-list label is its file stem, which may hold the CSV delimiter,
+    the quote or a line break: roots and sweep quote it, and every row reads
+    back as five fields."""
+
+    @pytest.mark.parametrize("stem", ['g,"x', 'a"b', "two\nlines,", "plain"])
+    def test_rows_read_back_with_csv_reader(self, capsys, tmp_path, stem):
+        path = tmp_path / f"{stem}.txt"
+        path.write_text("3 2\n0 1\n1 2\n")  # the path P3: x + 3x^2 + x^3
+        for command, count in (("roots", 2), ("sweep", 1)):
+            code, out, _ = run(capsys, command, "--edge-list", str(path))
+            assert code == 0
+            header, *rows = csv.reader(io.StringIO(out))
+            assert len(header) == 5 and len(rows) == count
+            assert all(len(row) == 5 and row[:2] == [stem, "3"] for row in rows)
+            assert out.startswith(",".join(header) + "\n")
+        # a plain label is written unquoted, as before
+        if stem == "plain":
+            assert out.split("\n")[1] == "plain,3,1,2,false"
 
 
 class TestPlot:

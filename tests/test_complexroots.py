@@ -20,16 +20,13 @@ from dompoly.complexroots import (
     CSV_HEADER,
     _final_residuals,
     _fixed_point,
-    _nearest_double,
     _newton_step,
     _power_sums,
     _shifted_value,
     _split_coefficients,
-    boundary_real_part_roots,
     circle_deviation,
     distinct_real_roots,
     find_roots,
-    has_positive_real_part,
     roots_csv,
 )
 from dompoly.errors import CapacityError, NonConvergenceError
@@ -42,7 +39,7 @@ from dompoly.formulas import (
     poly_friendship,
 )
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import certify_cg, squarefree_factors
+from dompoly.realroots import _Bracket, _nearest_double, certify_cg, squarefree_factors
 
 from conftest import count_real_roots, record_digests
 
@@ -183,7 +180,7 @@ class TestFindRoots:
         b, a = 49740166138514513350, 6701885813375975741671
         rs = find_roots(Poly([b, a]))
         assert rs.roots[0][:2] == (-b / a, 0.0) == (-0.007421816414603853, 0.0)
-        assert rs.stats["aberth_iterations"] == 0 and rs.stats["gate_evaluations"] == 1
+        assert rs.stats["real_roots"] == 1 and rs.stats["gate_evaluations"] == 1
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_products_of_spread_linear_factors(self, seed):
@@ -218,6 +215,8 @@ class TestFindRoots:
             "gate_reused",
             "real_roots",
             "sign_evaluations",
+            "nodes",
+            "shifts",
             "shift",
             "factors",
         }
@@ -247,6 +246,9 @@ class TestFindRoots:
         assert rs.stats["real_roots"] == len(distinct_real_roots(rs)) == 2
         assert rs.stats["sign_evaluations"] >= 2 * rs.stats["real_roots"]
         assert rs.stats["gate_evaluations"] == _gated(rs) == 2 + 69
+        # the isolation is the certifier's, on the same squarefree polynomial
+        cert = certify_cg(poly_friendship(70))
+        assert (rs.stats["nodes"], rs.stats["shifts"]) == (cert.stats["nodes"], cert.stats["shifts"])
 
     def test_upper_half_halves_the_exact_steps(self):
         # each conjugate pair takes one set of steps: 992 exact steps over
@@ -654,7 +656,7 @@ def test_real_iterates_stay_real_and_bracketed():
     # their brackets; the upper one converges to i
     b = Poly([1, 0, 1]) * Poly([-1, 1]) * Poly([3, 1]) * Poly([1, 1])
     ends = [(-4, -2, 1), (Fraction(-3, 2), 0, -1), (Fraction(1, 2), 2, 1)]
-    brackets = [complexroots._Bracket(b, Fraction(lo), Fraction(hi), sign) for lo, hi, sign in ends]
+    brackets = [_Bracket(b, Fraction(lo), Fraction(hi), sign) for lo, hi, sign in ends]
     z, x, converged, _ = complexroots._aberth_iterate(b, 0, brackets, 1e-12, 100, Counter(), {})
     assert converged and abs(z[0] - 1j) < 1e-12
     assert x.dtype == float
@@ -912,7 +914,7 @@ class TestNearestDouble:
         rs = find_roots(p)
         assert distinct_real_roots(rs) == [1.0]
         for start in (1.0, 1.0 + 2.0**-52):
-            bracket = complexroots._Bracket(p, Fraction(1, 2), Fraction(2), 1)
+            bracket = _Bracket(p, Fraction(1, 2), Fraction(2), 1)
             assert _nearest_double(bracket, start, Counter()) == 1.0
 
     @pytest.mark.parametrize("start", [0.9, 0.3333, 2.0**-40, 1.0 - 2.0**-53])
@@ -920,7 +922,7 @@ class TestNearestDouble:
         # (3x - 1)(x^2 + 1) on (0, 1): from any estimate the search ends on
         # the double nearest 1/3, bisecting (0, 1) after two moves
         p = Poly([-1, 3]) * Poly([1, 0, 1])
-        stats, bracket = Counter(), complexroots._Bracket(p, Fraction(0), Fraction(1), 1)
+        stats, bracket = Counter(), _Bracket(p, Fraction(0), Fraction(1), 1)
         assert _nearest_double(bracket, start, stats) == 1 / 3
         assert stats["sign_evaluations"] <= 2 * 60
         # and leaves the bracket around the cell of the root
@@ -980,29 +982,6 @@ class TestCircleDeviation:
         ):
             with pytest.raises(ValueError):
                 circle_deviation(RootSet(0, ((1.0, 0.0, 0.0),), 1e-12), center, radius)
-
-
-class TestRealPartQueries:
-    def test_complement_friendship_2_all_left(self):
-        rs = find_roots(poly_complement_friendship(2))
-        assert not has_positive_real_part(rs)
-
-    def test_no_nonzero_roots_is_false(self):
-        rs = find_roots(Poly([0, 0, 0, 1]))
-        assert not has_positive_real_part(rs)
-
-    def test_boundary_band(self):
-        from dompoly.complexroots import RootSet
-
-        rs = RootSet(
-            0,
-            ((5e-10, 1.0, 0.0), (-5e-10, -1.0, 0.0), (0.5, 0.2, 0.0)),
-            1e-12,
-        )
-        assert has_positive_real_part(rs)
-        assert len(boundary_real_part_roots(rs)) == 2
-        just_boundary = RootSet(0, ((5e-10, 1.0, 0.0),), 1e-12)
-        assert not has_positive_real_part(just_boundary)
 
 
 class TestRootsCsv:

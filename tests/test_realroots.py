@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -494,55 +495,111 @@ class TestCentroidStart:
         assert certify_cg(p).stats["bound_exponent"] == 1
 
 
+def _mirror(p: Poly) -> list[int]:
+    """The coefficients of p(-x)."""
+    return [-a if i % 2 else a for i, a in enumerate(p.coeffs)]
+
+
+def _sign_by_fractions(p: Poly, x: Fraction) -> int:
+    """Sign of p(x) by plain Fraction arithmetic, apart from the module's."""
+    v = sum(c * x**i for i, c in enumerate(p.coeffs))
+    return (v > 0) - (v < 0)
+
+
 class TestRealRootWitnesses:
-    """_real_root_witnesses: the certifier's isolation on both sides of 0."""
+    """_real_root_brackets: the certifier's isolation on both sides of 0."""
 
     def test_roots_on_both_sides(self):
         # (x - 3)(x + 2)(x^2 + 1)
         s = Poly([-6, -1, 1]) * Poly([1, 0, 1])
-        pairs = realroots._real_root_witnesses(s)
-        assert len(pairs) == count_real_roots(s) == 2
-        for (a, b), root in zip(pairs, (-2, 3)):
-            assert a <= root <= b
-            if a < b:
-                assert realroots._sign_at(s, a) * realroots._sign_at(s, b) < 0
+        brackets = realroots._real_root_brackets(s, Counter())
+        assert len(brackets) == count_real_roots(s) == 2
+        for b, root in zip(brackets, (-2, 3)):
+            assert b.lo <= root <= b.hi
+            if b.lo < b.hi:
+                assert realroots._sign_at(s, b.lo) * realroots._sign_at(s, b.hi) < 0
             else:
-                assert realroots._sign_at(s, a) == 0
+                assert realroots._sign_at(s, b.lo) == 0
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=2, max_size=12).filter(lambda c: c[0] and c[-1]))
     def test_as_many_as_the_sturm_count(self, coeffs):
         s = math.prod(f for f, _ in squarefree_factors(Poly(coeffs)))
-        pairs = realroots._real_root_witnesses(s)
+        pairs = [(b.lo, b.hi) for b in realroots._real_root_brackets(s, Counter())]
         assert len(pairs) == count_real_roots(s)
         assert pairs == sorted(pairs) and all(a <= b for a, b in pairs)
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 40)), min_size=1, max_size=4),
+        st.lists(st.tuples(st.integers(1, 9), st.integers(1, 40)), min_size=1, max_size=4),
+        st.integers(-12, 12),
+        st.integers(-12, 12).filter(bool),
+        st.sampled_from([1, -1]),
+    )
+    def test_sign_sides_hold_at_both_ends(self, negative, positive, b1, b0, lead):
+        # roots -b/a and b/a on both sides of 0, and those of x^2 + b1 x + b0,
+        # irrational or complex unless b1^2 - 4 b0 is a square
+        p = Poly([lead]) * Poly([b0, b1, 1])
+        for a, b in negative:
+            p = p * Poly([b, a])
+        for a, b in positive:
+            p = p * Poly([-b, a])
+        s = math.prod(f for f, _ in squarefree_factors(p))
+        brackets = realroots._real_root_brackets(s, Counter())
+        assert len(brackets) == count_real_roots(s)
+        assert brackets[0].lo < 0 < brackets[-1].hi
+        for b in brackets:
+            if b.lo == b.hi:
+                assert _sign_by_fractions(s, b.lo) == 0
+            else:
+                assert b.lo < b.hi
+                assert _sign_by_fractions(s, b.lo) == -b.right
+                assert _sign_by_fractions(s, b.hi) == b.right
+
+    def test_certifier_rejects_a_flipped_sign_side(self, monkeypatch):
+        p = poly_book(6)
+        brackets = realroots._real_root_brackets(p.deflate_zero(), Counter())
+        assert any(b.lo < b.hi for b in brackets) and certify_cg(p).nonzero_real_root_count
+
+        def flipped(s, stats):
+            out = isolate(s, stats)
+            for b in out:
+                b.right = -b.right
+            return out
+
+        isolate = realroots._real_root_brackets
+        monkeypatch.setattr(realroots, "_real_root_brackets", flipped)
+        with pytest.raises(AssertionError, match="fails its exact check"):
+            certify_cg(p)
+
     def test_a_side_without_sign_variation_is_not_searched(self, monkeypatch):
-        searched, isolate = [], realroots._negative_root_witnesses
+        searched, isolate = [], realroots._positive_roots
         monkeypatch.setattr(
             realroots,
-            "_negative_root_witnesses",
-            lambda s, stats: searched.append(s) or isolate(s, stats),
+            "_positive_roots",
+            lambda r, stats: searched.append(list(r)) or isolate(r, stats),
         )
-        # no negative coefficient: only the negative side is searched
+        # no negative coefficient: only the negative side, the positive
+        # roots of q(-x), is searched
         q = poly_book(6).deflate_zero()
-        assert len(realroots._real_root_witnesses(q)) == count_real_roots(q) > 0
-        assert searched == [q]
+        assert len(realroots._real_root_brackets(q, Counter())) == count_real_roots(q) > 0
+        assert searched == [_mirror(q)]
         searched.clear()
         # x^2 + 1: neither side has a sign variation
-        assert realroots._real_root_witnesses(Poly([1, 0, 1])) == []
+        assert realroots._real_root_brackets(Poly([1, 0, 1]), Counter()) == []
         assert searched == []
 
     def test_the_solver_and_the_certifier_share_it(self, monkeypatch):
         from dompoly.complexroots import find_roots
 
-        searched, isolate = [], realroots._negative_root_witnesses
+        searched, isolate = [], realroots._positive_roots
         monkeypatch.setattr(
             realroots,
-            "_negative_root_witnesses",
-            lambda s, stats: searched.append(s) or isolate(s, stats),
+            "_positive_roots",
+            lambda r, stats: searched.append(list(r)) or isolate(r, stats),
         )
         p = poly_book(6)
         find_roots(p)
         certify_cg(p)
-        assert searched == [p.deflate_zero()] * 2
+        assert searched == [_mirror(p.deflate_zero())] * 2
