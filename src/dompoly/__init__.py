@@ -15,7 +15,6 @@ from .complexroots import (
     circle_deviation,
     distinct_real_roots,
     find_roots,
-    roots_csv,
 )
 from .enumeration import (
     domination_number,
@@ -101,7 +100,6 @@ __all__ = [
     "poly_friendship",
     "poly_join",
     "poly_union",
-    "roots_csv",
     "squarefree_factors",
     "to_edge_list",
 ]

@@ -14,15 +14,13 @@ capacity exceeded, 3 solver non-convergence, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .complexroots import MIN_TOL, RootSet, find_roots, roots_csv
+from .complexroots import MIN_TOL, RootSet, find_roots
 from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
 from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
@@ -171,6 +169,28 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv_field(text: str) -> str:
+    """text as a CSV field: quoted, each quote doubled, where it holds a
+    comma, a quote or a line break (\\r or \\n), else as is; the bytes of
+    csv.writer(lineterminator="\\n") on Python 3.13."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+CSV_HEADER = "family,n,re,im,residual"
+
+
+def roots_csv(entries: Iterable[tuple[str, int, RootSet]]) -> str:
+    """Render (family, n, RootSet) entries as CSV, one row per nonzero root,
+    floats as repr, the label as _csv_field writes it."""
+    lines = [CSV_HEADER]
+    for family, n, rs in entries:
+        head = f"{_csv_field(family)},{n}"
+        lines += [f"{head},{re!r},{im!r},{res!r}" for re, im, res in rs.roots]
+    return "\n".join(lines) + "\n"
+
+
 # -- subcommands ------------------------------------------------------------------
 
 
@@ -200,11 +220,20 @@ def _compute_json(instances: list[tuple[str, tuple[int, ...], Poly]]) -> str:
     is {"family", "params", "coeffs": decimal strings} for one instance, else
     an array of them.  With ``indent`` set, json runs its pure-Python encoder;
     here only the label goes through ``json.dumps`` (the C encoder), and the
-    numbers, which never need escaping, are joined directly.
+    numbers, which never need escaping, are joined directly.  Python's limit
+    on the digits of an int turned into a string (4,300 by default, since
+    3.10.7) is lifted meanwhile, so that every coefficient prints.
     """
-    if len(instances) == 1:
-        return _compute_record(*instances[0], "")
-    return _json_array([_compute_record(*inst, "  ") for inst in instances], "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if len(instances) == 1:
+            return _compute_record(*instances[0], "")
+        return _json_array([_compute_record(*inst, "  ") for inst in instances], "")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _cmd_compute(args) -> int:
@@ -229,12 +258,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     rows = _certificate_rows(args)
-    keys = ("family", "n", "gamma", "nonzero_real_root_count")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([*keys, "in_cg"])
-    writer.writerows([*(row[k] for k in keys), str(row["in_cg"]).lower()] for row in rows)
-    _write_output(out.getvalue(), args.out)
+    lines = ["family,n,gamma,nonzero_real_root_count,in_cg"]
+    lines += [
+        f"{_csv_field(row['family'])},{row['n']},{row['gamma']},"
+        f"{row['nonzero_real_root_count']},{str(row['in_cg']).lower()}"
+        for row in rows
+    ]
+    _write_output("\n".join(lines) + "\n", args.out)
     all_in = all(row["in_cg"] for row in rows)
     print(f"all_in_cg: {str(all_in).lower()}", file=sys.stderr)
     return 0

@@ -61,13 +61,11 @@ are deterministic: fixed initial guesses, no randomness.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -137,15 +135,6 @@ class CircleDeviation:
 # -- big-integer <-> float plumbing ------------------------------------------------
 
 
-def _fbits_for(deg: int, z: complex) -> int:
-    """Fixed-point scale 2**fbits for evaluation at z: the truncation of each
-    step (one unit in the last place) stays below 2**-90 after amplification
-    by the remaining multiplications, fbits = 96 + deg*log2|z| for |z| > 1."""
-    az = abs(z)
-    extra = 0 if az <= 1.0 else int(deg * math.log2(az)) + 1
-    return 96 + 64 * ((extra + 63) // 64)
-
-
 def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[int, int]:
     """coeffs at x = (xr + i*xi) / 2**fbits in fixed point, (re, im) * 2**fbits.
 
@@ -155,7 +144,7 @@ def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[i
     conj(x)*b_1, at two real products per coefficient.  r = 2*Re x and s =
     |x|^2 are exact, so the floors made at coefficient k, together less than a
     unit, reach the value as exactly that error times x^k; the two floors of
-    the last step add less than sqrt(2) units.  At the fbits of _fbits_for
+    the last step add less than sqrt(2) units.  At the fbits of _fixed_point
     each of those d + 2 error terms is under 2**(fbits - 90) units, so the
     value is off by less than (d + 2) 2**(fbits - 90) units."""
     r, s, f2 = 2 * xr, xr * xr + xi * xi, 2 * fbits
@@ -166,12 +155,17 @@ def _fixed_value(coeffs: Sequence[int], xr: int, xi: int, fbits: int) -> tuple[i
 
 
 def _fixed_point(deg: int, shift: int, z: complex, extra: int = 0) -> tuple[int, int, int]:
-    """x = z - shift in fixed point, (re, im, fbits): fbits is extra plus the
-    larger of _fbits_for(deg, z - shift) and the exponent at which both
-    components of z are exact, so x is formed without rounding."""
+    """x = z - shift in fixed point, (re, im, fbits), formed without rounding
+    for an evaluation of degree deg: fbits is extra plus the larger of the
+    exponent at which both components of z are exact and 96 + deg*log2|x|
+    (for |x| > 1; 96 else), rounded up to a multiple of 64 above 96, so the
+    truncation of each step of _fixed_value (one unit in the last place)
+    stays below 2**-90 after amplification by the remaining multiplications."""
     (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
     er, ei = dr.bit_length() - 1, di.bit_length() - 1  # dr = 2**er, di = 2**ei
-    fbits = extra + max(_fbits_for(deg, z - shift), er, ei)
+    ax = abs(z - shift)
+    grow = 0 if ax <= 1.0 else int(deg * math.log2(ax)) + 1
+    fbits = extra + max(96 + 64 * ((grow + 63) // 64), er, ei)
     return (nr << (fbits - er)) - (shift << fbits), ni << (fbits - ei), fbits
 
 
@@ -180,14 +174,13 @@ def _newton_step(
     dcoeffs: Sequence[int],
     shift: int,
     z: complex,
-    kept: dict | None = None,
     derivative: tuple[complex, int] | None = None,
-) -> complex:
-    """b(x)/b'(x) of the integer polynomial b = coeffs, of derivative b' =
-    dcoeffs, at x = z - shift, rounded to a complex double.
+) -> tuple[complex, tuple[int, int, int]]:
+    """(step, value): the step b(x)/b'(x) of the integer polynomial b =
+    coeffs, of derivative b' = dcoeffs, at x = z - shift, rounded to a
+    complex double, and value = b(x) as (re, im, fbits), its first
+    evaluation, by _fixed_value at the point _fixed_point(d, shift, z).
 
-    b(x) is first _shifted_value(coeffs, shift, z); kept, when given,
-    receives it as kept[z] = (re, im, fbits) for the residual gate.
     derivative, when given, is (D, E) of _power_sums at the double y = z -
     shift, certified: y b'(y) = D 2**E within 2**-26 relative.  Then the
     step is b(x) y / (D 2**E), formed with the exponents of b(x) and E kept
@@ -198,9 +191,10 @@ def _newton_step(
     can sit a few units above that bound, so b and b' are evaluated again
     with 64 more fraction bits each time, for at most _STEP_ROUNDS
     evaluations, until |b'(x)| has at least 64 bits."""
-    pr, pi, fbits = value = _shifted_value(coeffs, shift, z)
-    if kept is not None:
-        kept[z] = value
+    d = len(coeffs) - 1
+    xr, xi, fbits = _fixed_point(d, shift, z)
+    pr, pi = _fixed_value(coeffs, xr, xi, fbits)
+    value = pr, pi, fbits
     if derivative is not None:
         dv, top = derivative
         j = max(pr.bit_length(), pi.bit_length())
@@ -211,10 +205,10 @@ def _newton_step(
                 step.append(math.ldexp(part, j - fbits - top))
             except OverflowError:  # beyond the double range
                 step.append(math.copysign(math.inf, part))
-        return complex(*step)
+        return complex(*step), value
     for round_ in range(_STEP_ROUNDS):
-        xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z, 64 * round_)
         if round_:
+            xr, xi, fbits = _fixed_point(d, shift, z, 64 * round_)
             pr, pi = _fixed_value(coeffs, xr, xi, fbits)
         dr, di = _fixed_value(dcoeffs, xr, xi, fbits)
         den = dr * dr + di * di
@@ -222,21 +216,14 @@ def _newton_step(
             break
     if den == 0:
         # exactly at a critical point: take a deterministic small step
-        return complex(2.0**-20 * (1.0 + abs(z)), 0.0)
+        return complex(2.0**-20 * (1.0 + abs(z)), 0.0), value
     step = []
     for num in (pr * dr + pi * di, pi * dr - pr * di):
         try:
             step.append(num / den)
         except OverflowError:  # beyond the double range
             step.append(math.inf if num > 0 else -math.inf)
-    return complex(*step)
-
-
-def _shifted_value(coeffs: Sequence[int], shift: int, z: complex) -> tuple[int, int, int]:
-    """b(z - shift) of the integer polynomial b = coeffs as fixed-point (re, im,
-    fbits), at the point _fixed_point forms exactly."""
-    xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z)
-    return (*_fixed_value(coeffs, xr, xi, fbits), fbits)
+    return complex(*step), value
 
 
 # -- double-precision helpers ---------------------------------------------------
@@ -331,25 +318,24 @@ def _aberth_iterate(
     b(y)/b'(y) = y P / D is trusted where |P| > noise A and |D| > noise B,
     noise = _NOISE_MARGIN times 4 d u, the bound _power_sums gives (the scale
     2**-E cancels on both sides); otherwise the iterate takes an exact step,
-    and kept receives that step's first value (see _newton_step).  The exact
-    step takes b' from D where |D| > _DERIVATIVE_MARGIN 4 d u B, which puts
-    D within 2**-26 of y b'(y) 2**-E.  Aberth's correction is then w / (1 -
-    w sum 1 / (z - v)), v over the other upper iterates, the conjugate of
-    every upper iterate, its own included (1 / (2i Im z)), and the real
-    iterates: the 2m + r points stand for all the roots of b, kept
-    conjugate-symmetric, so no conjugate is ever stepped.  A real iterate's
-    sum is real, so it stays on the axis.  The upper iterates converge when
-    every correction relative to max(1, |z|) is below tol; an iterate whose
-    relative correction drops below tol / 4 is frozen and only repels the
-    others, and so is a real iterate that _real_steps settles.  stats counts
-    passes, trusted double steps, exact steps and those of them that
-    evaluated b' exactly."""
+    and kept[z] receives the value of b that the step returns (see
+    _newton_step).  The exact step takes b' from D where |D| >
+    _DERIVATIVE_MARGIN 4 d u B, which puts D within 2**-26 of y b'(y) 2**-E.
+    Aberth's correction is then w / (1 - w sum 1 / (z - v)), v over the
+    other upper iterates, the conjugate of every upper iterate, its own
+    included (1 / (2i Im z)), and the real iterates: the 2m + r points stand
+    for all the roots of b, kept conjugate-symmetric, so no conjugate is ever
+    stepped.  A real iterate's sum is real, so it stays on the axis.  The
+    upper iterates converge when every correction relative to max(1, |z|)
+    is below tol; an iterate whose relative correction drops below tol / 4
+    is frozen and only repels the others, and so is a real iterate that
+    _real_steps settles.  stats counts passes, trusted double steps, exact
+    steps and those of them that evaluated b' exactly."""
     (mk, xk), dcoeffs = _split_coefficients(b.coeffs), b.derivative().coeffs
     d, r = b.degree, len(brackets)
     m = (d - r) // 2
     noise_factor = _NOISE_MARGIN * 4.0 * d * 2.0**-53
     certified_factor = _DERIVATIVE_MARGIN * 4.0 * d * 2.0**-53
-    x = np.array([bracket.middle() for bracket in brackets])
     z, own = shift + _initial_guesses(b, m), np.arange(m)
     todo = [j for j, bracket in enumerate(brackets) if not bracket.settled()]
     max_corr, converged = (math.inf, False) if m else (0.0, True)
@@ -357,7 +343,8 @@ def _aberth_iterate(
     # on their root and only contribute repulsion, saving evaluations.
     active = np.ones(m, dtype=bool)
     # every point, upper, lower and real, in the order of the repulsion sums
-    points = np.concatenate([z, z.conj(), x])
+    points = np.concatenate([z, z.conj(), [bracket.middle() for bracket in brackets]])
+    x = points[2 * m :].real  # a view: the real iterates step in place
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_iter):
             if converged and not todo:
@@ -365,16 +352,11 @@ def _aberth_iterate(
             stats["aberth_iterations"] += 1
             # a non-finite iterate has neither a double value nor a fixed point
             live = own[active & np.isfinite(z)] if not converged else own[:0]
-            if len(kept) > 2 * (m + r):  # forget the values of points that moved on
-                for point in kept.keys() - set(z.tolist()) - set(x.tolist()):
-                    del kept[point]
             # a frozen upper iterate keeps its row: its correction is 0 unless
             # it coincides with another point, and then 1.0, as for any other
             upper = own[: 0 if converged else m]
-            rows, stepped = upper, live
-            if todo:
-                rows = np.concatenate([upper, np.array(todo, dtype=int) + 2 * m])
-                stepped = np.concatenate([live, np.arange(len(upper), len(rows))])
+            rows = np.concatenate([upper, np.array(todo, dtype=int) + 2 * m])
+            stepped = np.concatenate([live, np.arange(len(upper), len(rows))])
             moving = points[rows[stepped]]
             y = moving - shift
             pv, dv, abs_p, abs_d, top = _power_sums(mk, xk, y)
@@ -391,15 +373,13 @@ def _aberth_iterate(
                 stats["exact_derivatives"] += not certified
                 derivative = (complex(dv[k]), int(top[k])) if certified else None
                 zk = complex(moving[k])
-                w[stepped[k]] = _newton_step(b.coeffs, dcoeffs, shift, zk, kept, derivative)
+                w[stepped[k]], kept[zk] = _newton_step(b.coeffs, dcoeffs, shift, zk, derivative)
             diff = points[rows][:, None] - points
             diff[np.arange(len(rows)), rows] = np.inf  # a point does not repel itself
             denom = 1.0 - w * (1.0 / diff).sum(axis=1)
             corr = w / np.where(denom == 0, 1.0, denom)
             corr = np.where(np.isfinite(corr), corr, 1.0)
-            if todo:
-                todo = _real_steps(x, todo, corr[len(upper) :].real, tol, brackets, stats)
-                points[2 * m :] = x
+            todo = _real_steps(x, todo, corr[len(upper) :].real, tol, brackets, stats)
             if converged:
                 continue
             corr = corr[:m]
@@ -456,10 +436,10 @@ def _final_residuals(
     componentwise backward error (Higham, Accuracy and Stability of
     Numerical Algorithms, 5.1) from above.  p is kept[z] where an exact step
     already computed it at that very point (equal points have equal
-    fixed-point forms), else _shifted_value.  For real q the bound holds at
-    conj z too, since |q(conj z)| = |q(z)| and the denominator is the same,
-    so a conjugate is never gated on its own.  |p| = a 2**j
-    and the denominator A 2**S, by _power_sums of q at |z|, keep their
+    fixed-point forms), else _fixed_value at _fixed_point.  For real q the
+    bound holds at conj z too, since |q(conj z)| = |q(z)| and the
+    denominator is the same, so a conjugate is never gated on its own.  |p|
+    = a 2**j and the denominator A 2**S, by _power_sums of q at |z|, keep their
     exponents apart, so the quotient is a / A and (d + 2) / A, each scaled by
     an exact power of two: it overflows to an infinite residual only where it
     exceeds the double range, or where A does (at degree 2046 and above)."""
@@ -470,7 +450,8 @@ def _final_residuals(
             stats["gate_reused"] += 1
             pr, pi, fbits = kept[zi]
         else:
-            pr, pi, fbits = _shifted_value(basis.coeffs, shift, zi)
+            xr, xi, fbits = _fixed_point(basis.degree, shift, zi)
+            pr, pi = _fixed_value(basis.coeffs, xr, xi, fbits)
         j = max(pr.bit_length(), pi.bit_length())
         mantissa[i], exponent[i] = math.hypot(pr / (1 << j), pi / (1 << j)), j - fbits
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -608,17 +589,3 @@ def circle_deviation(rs: RootSet, center: complex, radius: float) -> CircleDevia
         raise ValueError(f"need a finite center and radius > 0, got {center}, {radius}")
     devs = [abs(abs(z - center) - radius) for z in rs.complex_roots()]
     return CircleDeviation(max(devs), sum(devs) / len(devs))
-
-
-CSV_HEADER = "family,n,re,im,residual"
-
-
-def roots_csv(entries: Iterable[tuple[str, int, RootSet]]) -> str:
-    """Render (family, n, RootSet) entries as CSV, one row per nonzero root,
-    floats as repr; a label with a comma, quote or newline is quoted."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for family, n, rs in entries:
-        writer.writerows((family, n, repr(re), repr(im), repr(res)) for re, im, res in rs.roots)
-    return out.getvalue()

@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 import random
 import re
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dompoly import cli, enumeration
+from dompoly.complexroots import find_roots
 from dompoly.errors import NonConvergenceError
 from dompoly.formulas import FAMILIES, _index_from_1, build_family, closed_form, poly_join, poly_H
 from dompoly.graphs import FamilySpec, join, to_edge_list
@@ -120,6 +123,25 @@ class TestComputeWriter:
     @example([])
     def test_matches_json_dumps_indent_2(self, instances):
         assert cli._compute_json(instances) == self.reference(instances)
+
+    def test_coefficient_beyond_the_int_digit_limit(self, capsys, monkeypatch):
+        # 5,000 digits, past the 4,300 that Python converts by default: the
+        # writer lifts the limit while it runs and restores it afterwards
+        instances = [("big", (1,), Poly([7, -(10**4999) - 3]))]
+        default = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = self.reference(instances)
+            sys.set_int_max_str_digits(4300)
+            assert cli._compute_json(instances) == want
+            assert sys.get_int_max_str_digits() == 4300
+            monkeypatch.setattr(cli, "_instances", lambda args: instances)
+            code, out, _ = run(capsys, "compute", "--family", "complete:1")
+            assert (code, out) == (0, want + "\n")
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert len(json.loads(want)["coeffs"][1]) == 5001  # the sign and 5,000 digits
 
 
 class TestCertify:
@@ -259,7 +281,7 @@ class TestCsvLabels:
     the quote or a line break: roots and sweep quote it, and every row reads
     back as five fields."""
 
-    @pytest.mark.parametrize("stem", ['g,"x', 'a"b', "two\nlines,", "plain"])
+    @pytest.mark.parametrize("stem", ['g,"x', 'a"b', "two\nlines,", "a\rb", "plain"])
     def test_rows_read_back_with_csv_reader(self, capsys, tmp_path, stem):
         path = tmp_path / f"{stem}.txt"
         path.write_text("3 2\n0 1\n1 2\n")  # the path P3: x + 3x^2 + x^3
@@ -273,6 +295,40 @@ class TestCsvLabels:
         # a plain label is written unquoted, as before
         if stem == "plain":
             assert out.split("\n")[1] == "plain,3,1,2,false"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.text(
+            st.characters(blacklist_categories=(), blacklist_characters="\x00")
+            | st.sampled_from([",", '"', "\r", "\n", "é", "€", "😀"])
+        )
+    )
+    @example("a\rb")
+    @example('"\r\n,')
+    def test_any_label_reads_back(self, label):
+        # the path P3 again, under any label: csv.writer's bytes where the
+        # label has no carriage return, and one row per root read back
+        p = Poly([0, 1, 3, 1])
+        tables = {
+            "roots": [["family", "n", "re", "im", "residual"]]
+            + [[label, 3, repr(re), repr(im), repr(r)] for re, im, r in find_roots(p).roots],
+            "sweep": [["family", "n", "gamma", "nonzero_real_root_count", "in_cg"]]
+            + [[label, 3, 1, 2, "false"]],
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_instances", lambda args: [(label, (3,), p)])
+            for command, table in tables.items():
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    with contextlib.redirect_stderr(io.StringIO()):
+                        assert cli.main([command, "--family", "path:3"]) == 0
+                text = out.getvalue()
+                if "\r" not in label:
+                    want = io.StringIO()
+                    csv.writer(want, lineterminator="\n").writerows(table)
+                    assert text == want.getvalue()
+                header, *rows = csv.reader(io.StringIO(text, newline=""))
+                assert header == table[0] and len(rows) == len(table) - 1
+                assert all(row[:2] == [label, "3"] for row in rows)
 
 
 class TestPlot:

@@ -16,18 +16,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dompoly import complexroots
+from dompoly.cli import CSV_HEADER, roots_csv
 from dompoly.complexroots import (
-    CSV_HEADER,
     _final_residuals,
     _fixed_point,
+    _fixed_value,
     _newton_step,
     _power_sums,
-    _shifted_value,
     _split_coefficients,
     circle_deviation,
     distinct_real_roots,
     find_roots,
-    roots_csv,
 )
 from dompoly.errors import CapacityError, NonConvergenceError
 from dompoly.formulas import (
@@ -39,7 +38,13 @@ from dompoly.formulas import (
     poly_friendship,
 )
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import _Bracket, _nearest_double, certify_cg, squarefree_factors
+from dompoly.realroots import (
+    _Bracket,
+    _nearest_double,
+    _real_root_brackets,
+    certify_cg,
+    squarefree_factors,
+)
 
 from conftest import count_real_roots, record_digests
 
@@ -369,7 +374,7 @@ class TestExactConversions:
     @example(-1, 1 << 1100)
     def test_newton_step_ratio_is_correctly_rounded(self, a, b):
         # at z = 0 the Newton step of a + b*x is exactly a / b
-        step = _newton_step((a, b), (b,), 0, 0j)
+        step, _ = _newton_step((a, b), (b,), 0, 0j)
         exact = Fraction(a, b)
         assert step.imag == 0.0
         if abs(exact) >= 2**1024 - 2**970:  # rounds beyond the largest double
@@ -399,6 +404,13 @@ _near_real = st.builds(
 )
 
 
+def _value_at(coeffs, shift, z):
+    """b(z - shift) of b = coeffs as (re, im, fbits): _fixed_value at the
+    point _fixed_point forms, as an exact step and the gate evaluate it."""
+    xr, xi, fbits = _fixed_point(len(coeffs) - 1, shift, z)
+    return (*_fixed_value(coeffs, xr, xi, fbits), fbits)
+
+
 class TestExactNewtonStep:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(
@@ -412,7 +424,7 @@ class TestExactNewtonStep:
     def test_step_agrees_with_exact_ratio(self, coeffs, re, im):
         exact = _exact_newton_step(coeffs, (Fraction(re), Fraction(im)))
         assume(exact is not None)
-        step = _newton_step(coeffs, Poly(coeffs).derivative().coeffs, 0, complex(re, im))
+        step, _ = _newton_step(coeffs, Poly(coeffs).derivative().coeffs, 0, complex(re, im))
         ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
         assert abs(Fraction(step.real) - exact[0]) <= ulp
         assert abs(Fraction(step.imag) - exact[1]) <= ulp
@@ -426,13 +438,12 @@ class TestExactNewtonStep:
         exact = _exact_newton_step(b, (Fraction(y.real), Fraction(y.imag)))
         ulp = Fraction(math.ulp(float(max(map(abs, exact)))))
         for shift in (0, -1):  # the same point as y, or as z = y - 1
-            kept = {}
-            step = _newton_step(b, db, shift, y + shift, kept)
+            step, value = _newton_step(b, db, shift, y + shift)
             assert abs(Fraction(step.real) - exact[0]) <= ulp
             assert abs(Fraction(step.imag) - exact[1]) <= ulp
-            # the value kept for the gate is the first evaluation's, not the
-            # one with the fraction bits added for b'
-            assert kept == {y + shift: _shifted_value(b, shift, y + shift)}
+            # the value returned for the gate is the first evaluation's, not
+            # the one with the fraction bits added for b'
+            assert value == _value_at(b, shift, y + shift)
         # the pass's double b' is not certified there, so the step is this one
         m, x = _split_coefficients(b)
         _, D, _, B, _ = (v[0] for v in _power_sums(m, x, np.array([y])))
@@ -442,7 +453,7 @@ class TestExactNewtonStep:
         # b = 2**1100 + x at z = 1 with b'(y) taken as 2**-100: the step
         # 2**1200 exceeds the double range in either sign
         for sign in (1, -1):
-            step = _newton_step((sign * 2**1100, 1), (1,), 0, 1 + 0j, None, (2.0**-100, 0))
+            step, _ = _newton_step((sign * 2**1100, 1), (1,), 0, 1 + 0j, (2.0**-100, 0))
             assert step == complex(sign * math.inf, 0.0)
 
     @pytest.mark.parametrize("case", range(24))
@@ -458,10 +469,9 @@ class TestExactNewtonStep:
             if not abs(D) > complexroots._DERIVATIVE_MARGIN * 4 * d * 2.0**-53 * B:
                 continue
             met += 1
-            full = _newton_step(b, db, shift, z)
-            kept = {}
-            step = _newton_step(b, db, shift, z, kept, (complex(D), int(E)))
-            assert kept == {z: _shifted_value(b, shift, z)}
+            full, _ = _newton_step(b, db, shift, z)
+            step, value = _newton_step(b, db, shift, z, (complex(D), int(E)))
+            assert value == _value_at(b, shift, z)
             slack = 2.0**-26 * abs(full) + 4 * math.ulp(abs(full))
             assert abs(step - full) <= slack, (d, z)
         assert met > 0
@@ -470,9 +480,9 @@ class TestExactNewtonStep:
         # b = 1 + x**2 at x = 0: b'(x) is exactly 0 in every round, so the
         # step is the deterministic 2**-20 (1 + |z|), at z = 0 and at z = -1
         for shift, z, want in ((0, 0j, 2.0**-20), (-1, -1 + 0j, 2.0**-19)):
-            kept = {}
-            assert _newton_step((1, 0, 1), (0, 2), shift, z, kept) == complex(want, 0.0)
-            assert kept == {z: _shifted_value((1, 0, 1), shift, z)}
+            step, value = _newton_step((1, 0, 1), (0, 2), shift, z)
+            assert step == complex(want, 0.0)
+            assert value == _value_at((1, 0, 1), shift, z)
 
 
 @functools.cache
@@ -530,9 +540,9 @@ class TestGateArithmetic:
         coeffs, shift, z = case
         w = (Fraction(z.real) - shift, Fraction(z.imag))
         # the identity polynomial returns the fixed-point point itself
-        xr, xi, fbits = _shifted_value((0, 1), shift, z)
+        xr, xi, fbits = _value_at((0, 1), shift, z)
         assert (Fraction(xr, 2**fbits), Fraction(xi, 2**fbits)) == w
-        pr, pi, fbits = _shifted_value(coeffs, shift, z)
+        pr, pi, fbits = _value_at(coeffs, shift, z)
         er, ei = Fraction(coeffs[-1]), Fraction(0)
         for c in reversed(coeffs[:-1]):
             er, ei = er * w[0] - ei * w[1] + c, er * w[1] + ei * w[0]
@@ -662,6 +672,19 @@ def test_real_iterates_stay_real_and_bracketed():
     assert x.dtype == float
     assert all(lo <= v <= hi for v, (lo, hi, _) in zip(x, ends))
     assert x.tolist() == pytest.approx([-3.0, -1.0, 1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [20, 42])
+def test_kept_values_are_those_of_the_exact_steps(n):
+    # each exact step stores b at its point, as _fixed_value evaluates it at
+    # the point _fixed_point forms, and no other entry is kept
+    q = poly_complement_friendship(n).deflate_zero()
+    shift, stats, kept = complexroots._centroid_shift(q), Counter(), {}
+    b = q.taylor_shift(shift)
+    brackets = _real_root_brackets(q, Counter())
+    complexroots._aberth_iterate(b, shift, brackets, 1e-12, 500, stats, kept)
+    assert 0 < len(kept) <= stats["exact_steps"]
+    assert all(value == _value_at(b.coeffs, shift, z) for z, value in kept.items())
 
 
 _GATE_REUSE_CASES = [poly_complement_friendship(n) for n in range(1, 43)] + [
