@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -92,7 +93,10 @@ def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
     if args.edge_list:
         path = Path(args.edge_list)
         g = parse_edge_list(path.read_text(encoding="utf-8"))
-        return [(path.stem, (g.n,), domination_polynomial(g))]
+        # bytes of the name that are not UTF-8 become U+FFFD, so every
+        # output is UTF-8 and --out gets the bytes stdout does
+        label = os.fsencode(path.stem).decode("utf-8", "replace")
+        return [(label, (g.n,), domination_polynomial(g))]
     name, fixed, values = _parse_family_arg(args.family)
     out = []
     for v in _apply_parity(values, args.odd_only, args.even_only):

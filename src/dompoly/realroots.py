@@ -2,19 +2,25 @@
 
 `certify_cg` counts the distinct negative roots of a domination polynomial
 by Descartes-rule bisection (Vincent-Collins-Akritas; Collins and Akritas
-1976, Rouillier and Zimmermann 2004).  The deflated polynomial q is first
-reduced to s = q_1 q_2 ... from its squarefree decomposition q = c q_1 q_2**2
-... (`squarefree_factors`) -- q itself, when a gcd modulo a word-size prime
-proves it squarefree -- and the roots of r(x) = s(-x) are scaled into
-(0, 1) by a power of two.  Each interval is tested by the sign variations of
-(x+1)**d p(1/(x+1)) and split with 2**d p(x/2) and its Taylor shift by 1, so
-every number stays an integer.  Each root found comes with an isolating
-interval, or the exact root itself, which the certificate reports as a
-witness that exact evaluation checks.  Every exact operation on the real
-line lives here: the solver of `complexroots` takes its real roots from the
-same isolation, run on both sides of 0 (`_real_root_brackets`), as the
-certifier's `_Bracket`s, narrows them by exact signs (`_Bracket.cross`) and
-proves each root the double nearest it (`_nearest_double`).
+1976, Rouillier and Zimmermann 2004).  The roots of r(x) = q(-x), q the
+deflated polynomial, are scaled into (0, 1) by a power of two.  Each
+interval is tested by the sign variations of (x+1)**d p(1/(x+1)) and split
+with 2**d p(x/2) and its Taylor shift by 1, so every number stays an
+integer.  Descartes' rule counts roots with multiplicity, so a count of 0
+or 1 is exact on any q; only a bisection that goes on needs q squarefree,
+to end.  So q is proven squarefree -- by a gcd modulo a word-size prime, or
+where that cannot tell by Yun's exact gcds -- only when the bisection is
+about to split a node at depth `_PROOF_DEPTH` or finds a root on a split
+point, which might be a repeated one; if q is not, the isolation restarts
+on s = q_1 q_2 ... from q's squarefree decomposition q = c q_1 q_2**2 ...
+(`squarefree_factors`).  Each root found comes with an isolating interval,
+or the exact root itself, which the certificate reports as a witness that
+exact evaluation checks.  Every exact operation on the real line lives
+here: the solver of `complexroots` takes its real roots from the same
+isolation, run on both sides of 0 (`_real_root_brackets`) on squarefree
+factors, as the certifier's `_Bracket`s, narrows them by exact signs
+(`_Bracket.cross`) and proves each root the double nearest it
+(`_nearest_double`).
 
 Every Taylor shift runs on one kernel, `polynomials.taylor_shift_by_one`,
 on plain coefficient lists; it yields the coefficients from the lowest
@@ -23,7 +29,7 @@ interval is split either way).  The root bound 2**e is the first to leave
 r(2**e (x+1)) without sign variation, and its search starts at the least e
 with 2**e at or above the centroid of the roots of r: without variations
 the roots of r(2**e (x+1)), those of r over 2**e less 1, sum to at most 0.
-When s is D(G)/x**gamma for an n-vertex graph G without isolated vertices,
+When q is D(G)/x**gamma for an n-vertex graph G without isolated vertices,
 that centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.
 
 `squarefree_factors` is Yun's decomposition (Yun, SYMSAC 1976); the solver
@@ -36,13 +42,14 @@ p(num/den), exactly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -204,7 +211,38 @@ def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
     return [(p, 1)] if _squarefree_mod_prime(p) else _yun_factors(p)
 
 
+class _RepeatedFactor(Exception):
+    """The polynomial under isolation is not squarefree; the one argument is
+    the product of its squarefree factors."""
+
+
+def _require_squarefree(q: Poly, stats: dict) -> None:
+    """Return when q is squarefree, else raise _RepeatedFactor.
+
+    The modular test runs first, and Yun's exact gcds only where it cannot
+    tell; stats record which ran, and a later call returns at once.
+    """
+    if stats["modular_test"]:
+        return
+    stats["modular_test"] = True
+    if _squarefree_mod_prime(q):
+        return
+    stats["squarefree_fallback"] = True
+    factors = _yun_factors(q)
+    if factors != [(q, 1)]:
+        raise _RepeatedFactor(math.prod(f for f, _ in factors))
+
+
 # -- certification by Descartes-rule bisection ---------------------------------
+
+#: Depth from which a node is split only on a polynomial proven squarefree.
+#: The modular test costs about two levels of bisection (1.7-6.5 Taylor
+#: shifts at degrees 18-123), so a repeated factor wastes at most about what
+#: the skipped test saves on a squarefree polynomial.
+_PROOF_DEPTH = 2
+
+#: Proves the polynomial under isolation squarefree, or raises _RepeatedFactor.
+_Prover = Callable[[], None]
 
 
 def _descartes_test(f: list[int], stats: dict) -> int:
@@ -221,8 +259,10 @@ def _descartes_test(f: list[int], stats: dict) -> int:
     return len(list(itertools.islice(runs, 3))) - 1
 
 
-def _unit_interval_roots(p: list[int], stats: dict) -> tuple[list, list]:
-    """Isolate the roots of squarefree p in (0, 1) by Descartes bisection.
+def _unit_interval_roots(
+    p: list[int], stats: dict, prove: _Prover | None = None
+) -> tuple[list, list]:
+    """Isolate the roots of p in (0, 1) by Descartes bisection.
 
     A node (c, k) is the interval (c/2**k, (c+1)/2**k) with its polynomial
     mapped onto (0, 1).  Returns the isolating nodes and the exact roots as
@@ -230,6 +270,10 @@ def _unit_interval_roots(p: list[int], stats: dict) -> tuple[list, list]:
     on a split point shows as a zero constant term of the right half; it is
     divided out and marks the adjacent halves, which are split on until
     their interval is free of it, so no isolating interval ends at a root.
+
+    p must be squarefree, or prove given: it is called before a node at
+    depth _PROOF_DEPTH or deeper is split, and when a root on a split point
+    is found, whose multiplicity only squarefreeness tells.
     """
     isolated, exact = [], []
     stack = [(0, 0, p, False, False)]
@@ -243,12 +287,16 @@ def _unit_interval_roots(p: list[int], stats: dict) -> tuple[list, list]:
         if v == 1 and not (left_root or right_root):
             isolated.append((c, k))
             continue
+        if prove and k >= _PROOF_DEPTH:
+            prove()
         d = len(f) - 1
         left = _primitive([a << (d - i) for i, a in enumerate(f)])
         stats["shifts"] += 1
         right = list(taylor_shift_by_one(reversed(left)))
         mid_root = right[0] == 0
         if mid_root:
+            if prove:
+                prove()
             exact.append((2 * c + 1, k + 1))
             del right[0]
         stack.append((2 * c + 1, k + 1, right, mid_root, right_root))
@@ -284,39 +332,46 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
         e += 1
 
 
-def _positive_roots(r: Sequence[int], stats: dict) -> list[tuple[Fraction, Fraction]]:
-    """One pair (a, b), 0 <= a <= b, per distinct positive root of squarefree
-    r, coefficients ascending.
+def _positive_roots(
+    r: Sequence[int], stats: dict, prove: _Prover | None = None
+) -> list[tuple[Fraction, Fraction]]:
+    """One pair (a, b), 0 <= a <= b, per distinct positive root of r,
+    coefficients ascending, squarefree unless prove is given (see
+    _unit_interval_roots).
 
     a < b isolates one root; a == b is a root.  The roots are scaled into
     (0, 1) by a power of two, so the ends are dyadic rationals.
     """
     e, unit = _scaled_below_one(r, stats)
     stats["bound_exponent"] = e
-    isolated, exact = _unit_interval_roots(unit, stats)
+    isolated, exact = _unit_interval_roots(unit, stats, prove)
     scale = Fraction(1 << e)
     pairs = [(scale * Fraction(c, 1 << k), scale * Fraction(c + 1, 1 << k)) for c, k in isolated]
     pairs += [(scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
     return pairs
 
 
-def _real_root_brackets(s: Poly, stats: dict) -> list[_Bracket]:
-    """One _Bracket per distinct real root of squarefree s with s(0) != 0,
-    ascending: the positive roots from s, the negative ones from s(-x),
-    reflected, searched in that order, so stats keep the negative side's
+def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> list[_Bracket]:
+    """One _Bracket per distinct real root of s with s(0) != 0, ascending:
+    the positive roots from s, the negative ones from s(-x), reflected,
+    searched in that order, so stats keep the negative side's
     bound_exponent.  A side on which the coefficients show no sign
     variation has no root (Descartes' rule of signs) and is skipped: the
-    positive side of every polynomial without negative coefficients.
+    positive side of every polynomial without negative coefficients.  s is
+    squarefree unless prove is given (see _unit_interval_roots).
 
     s changes sign at each of its simple real roots, so just right of the
     j-th of r its sign is its leading coefficient's times (-1)**(r - 1 - j).
+    An isolation that never calls prove ends with every real root of s in
+    an interval of Descartes count 1, so simple, whether s is squarefree or
+    not.
     """
     mirror = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
     pairs = []
     if _sign_varies(s.coeffs):
-        pairs += _positive_roots(s.coeffs, stats)
+        pairs += _positive_roots(s.coeffs, stats, prove)
     if _sign_varies(mirror):
-        pairs += [(-b, -a) for a, b in _positive_roots(mirror, stats)]
+        pairs += [(-b, -a) for a, b in _positive_roots(mirror, stats, prove)]
     pairs.sort()
     r, lead = len(pairs), 1 if s.coeffs[-1] > 0 else -1
     return [_Bracket(s, lo, hi, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]
@@ -427,10 +482,12 @@ class CgCertificate:
     pair per distinct nonzero real root (see certify_cg); it is empty when
     in_cg is True.  stats counts the work and is left out of record() and
     to_json(): "nodes" (intervals tested), "max_depth" (bisection levels),
-    "bound_exponent" (e of the root bound 2**e), "squarefree_fallback"
-    (whether the exact gcd ran), "shifts" (Taylor shifts started, the ones
-    a test stopped early included) and "bound_tries" (exponents tried for
-    the root bound).
+    "bound_exponent" (e of the root bound 2**e), "modular_test" (whether
+    the modular squarefree test ran), "squarefree_fallback" (whether the
+    exact gcd ran), "shifts" (Taylor shifts started, the ones a test
+    stopped early included) and "bound_tries" (exponents tried for the root
+    bound).  After a restart on the squarefree part, the counts are the
+    restarted isolation's.
     """
 
     gamma: int
@@ -458,14 +515,15 @@ def certify_cg(p: Poly) -> CgCertificate:
     p must look like a domination polynomial: integer coefficients, none
     negative, so it has no positive root.  The zero root is deflated first;
     the count is of distinct negative roots, found by Descartes-rule
-    bisection on the product s of the squarefree factors of the deflated
-    polynomial (see squarefree_factors), the exact gcd running only where
-    the modular test cannot tell.  Each root comes with a witness [a, b],
-    the ends of its _Bracket: a < b <= 0 with s of sign -right at a and
-    right at b, the side the bracket was given by the parity of the roots
-    above it, or a == b with s(a) == 0, checked here by exact evaluation
-    before return.  s is the deflated polynomial itself unless that has a
-    repeated factor.
+    bisection on the deflated polynomial q.  Only a bisection that reaches
+    depth _PROOF_DEPTH or finds a root on a split point proves q squarefree
+    (the modular test, then the exact gcd where it cannot tell); if q is
+    not, the isolation restarts on the product s of its squarefree factors
+    (see squarefree_factors).  Each root comes with a witness [a, b], the
+    ends of its _Bracket: a < b <= 0 with s of sign -right at a and right
+    at b, the side the bracket was given by the parity of the roots above
+    it, or a == b with s(a) == 0, checked here by exact evaluation before
+    return.  s is q itself unless the isolation restarted.
     """
     if p.is_zero:
         raise ValueError("zero polynomial is not a domination polynomial")
@@ -473,15 +531,17 @@ def certify_cg(p: Poly) -> CgCertificate:
         raise ValueError("negative coefficient: not a domination polynomial")
     gamma = p.zero_root_multiplicity()
     q = p.deflate_zero()
-    stats = dict(nodes=0, max_depth=0, bound_exponent=0, squarefree_fallback=False,
-                 shifts=0, bound_tries=0)
+    counts = dict(nodes=0, max_depth=0, bound_exponent=0, shifts=0, bound_tries=0)
+    stats = dict(counts, modular_test=False, squarefree_fallback=False)
     if q.degree <= 0:
         return CgCertificate(gamma, 0, True, {"witnesses": []}, stats)
-    stats["squarefree_fallback"] = fallback = not _squarefree_mod_prime(q)
-    s = math.prod(f for f, _ in _yun_factors(q)) if fallback else q
-    brackets = _real_root_brackets(s, stats)
+    try:
+        brackets = _real_root_brackets(q, stats, functools.partial(_require_squarefree, q, stats))
+    except _RepeatedFactor as repeated:
+        stats.update(counts)
+        brackets = _real_root_brackets(repeated.args[0], stats)
     for b in brackets:
-        signs = _sign_at(s, b.lo), _sign_at(s, b.hi)
+        signs = _sign_at(b.q, b.lo), _sign_at(b.q, b.hi)
         if not (b.lo <= b.hi <= 0 and signs == ((-b.right, b.right) if b.lo < b.hi else (0, 0))):
             raise AssertionError(f"certifier witness [{b.lo}, {b.hi}] fails its exact check")
     evidence = {"witnesses": [[str(b.lo), str(b.hi)] for b in brackets]}

@@ -21,6 +21,14 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
+#: The certify --join patterns of the join_certify benchmark, by index n.
+BENCHMARK_JOINS = {
+    "H:n+1,B:n": lambda n: poly_join(poly_H(n + 1), poly_book(n)),
+    "H:n,H:n": lambda n: poly_join(poly_H(n), poly_H(n)),
+    "B:n,B:n": lambda n: poly_join(poly_book(n), poly_book(n)),
+}
+
+
 def criterion_6_joins() -> list[tuple[str, Poly]]:
     """(label, D) for every H/B join pattern that acceptance criterion 6 states."""
     operands = [(("H", n), ("H", n)) for n in range(3, 21)]

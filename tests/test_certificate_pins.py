@@ -18,26 +18,20 @@ from pathlib import Path
 
 import pytest
 
-from dompoly.formulas import FAMILIES, poly_book, poly_H, poly_join
+from dompoly.formulas import FAMILIES
 from dompoly.realroots import certify_cg
 
-from conftest import criterion_6_joins, criterion_7_coronas, record_digests
+from conftest import BENCHMARK_JOINS, criterion_6_joins, criterion_7_coronas, record_digests
 
 PINS = Path(__file__).parent / "fixtures" / "certificate_pins.json"
 
 _PINNED_STATS = ("nodes", "max_depth", "bound_exponent", "squarefree_fallback")
 
-_JOINS = {
-    "H:n+1,B:n": lambda n: poly_join(poly_H(n + 1), poly_book(n)),
-    "H:n,H:n": lambda n: poly_join(poly_H(n), poly_H(n)),
-    "B:n,B:n": lambda n: poly_join(poly_book(n), poly_book(n)),
-}
-
 
 def _instances(group: str):
     """(key, polynomial) pairs of one group of pinned instances."""
     if group == "joins":
-        for pattern, build in _JOINS.items():
+        for pattern, build in BENCHMARK_JOINS.items():
             for n in range(1, 33):
                 yield f"{pattern} n={n}", build(n)
     elif group == "families":

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -329,6 +330,39 @@ class TestCsvLabels:
                 header, *rows = csv.reader(io.StringIO(text, newline=""))
                 assert header == table[0] and len(rows) == len(table) - 1
                 assert all(row[:2] == [label, "3"] for row in rows)
+
+
+class TestUndecodableFileName:
+    """An edge-list file name that is not UTF-8 labels its instance with
+    U+FFFD in place of each bad byte: every output is UTF-8, and --out holds
+    the bytes that stdout gets."""
+
+    @pytest.mark.parametrize("command", ["compute", "certify", "sweep", "roots", "plot"])
+    def test_every_subcommand(self, monkeypatch, tmp_path, command):
+        path = tmp_path / os.fsdecode(b"g\xff.txt")
+        try:
+            path.write_text("3 2\n0 1\n1 2\n")  # the path P3
+        except (OSError, UnicodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main([command, "--edge-list", str(path)]) == 0
+        stdout.flush()
+        data = stdout.buffer.getvalue()
+        target = tmp_path / "out"
+        assert cli.main([command, "--edge-list", str(path), "--out", str(target)]) == 0
+        assert target.read_bytes() == data
+        text = data.decode("utf-8")
+        if command == "compute":
+            assert json.loads(text)["family"] == "g\ufffd"
+        elif command == "certify":
+            assert json.loads(text.splitlines()[0])["family"] == "g\ufffd"
+        elif command == "plot":
+            root = ET.fromstring(data)
+            titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+            assert "g\ufffd roots (n=3..3)" in titles
+        else:
+            assert all(row[0] == "g\ufffd" for row in list(csv.reader(io.StringIO(text)))[1:])
 
 
 class TestPlot:

@@ -29,6 +29,7 @@ from dompoly.graphs import FamilySpec
 from dompoly.polynomials import Poly
 from dompoly.realroots import (
     _PRIME,
+    _PROOF_DEPTH,
     _descartes_test,
     _scaled_below_one,
     _squarefree_mod_prime,
@@ -37,7 +38,7 @@ from dompoly.realroots import (
     squarefree_factors,
 )
 
-from conftest import count_real_roots, random_graph, sturm_sequence
+from conftest import BENCHMARK_JOINS, count_real_roots, random_graph, sturm_sequence
 
 X = Poly.X
 INF = float("inf")
@@ -284,14 +285,43 @@ class TestCertifyCg:
 
     @pytest.mark.parametrize("lead", [_PRIME, 3 * _PRIME])
     def test_leading_coefficient_divisible_by_the_prime(self, lead):
-        # the modular test cannot tell, so the exact gcd decides
-        # (x + 1)(lead x + 1), and one without real roots
-        for p in (Poly([1, lead + 1, lead]), Poly([lead, 1, lead])):
+        # the modular test cannot tell, so where the isolation needs the
+        # proof the exact gcd decides: (x + 1)(lead x + 1), one without real
+        # roots, and (lead x + 1)(lead x + 2), whose close roots take the
+        # bisection past _PROOF_DEPTH
+        deep = Poly([1, lead]) * Poly([2, lead])
+        for p in (Poly([1, lead + 1, lead]), Poly([lead, 1, lead]), deep):
             assert _squarefree_mod_prime(p) is False
             cert = certify_cg(p)
-            assert cert.stats["squarefree_fallback"] is True
+            assert cert.stats["squarefree_fallback"] is cert.stats["modular_test"]
             assert cert.nonzero_real_root_count == count_real_roots(p)
             assert cert.in_cg == (count_real_roots(p) == 0)
+        stats = certify_cg(deep).stats
+        assert stats["max_depth"] > _PROOF_DEPTH and stats["squarefree_fallback"] is True
+        # a square of it restarts on the squarefree part, with the same roots
+        squared = certify_cg(deep**2)
+        assert squared.stats["squarefree_fallback"] is True
+        assert squared.record() == certify_cg(deep).record()
+
+    def test_repeated_root_on_a_split_point(self):
+        # (x + 1)^2 (x + 3): the bisection lands on the double root -1 at
+        # depth 1, before any node deep enough to need the proof, and the
+        # certifier restarts on (x + 1)(x + 3)
+        cert = certify_cg((X + 1) ** 2 * (X + 3))
+        assert cert.evidence == {"witnesses": [["-4", "-2"], ["-2", "0"]]}
+        assert cert.stats["modular_test"] is cert.stats["squarefree_fallback"] is True
+        assert cert.stats["max_depth"] < _PROOF_DEPTH
+
+    def test_modular_test_only_where_the_bisection_needs_it(self):
+        # none of the benchmark's certificates bisects deep enough, or onto
+        # a root, to need the squarefree proof
+        polys = [build(n) for build in BENCHMARK_JOINS.values() for n in range(3, 33)]
+        polys += [poly_cocktail(n) for n in range(1, 51)]
+        polys += [poly_friendship(n) for n in range(1, 16)]
+        for p in polys:
+            assert certify_cg(p).stats["modular_test"] is False, p
+        # a repeated real root of H(10) takes its bisection to _PROOF_DEPTH
+        assert certify_cg(poly_H(10)).stats["modular_test"] is True
 
     def test_bound_search_skips_the_exponents_below_the_centroid(self):
         # a search from e = 0 would take bound_exponent + 1 tries
@@ -368,9 +398,13 @@ class TestDescartesAgainstSturm:
         exact=st.tuples(st.booleans(), st.booleans()),
         gamma=st.integers(0, 3),
     )
+    # repeated roots on split points at depth 1 and 0: (x + 1)^2 (x + 3)
+    # and (2x + 1)^2 (x^2 + x + 1)
+    @example(factors=[[3, 1]], squared=[[1, 1]], exact=(False, False), gamma=0)
+    @example(factors=[[1, 1, 1]], squared=[[1, 2]], exact=(False, False), gamma=0)
     def test_random_nonnegative_polynomials(self, factors, squared, exact, gamma):
         # (x + 2) and (2x + 1) put exact roots on bisection points; squared
-        # factors take the exact squarefree fallback
+        # factors may take the exact squarefree fallback
         p = X**gamma * Poly([2, 1]) ** exact[0] * Poly([1, 2]) ** exact[1]
         for cs in factors:
             p = p * Poly(cs)
@@ -405,18 +439,10 @@ class TestDescartesAgainstSturm:
             p = closed_form(FamilySpec(name, (n,)))
             assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p), n
 
-    @pytest.mark.parametrize(
-        "pattern",
-        [
-            lambda n: (poly_H(n + 1), poly_book(n)),
-            lambda n: (poly_H(n), poly_H(n)),
-            lambda n: (poly_book(n), poly_book(n)),
-        ],
-        ids=["H:n+1,B:n", "H:n,H:n", "B:n,B:n"],
-    )
+    @pytest.mark.parametrize("pattern", list(BENCHMARK_JOINS))
     def test_benchmark_join_patterns(self, pattern):
         for n in range(3, 33):
-            p = poly_join(*pattern(n))
+            p = BENCHMARK_JOINS[pattern](n)
             assert certify_cg(p).nonzero_real_root_count == _negative_root_count(p), n
 
 
@@ -562,8 +588,8 @@ class TestRealRootWitnesses:
         brackets = realroots._real_root_brackets(p.deflate_zero(), Counter())
         assert any(b.lo < b.hi for b in brackets) and certify_cg(p).nonzero_real_root_count
 
-        def flipped(s, stats):
-            out = isolate(s, stats)
+        def flipped(s, stats, prove=None):
+            out = isolate(s, stats, prove)
             for b in out:
                 b.right = -b.right
             return out
@@ -578,7 +604,7 @@ class TestRealRootWitnesses:
         monkeypatch.setattr(
             realroots,
             "_positive_roots",
-            lambda r, stats: searched.append(list(r)) or isolate(r, stats),
+            lambda r, stats, prove=None: searched.append(list(r)) or isolate(r, stats, prove),
         )
         # no negative coefficient: only the negative side, the positive
         # roots of q(-x), is searched
@@ -597,7 +623,7 @@ class TestRealRootWitnesses:
         monkeypatch.setattr(
             realroots,
             "_positive_roots",
-            lambda r, stats: searched.append(list(r)) or isolate(r, stats),
+            lambda r, stats, prove=None: searched.append(list(r)) or isolate(r, stats, prove),
         )
         p = poly_book(6)
         find_roots(p)
