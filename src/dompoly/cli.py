@@ -92,7 +92,7 @@ def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
         return _join_instances(args)
     if args.edge_list:
         path = Path(args.edge_list)
-        g = parse_edge_list(path.read_text(encoding="utf-8"))
+        g = parse_edge_list(path.read_text(encoding="utf-8-sig"))  # a leading BOM is skipped
         # bytes of the name that are not UTF-8 become U+FFFD, so every
         # output is UTF-8 and --out gets the bytes stdout does
         label = os.fsencode(path.stem).decode("utf-8", "replace")

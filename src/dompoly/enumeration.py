@@ -24,7 +24,7 @@ count.  No join, union or corona decomposition is used here, so the CLI's
 from __future__ import annotations
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .polynomials import Poly
 
 #: A vertex order is abandoned once the frontier holds more states than this.
@@ -42,13 +42,10 @@ def is_dominating(g: Graph, subset_mask: int) -> bool:
         raise ValueError(f"subset mask references vertices outside 0..{g.n - 1}")
     full = (1 << g.n) - 1
     cover = 0
-    m = subset_mask
-    while m:
-        low = m & -m
-        cover |= g.closed[low.bit_length() - 1]
+    for v in _bits(subset_mask):
+        cover |= g.closed[v]
         if cover == full:
             return True
-        m ^= low
     return cover == full
 
 
@@ -59,22 +56,19 @@ def _greedy_order(g: Graph) -> list[int]:
     ties go to the lowest index.
     """
     closed = g.closed
-    undecided_in = [m.bit_count() for m in closed]  # undecided members of N[u]
-    last_open = sum(1 << u for u, k in enumerate(undecided_in) if k == 1)  # one member left
+    undecided = (1 << g.n) - 1
     touched = 0
-    undecided = list(range(g.n))
     order = []
     while undecided:
+        # the vertices with one undecided member of N[u] left
+        last_open = sum(1 << u for u, m in enumerate(closed) if (m & undecided).bit_count() == 1)
         v = min(
-            undecided,
+            _bits(undecided),
             key=lambda w: (closed[w] & ~touched).bit_count() - (closed[w] & last_open).bit_count(),
         )
-        undecided.remove(v)
+        undecided ^= 1 << v
         order.append(v)
         touched |= closed[v]
-        for u in (v, *g.neighbors(v)):
-            undecided_in[u] -= 1
-        last_open = sum(1 << u for u, k in enumerate(undecided_in) if k == 1)
     return order
 
 
@@ -140,6 +134,4 @@ def domination_polynomial(g: Graph) -> Poly:
 
 def domination_number(g: Graph) -> int:
     """Minimum dominating-set size (0 for the empty graph)."""
-    if g.n == 0:
-        return 0
     return domination_polynomial(g).zero_root_multiplicity()

@@ -143,12 +143,17 @@ class FamilySpec:
         return f"{self.name}:{','.join(str(p) for p in self.params)}"
 
 
+def _matching(n: int) -> Graph:
+    """nK_2: the edges {2i, 2i + 1}."""
+    return Graph(2 * n, ((2 * i, 2 * i + 1) for i in range(n)))
+
+
 def complete(n: int) -> Graph:
-    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return complement(Graph(n))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph(a + b, ((u, a + v) for u in range(a) for v in range(b)))
+    return join(Graph(a), Graph(b))
 
 
 def path(n: int) -> Graph:
@@ -160,12 +165,8 @@ def cycle(n: int) -> Graph:
 
 
 def friendship(n: int) -> Graph:
-    """n triangles sharing vertex 0."""
-    edges = []
-    for i in range(n):
-        a, b = 2 * i + 1, 2 * i + 2
-        edges += [(0, a), (0, b), (a, b)]
-    return Graph(2 * n + 1, edges)
+    """n triangles sharing vertex 0: K_1 joined to nK_2."""
+    return join(Graph(1), _matching(n))
 
 
 def complement_friendship(n: int) -> Graph:
@@ -173,9 +174,8 @@ def complement_friendship(n: int) -> Graph:
 
 
 def cocktail_party(n: int) -> Graph:
-    """K_{2n} minus the perfect matching {2i, 2i+1}."""
-    edges = [(u, v) for u in range(2 * n) for v in range(u + 1, 2 * n) if u // 2 != v // 2]
-    return Graph(2 * n, edges)
+    """K_{2n} minus the perfect matching {2i, 2i+1}: the complement of nK_2."""
+    return complement(_matching(n))
 
 
 def book(n: int) -> Graph:
@@ -189,9 +189,7 @@ def book(n: int) -> Graph:
 
 def k_star(k: int, n: int) -> Graph:
     """A k-clique plus n - k vertices joined to all of it."""
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    edges += [(u, v) for v in range(k, n) for u in range(k)]
-    return Graph(n, edges)
+    return join(complete(k), Graph(n - k))
 
 
 def h_witness(n: int) -> Graph:
@@ -217,7 +215,7 @@ def parse_edge_list(text: str) -> Graph:
     if len(header) != 2:
         raise EdgeListParseError("header must be two integers 'n m'", 1)
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _decimal(header[0]), _decimal(header[1])
     except ValueError:
         raise EdgeListParseError("header must be two integers 'n m'", 1) from None
     if n < 0 or m < 0:
@@ -234,7 +232,7 @@ def parse_edge_list(text: str) -> Graph:
         if len(fields) != 2:
             raise EdgeListParseError("expected 'u v'", lineno)
         try:
-            u, v = int(fields[0]), int(fields[1])
+            u, v = _decimal(fields[0]), _decimal(fields[1])
         except ValueError:
             raise EdgeListParseError("expected integer endpoints", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
@@ -249,6 +247,13 @@ def parse_edge_list(text: str) -> Graph:
     if len(edges) != m:
         raise EdgeListParseError(f"expected {m} edges, found {len(edges)}", lineno + 1)
     return Graph(n, edges)
+
+
+def _decimal(field: str) -> int:
+    """int(field) for ASCII digits after an optional "-"; int() also reads "1_0" and "+1"."""
+    if not (field.isascii() and field.lstrip("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {field!r}")
+    return int(field)
 
 
 def to_edge_list(g: Graph) -> str:

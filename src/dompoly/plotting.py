@@ -75,27 +75,18 @@ def render_scatter(
         )
     for x, y in points:
         out.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="2" fill="#136"/>')
-    # axis extent labels
-    out.append(
-        f'<text x="{MARGIN}" y="{HEIGHT - MARGIN + 16}" font-size="11" '
-        f'fill="#444">{_fmt(x_lo)}</text>'
-    )
-    out.append(
-        f'<text x="{WIDTH - MARGIN}" y="{HEIGHT - MARGIN + 16}" font-size="11" '
-        f'fill="#444" text-anchor="end">{_fmt(x_hi)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN - 4}" y="{HEIGHT - MARGIN}" font-size="11" fill="#444" '
-        f'text-anchor="end">{_fmt(y_lo)}</text>'
-    )
-    out.append(
-        f'<text x="{MARGIN - 4}" y="{MARGIN + 10}" font-size="11" fill="#444" '
-        f'text-anchor="end">{_fmt(y_hi)}</text>'
-    )
+    # axis extent labels, then the title: (x, y, font size, fill, anchor, text)
+    right = ' text-anchor="end"'
+    labels = [
+        (MARGIN, HEIGHT - MARGIN + 16, 11, "#444", "", _fmt(x_lo)),
+        (WIDTH - MARGIN, HEIGHT - MARGIN + 16, 11, "#444", right, _fmt(x_hi)),
+        (MARGIN - 4, HEIGHT - MARGIN, 11, "#444", right, _fmt(y_lo)),
+        (MARGIN - 4, MARGIN + 10, 11, "#444", right, _fmt(y_hi)),
+    ]
     if title:
-        out.append(
-            f'<text x="{WIDTH // 2}" y="{MARGIN - 16}" font-size="14" fill="#222" '
-            f'text-anchor="middle">{html.escape(title, quote=False)}</text>'
-        )
+        escaped = html.escape(title, quote=False)
+        labels.append((WIDTH // 2, MARGIN - 16, 14, "#222", ' text-anchor="middle"', escaped))
+    for x, y, size, fill, anchor, text in labels:
+        out.append(f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{anchor}>{text}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -39,18 +39,15 @@ class Poly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = [operator.index(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = Poly._from_ints([operator.index(c) for c in coeffs]).coeffs
 
     @staticmethod
     def _from_ints(cs: list[int]) -> "Poly":
         """A Poly of `cs`, a list of ints that it consumes, with trailing
         zeros stripped and without ``__init__``'s ``operator.index`` pass.
 
-        Only for the results of the operations below, whose entries are ints
-        by construction.
+        Only for lists of ints: ``__init__``'s, once indexed, and the
+        results of the operations below, ints by construction.
         """
         while cs and not cs[-1]:
             cs.pop()
@@ -227,10 +224,7 @@ class Poly:
         """Multiplicity of the root at 0: lowest index with nonzero coefficient."""
         if not self.coeffs:
             raise ValueError("zero polynomial has no root multiplicities")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError("unreachable: normalized nonzero polynomial")
+        return next(i for i, c in enumerate(self.coeffs) if c)
 
     def deflate_zero(self) -> "Poly":
         """Divide out x**zero_root_multiplicity exactly."""

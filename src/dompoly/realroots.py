@@ -49,7 +49,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -254,9 +254,15 @@ def _descartes_test(f: list[int], stats: dict) -> int:
     ascending is the reversed polynomial from the highest degree down.
     """
     stats["shifts"] += 1
-    # one run per sign: the start of a third run is the second variation
-    runs = itertools.groupby(c > 0 for c in taylor_shift_by_one(f) if c)
-    return len(list(itertools.islice(runs, 3))) - 1
+    return _variations(taylor_shift_by_one(f), 2)
+
+
+def _variations(coeffs: Iterable[int], cap: int) -> int:
+    """min(cap, sign variations of coeffs), not all zero, read only up to
+    the cap-th variation."""
+    # one run per sign: the start of run cap + 1 is the cap-th variation
+    runs = itertools.groupby(c > 0 for c in coeffs if c)
+    return len(list(itertools.islice(runs, cap + 1))) - 1
 
 
 def _unit_interval_roots(
@@ -327,7 +333,7 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
         stats["bound_tries"] += 1
         beyond = taylor_shift_by_one(reversed(unit))
         low = next(beyond)
-        if low and all((c > 0) == (low > 0) for c in beyond if c):
+        if low and not _variations(itertools.chain((low,), beyond), 1):
             return e, unit
         e += 1
 
@@ -368,19 +374,13 @@ def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> l
     """
     mirror = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
     pairs = []
-    if _sign_varies(s.coeffs):
+    if _variations(s.coeffs, 1):
         pairs += _positive_roots(s.coeffs, stats, prove)
-    if _sign_varies(mirror):
+    if _variations(mirror, 1):
         pairs += [(-b, -a) for a, b in _positive_roots(mirror, stats, prove)]
     pairs.sort()
     r, lead = len(pairs), 1 if s.coeffs[-1] > 0 else -1
     return [_Bracket(s, lo, hi, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]
-
-
-def _sign_varies(coeffs: Sequence[int]) -> bool:
-    """True when the nonzero coefficients do not all have one sign."""
-    signs = {c > 0 for c in coeffs if c}
-    return len(signs) > 1
 
 
 @dataclass

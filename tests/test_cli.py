@@ -8,11 +8,12 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dompoly import cli, enumeration
+from dompoly import cli, complexroots, enumeration
 from dompoly.complexroots import find_roots
 from dompoly.errors import NonConvergenceError
 from dompoly.formulas import FAMILIES, _index_from_1, build_family, closed_form, poly_join, poly_H
@@ -266,6 +267,15 @@ class TestRoots:
         assert [n for n, _ in listed] == ["11", "12"]
         assert all(float(c) > 0 for _, c in listed)
 
+    def test_residual_gate_refusal_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            complexroots, "_final_residuals", lambda basis, shift, z, *rest: np.ones(len(z))
+        )
+        code, out, err = run(capsys, "roots", "--family", "friendship:3")
+        assert code == 3 and out == ""
+        # the gate's worst residual is the instance's reported correction
+        assert "friendship:3 (max correction 1.000e+00)" in err
+
     def test_non_convergence_keeps_first_failure(self):
         args = cli.build_parser().parse_args(
             ["roots", "--family", "complement_friendship:11..12", "--max-iter", "2"]
@@ -330,6 +340,31 @@ class TestCsvLabels:
                 header, *rows = csv.reader(io.StringIO(text, newline=""))
                 assert header == table[0] and len(rows) == len(table) - 1
                 assert all(row[:2] == [label, "3"] for row in rows)
+
+
+class TestEdgeListEncoding:
+    """A file that a Windows editor saved, with a UTF-8 byte-order mark and
+    CRLF line ends, reads as the plain file does."""
+
+    @pytest.mark.parametrize("command", ["compute", "certify", "roots"])
+    def test_bom_and_crlf(self, capsys, tmp_path, command):
+        outputs = []
+        plain, windows = b"3 2\n0 1\n1 2\n", b"\xef\xbb\xbf3 2\r\n0 1\r\n1 2\r\n"
+        for name, data in (("plain", plain), ("windows", windows)):
+            path = tmp_path / name / "p3.txt"
+            path.parent.mkdir()
+            path.write_bytes(data)
+            code, out, err = run(capsys, command, "--edge-list", str(path))
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_ascii_digits_only(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("12 1\n1_0 2\n")
+        code, out, err = run(capsys, "certify", "--edge-list", str(path))
+        assert code == 1 and out == ""
+        assert "line 2: expected integer endpoints" in err
 
 
 class TestUndecodableFileName:

@@ -118,6 +118,21 @@ class TestFindRoots:
         assert len(exc.value.roots) == poly_complement_friendship(12).degree - 3
         assert exc.value.max_correction > 0
 
+    def test_residual_gate_refusal_carries_every_iterate(self, monkeypatch):
+        # no input has been found that converges and then fails the gate, so
+        # the gate is made to report residuals above tol
+        p = poly_friendship(3)
+        expected = sorted((re, im) for re, im, _ in find_roots(p).roots)
+        monkeypatch.setattr(
+            complexroots,
+            "_final_residuals",
+            lambda basis, shift, z, *rest: np.array([2e-12] * (len(z) - 1) + [3e-12]),
+        )
+        with pytest.raises(NonConvergenceError, match="exceeds tolerance") as exc:
+            find_roots(p, tol=1e-12)
+        assert sorted((z.real, z.imag) for z in exc.value.roots) == expected
+        assert exc.value.max_correction == 3e-12
+
     def test_small_root_far_from_the_centroid(self):
         # the centroid shift is -558: an iterate kept as y = z + 558 holds
         # the root near -0.014 only to about 6e-14, too coarse for the gate

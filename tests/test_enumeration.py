@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +7,7 @@ from dompoly import enumeration
 from dompoly.enumeration import domination_number, domination_polynomial, is_dominating
 from dompoly.errors import CapacityError
 from dompoly.formulas import build_family, closed_form
-from dompoly.graphs import FamilySpec, Graph, disjoint_union
+from dompoly.graphs import FamilySpec, Graph, disjoint_union, parse_edge_list
 from dompoly.polynomials import Poly, binomial_power
 
 from conftest import random_graph, subset_sweep
@@ -117,6 +118,32 @@ class TestBudget:
         g = fam("friendship", 40)
         assert enumeration._frontier_counts(g, enumeration._greedy_order(g)) is None
         assert domination_polynomial(g) == closed_form(FamilySpec("friendship", (40,)))
+
+
+class TestGreedyOrder:
+    """The greedy order decides the frontier sizes, so it is pinned."""
+
+    HILL_CLIMB_28 = Path(__file__).parent / "fixtures" / "hill_climb_28.txt"
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            (
+                "hill_climb_28",
+                [7, 3, 12, 14, 18, 20, 9, 10, 15, 11, 17, 27, 19, 25]
+                + [1, 24, 16, 4, 8, 21, 26, 0, 22, 23, 5, 13, 2, 6],
+            ),
+            ("h_witness:7", [12, 13, 14, 3, 4, 0, 5, 6, 1, 7, 8, 2, 9, 10, 11]),
+            ("friendship:3", [1, 2, 0, 3, 4, 5, 6]),
+        ],
+    )
+    def test_pinned_orders(self, name, expected):
+        if name == "hill_climb_28":
+            g = parse_edge_list(self.HILL_CLIMB_28.read_text())
+        else:
+            family, _, n = name.partition(":")
+            g = fam(family, int(n))
+        assert enumeration._greedy_order(g) == expected
 
 
 class TestDominationNumber:

@@ -18,6 +18,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -172,6 +173,26 @@ def test_parser_is_built_once_and_reused(golden, tmp_path, capsys):
     ):
         assert run_command(command, tmp_path) == golden[command]
     assert cli._parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["compute --family friendship:2", "compute --family friendship:0"]
+)
+def test_module_runs_as_a_script(command, golden, tmp_path):
+    """`python -m dompoly.cli` gives the golden exit code and bytes, and
+    with warnings as errors: importing cli from the package would make
+    runpy warn that the module is already loaded."""
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "dompoly.cli", *command.split()],
+        capture_output=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    want = golden[command]
+    assert proc.returncode == want["exit"]
+    assert _sha(proc.stdout) == want["stdout"] and _sha(proc.stderr) == want["stderr"]
 
 
 def test_readme_quotes_the_solver_failure_verbatim(capsys):

@@ -45,6 +45,13 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(-1)
 
+    def test_equality_hash_and_repr(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        assert g == Graph(3, [(2, 1), (1, 0)]) and g != Graph(3, [(0, 1)])
+        assert g != (3, g.adj) and g.__eq__("graph") is NotImplemented
+        assert hash(g) == hash(Graph(3, [(1, 2), (0, 1)]))
+        assert repr(g) == "Graph(n=3, m=2)"
+
     def test_vertex_cap(self):
         with pytest.raises(CapacityError):
             Graph(MAX_VERTICES + 1)
@@ -276,6 +283,21 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListParseError, match="header counts must be nonnegative") as exc:
             parse_edge_list(text)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("field", ["1_0", "+1", "\u0663"])  # U+0663 is Arabic-Indic 3
+    def test_only_ascii_decimals_in_the_header(self, field):
+        with pytest.raises(EdgeListParseError, match="header must be two integers") as exc:
+            parse_edge_list(f"{field} 0\n")
+        assert exc.value.line == 1
+        with pytest.raises(EdgeListParseError, match="header must be two integers"):
+            parse_edge_list(f"12 {field}\n")
+
+    @pytest.mark.parametrize("field", ["1_0", "+1", "\u0663"])
+    def test_only_ascii_decimals_in_edge_lines(self, field):
+        for line in (f"{field} 2", f"2 {field}"):
+            with pytest.raises(EdgeListParseError, match="expected integer endpoints") as exc:
+                parse_edge_list(f"12 2\n0 1\n{line}\n")
+            assert exc.value.line == 3
 
     def test_trailing_blank_lines_ok(self):
         assert parse_edge_list("1 0\n\n") == Graph(1)

@@ -58,6 +58,22 @@ def test_basic_arithmetic():
     assert 2 * X + X**2 == Poly([0, 2, 1])
 
 
+def test_mixed_int_operands():
+    p = Poly([2, 3])
+    assert 1 - p == Poly([-1, -3])
+    assert Poly([3]) == 3 and not (p == 3) and Poly() == 0
+    assert hash(p) == hash(Poly([2, 3, 0]))
+    with pytest.raises(TypeError):
+        p + 1.5
+
+
+def test_negative_exponents_rejected():
+    with pytest.raises(IndexError, match="negative exponent"):
+        Poly([1, 2]).coefficient(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        binomial_power(-1)
+
+
 def test_pow_validation():
     with pytest.raises(ValueError):
         X**-1

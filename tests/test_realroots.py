@@ -31,6 +31,7 @@ from dompoly.realroots import (
     _PRIME,
     _PROOF_DEPTH,
     _descartes_test,
+    _exact_div,
     _scaled_below_one,
     _squarefree_mod_prime,
     certify_cg,
@@ -206,6 +207,28 @@ class TestSquarefreeFactors:
     def test_rejects_degree_below_one(self, p):
         with pytest.raises(ValueError, match="degree at least 1"):
             squarefree_factors(p)
+
+
+class TestExactDiv:
+    def test_exact_quotient(self):
+        assert _exact_div(Poly([1, 2, 1]), Poly([1, 1])) == Poly([1, 1])
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            _exact_div(Poly([1, 1]), Poly())
+
+    @pytest.mark.parametrize(
+        "p, g",
+        [
+            (Poly([1, 1]), Poly([1, 0, 1])),  # divisor of higher degree
+            (Poly([1, 3]), Poly([1, 2])),  # 3 is not a multiple of 2
+            (Poly([1, 0, 1]), Poly([1, 1])),  # remainder 2
+        ],
+        ids=["higher-degree", "indivisible-coefficient", "remainder"],
+    )
+    def test_inexact_division(self, p, g):
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            _exact_div(p, g)
 
 
 class TestCertifyCg:
