@@ -7,15 +7,12 @@ composition rules for joins, coronas and disjoint unions.  On top of that it
 certifies, in exact integer arithmetic, which polynomials have no nonzero
 real roots, and locates the complex roots numerically for plotting and
 limit-curve analysis.
+
+The root solver's names are served on first access (PEP 562), since only
+the solver needs numpy: importing the package, or the CLI, leaves it
+unloaded until a root is located or the modular squarefree test runs.
 """
 
-from .complexroots import (
-    CircleDeviation,
-    RootSet,
-    circle_deviation,
-    distinct_real_roots,
-    find_roots,
-)
 from .enumeration import (
     domination_number,
     domination_polynomial,
@@ -103,3 +100,20 @@ __all__ = [
     "squarefree_factors",
     "to_edge_list",
 ]
+
+#: Names served from dompoly.complexroots, which imports numpy.
+_SOLVER_NAMES = frozenset(
+    {"CircleDeviation", "RootSet", "circle_deviation", "distinct_real_roots", "find_roots"}
+)
+
+
+def __getattr__(name: str):
+    if name in _SOLVER_NAMES:
+        from . import complexroots
+
+        return getattr(complexroots, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SOLVER_NAMES)

@@ -19,16 +19,18 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .complexroots import MIN_TOL, RootSet, find_roots
 from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
 from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
-from .graphs import FamilySpec, parse_edge_list
+from .graphs import FamilySpec, _decimal, parse_edge_list
 from .plotting import render_scatter
 from .polynomials import Poly
 from .realroots import certify_cg
+
+if TYPE_CHECKING:
+    from .complexroots import RootSet
 
 TOL_MAX = 1e-6
 
@@ -41,18 +43,19 @@ class _UsageError(ValueError):
 
 
 def _parse_range(text: str) -> range:
-    """Inclusive "a..b", or a single integer."""
+    """Inclusive "a..b", or a single integer.  Here and in the family and
+    join parameters, graphs._decimal reads the integers: ASCII digits only."""
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _decimal(lo_s), _decimal(hi_s)
         except ValueError:
             raise _UsageError(f"bad range {text!r}, expected a..b") from None
         if lo > hi:
             raise _UsageError(f"empty range {text!r}")
         return range(lo, hi + 1)
     try:
-        v = int(text)
+        v = _decimal(text)
     except ValueError:
         raise _UsageError(f"bad integer {text!r}") from None
     return range(v, v + 1)
@@ -65,7 +68,7 @@ def _parse_family_arg(text: str) -> tuple[str, tuple[int, ...], range]:
         raise _UsageError(f"expected 'name:params', got {text!r}")
     parts = rest.split(",")
     try:
-        fixed = tuple(int(p) for p in parts[:-1])
+        fixed = tuple(_decimal(p) for p in parts[:-1])
     except ValueError:
         raise _UsageError(f"non-integer parameter in {text!r}") from None
     return name, fixed, _parse_range(parts[-1])
@@ -134,11 +137,11 @@ def _parse_operand(text: str) -> tuple[Family, int | None, int]:
         return family, None, 0
     if expr.startswith("n+"):
         try:
-            return family, None, int(expr[2:])
+            return family, None, _decimal(expr[2:])
         except ValueError:
             raise _UsageError(f"bad operand index {expr!r}") from None
     try:
-        return family, int(expr), 0
+        return family, _decimal(expr), 0
     except ValueError:
         raise _UsageError(f"bad operand index {expr!r} (use n, n+k, or an integer)") from None
 
@@ -275,12 +278,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _root_entries(args) -> list[tuple[str, int, RootSet]]:
-    if not MIN_TOL <= args.tol <= TOL_MAX:
-        raise _UsageError(f"--tol must lie in [{MIN_TOL}, {TOL_MAX}]")
+    """(label, n, RootSet) per instance.  The solver, and numpy with it, is
+    imported here, so that the other subcommands start without it, and
+    find_roots is looked up on it at each call, where bench/spans.py wraps it."""
+    from . import complexroots
+
+    if not complexroots.MIN_TOL <= args.tol <= TOL_MAX:
+        raise _UsageError(f"--tol must lie in [{complexroots.MIN_TOL}, {TOL_MAX}]")
     entries, failed = [], []
     for label, (*_, n), p in _instances(args):
         try:
-            entries.append((label, n, find_roots(p, tol=args.tol, max_iter=args.max_iter)))
+            roots = complexroots.find_roots(p, tol=args.tol, max_iter=args.max_iter)
+            entries.append((label, n, roots))
         except NonConvergenceError as e:
             failed.append((label, n, e))
     if failed:

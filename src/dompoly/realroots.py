@@ -49,11 +49,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .polynomials import Poly, taylor_shift_by_one
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _primitive(coeffs: Sequence[int]) -> Sequence[int]:
@@ -107,10 +108,14 @@ def _squarefree_mod_prime(p: Poly) -> bool:
     A repeated factor f**2 of p over the integers has lc(f) | lc(p) (Gauss's
     lemma).  When the prime does not divide lc(p), f keeps its degree mod the
     prime and divides both p and p' there, so gcd(p, p') mod the prime is
-    not constant.  False means only that this test cannot tell.
+    not constant.  False means only that this test cannot tell.  numpy is
+    imported here, its only use in this module, so that a process that never
+    needs this proof never loads it.
     """
     if p.coeffs[-1] % _PRIME == 0:
         return False
+    import numpy as np
+
     a = np.array([c % _PRIME for c in p.coeffs], dtype=np.int64)
     b = _trim(np.array([i * c % _PRIME for i, c in enumerate(p.coeffs)][1:], dtype=np.int64))
     while b.size:

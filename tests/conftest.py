@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +77,22 @@ def record_digests(path: Path, digests: dict[str, str]) -> None:
             print(f"{key}: {previous.get(key)} -> {digests.get(key)}")
     path.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
     print(f"recorded {len(digests)} digests in {path}")
+
+
+def run_fresh(args: list[str], cwd: Path, stdin: str = "") -> subprocess.CompletedProcess:
+    """Run `python -W error *args` in a fresh interpreter with src/ first on
+    its path: a check of what a process imports needs one, since this module
+    has already imported numpy here."""
+    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run(
+        [sys.executable, "-W", "error", *args],
+        input=stdin.encode(),
+        capture_output=True,
+        cwd=cwd,
+        env=env,
+        timeout=120,
+    )
 
 
 def inclusion_exclusion_coeffs(g: Graph) -> list[int]:

@@ -21,7 +21,13 @@ import pytest
 from dompoly.formulas import FAMILIES
 from dompoly.realroots import certify_cg
 
-from conftest import BENCHMARK_JOINS, criterion_6_joins, criterion_7_coronas, record_digests
+from conftest import (
+    BENCHMARK_JOINS,
+    criterion_6_joins,
+    criterion_7_coronas,
+    record_digests,
+    run_fresh,
+)
 
 PINS = Path(__file__).parent / "fixtures" / "certificate_pins.json"
 
@@ -51,10 +57,14 @@ def _instances(group: str):
 GROUPS = ["joins", "families", "criterion_6", "criterion_7"]
 
 
+def _digest(record: dict, stats: dict) -> str:
+    pinned = {"record": record, **{key: stats[key] for key in _PINNED_STATS}}
+    return hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+
+
 def certificate_digest(p) -> str:
     cert = certify_cg(p)
-    pinned = {"record": cert.record(), **{key: cert.stats[key] for key in _PINNED_STATS}}
-    return hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    return _digest(cert.record(), cert.stats)
 
 
 def _digests(group: str) -> dict[str, str]:
@@ -74,6 +84,37 @@ def test_every_instance_is_pinned(pins):
 def test_certificates_are_pinned(group, pins):
     got = _digests(group)
     assert got == {key: pins.get(key) for key in got}
+
+
+#: Certifies the polynomial whose coefficients arrive on stdin as JSON, and
+#: prints whether numpy was loaded before and after, and the certificate.
+_CERTIFY_FRESH = """import json, sys
+from dompoly.polynomials import Poly
+from dompoly.realroots import certify_cg
+p = Poly(json.load(sys.stdin))
+before = "numpy" in sys.modules
+cert = certify_cg(p)
+numpy = [before, "numpy" in sys.modules]
+json.dump({"numpy": numpy, "record": cert.record(), "stats": cert.stats}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize(
+    "key",
+    # the modular test proves the first squarefree and cannot tell on the
+    # second, a square, where the exact gcds decide
+    ["criterion 7 B_2 level1 |G|=1", "criterion 7 S_{3,2} level1 |G|=2"],
+)
+def test_modular_squarefree_test_loads_numpy_on_demand(key, pins, tmp_path):
+    """certify_cg imports numpy only for the modular squarefree test: in a
+    fresh process a certificate that runs the test loads it then, and still
+    matches its pin."""
+    p = dict(_instances("criterion_7"))[key]
+    proc = run_fresh(["-c", _CERTIFY_FRESH], tmp_path, stdin=json.dumps(p.coeffs))
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = json.loads(proc.stdout)
+    assert out["numpy"] == [False, True] and out["stats"]["modular_test"]
+    assert _digest(out["record"], out["stats"]) == pins[key]
 
 
 if __name__ == "__main__":

@@ -500,6 +500,15 @@ class TestUsageErrors:
         [
             (["compute", "--family", "path:x"], "bad integer 'x'"),
             (["certify", "--join", "H:n+x,B:n", "--range", "1..2"], "bad operand index 'n+x'"),
+            # int() reads these; the command line takes ASCII decimal digits only
+            (["compute", "--family", "friendship:1_0"], "bad integer '1_0'"),
+            (["compute", "--family", "friendship:+2"], "bad integer '+2'"),
+            (["compute", "--family", "friendship:2..1_0"], "bad range '2..1_0'"),
+            (["compute", "--family", "k_star:1_0,12"], "non-integer parameter in 'k_star:1_0,12'"),
+            (["certify", "--join", "H:n,H:n", "--range", "\u0663..3"], "bad range '\u0663..3'"),
+            (["certify", "--join", "H:n,H:n", "--range", "\uff13"], "bad integer '\uff13'"),
+            (["certify", "--join", "H:n+1_0,B:n", "--range", "3"], "bad operand index 'n+1_0'"),
+            (["sweep", "--join", "H:n,B:+3", "--range", "3"], "bad operand index '+3'"),
         ],
     )
     def test_non_integer_indices_are_rejected(self, capsys, argv, message):

@@ -18,7 +18,6 @@ import io
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from dompoly import cli
+
+from conftest import run_fresh
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden_cli.json"
@@ -182,17 +183,38 @@ def test_module_runs_as_a_script(command, golden, tmp_path):
     """`python -m dompoly.cli` gives the golden exit code and bytes, and
     with warnings as errors: importing cli from the package would make
     runpy warn that the module is already loaded."""
-    path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "dompoly.cli", *command.split()],
-        capture_output=True,
-        cwd=tmp_path,
-        env=env,
-    )
+    proc = run_fresh(["-m", "dompoly.cli", *command.split()], tmp_path)
     want = golden[command]
     assert proc.returncode == want["exit"]
     assert _sha(proc.stdout) == want["stdout"] and _sha(proc.stderr) == want["stderr"]
+
+
+#: Runs cli.main on its arguments, then reports on stderr whether numpy was
+#: loaded, after everything the command wrote there.
+_REPORT_NUMPY = """import sys
+from dompoly import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+sys.stderr.write(f"numpy loaded: {'numpy' in sys.modules}")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", _README)
+def test_only_roots_and_plot_load_numpy(command, golden, tmp_path):
+    """Each README command, in a fresh process, gives its golden bytes;
+    compute, certify and sweep run without numpy, and roots and plot load
+    it for the solver."""
+    shutil.copy(FIXTURES / "graph.txt", tmp_path / "graph.txt")
+    argv = command.split()
+    proc = run_fresh(["-c", _REPORT_NUMPY, *argv], tmp_path)
+    stderr, _, report = proc.stderr.decode().rpartition("numpy loaded: ")
+    want = golden[command]
+    assert proc.returncode == want["exit"]
+    assert _sha(proc.stdout) == want["stdout"] and _sha(stderr.encode()) == want["stderr"]
+    if "--out" in argv:
+        assert _sha((tmp_path / argv[argv.index("--out") + 1]).read_bytes()) == want["out"]
+    assert report == str(argv[0] in ("roots", "plot"))
 
 
 def test_readme_quotes_the_solver_failure_verbatim(capsys):
