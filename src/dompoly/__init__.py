@@ -10,7 +10,7 @@ limit-curve analysis.
 
 The root solver's names are served on first access (PEP 562), since only
 the solver needs numpy: importing the package, or the CLI, leaves it
-unloaded until a root is located or the modular squarefree test runs.
+unloaded until a root is located.
 """
 
 from .enumeration import (

@@ -14,12 +14,13 @@ capacity exceeded, 3 solver non-convergence, 4 oracle mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
@@ -330,6 +331,21 @@ def _add_source_options(sub, join_ok: bool = False) -> None:
     sub.add_argument("--out", help="write output to this path instead of stdout")
 
 
+def _number(kind: str, read: Callable[[str], float], text: str) -> float:
+    """read(text) for ASCII text without the "_" or surrounding whitespace
+    that float() also reads (graphs._decimal reads --max-iter); argparse's
+    own message for a bad int or float otherwise."""
+    if text.isascii() and "_" not in text and text == text.strip():
+        with contextlib.suppress(ValueError):
+            return read(text)
+    raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
+
+
+def _add_solver_options(sub) -> None:
+    sub.add_argument("--tol", type=functools.partial(_number, "float", float), default=1e-12)
+    sub.add_argument("--max-iter", type=functools.partial(_number, "int", _decimal), default=500)
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors instead of exiting, so main returns exit code 1."""
 
@@ -365,14 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_roots = subs.add_parser("roots", help="locate complex roots (CSV)")
     _add_source_options(p_roots)
-    p_roots.add_argument("--tol", type=float, default=1e-12)
-    p_roots.add_argument("--max-iter", type=int, default=500)
+    _add_solver_options(p_roots)
     p_roots.set_defaults(func=_cmd_roots)
 
     p_plot = subs.add_parser("plot", help="render a root scatter plot (SVG)")
     _add_source_options(p_plot)
-    p_plot.add_argument("--tol", type=float, default=1e-12)
-    p_plot.add_argument("--max-iter", type=int, default=500)
+    _add_solver_options(p_plot)
     p_plot.add_argument(
         "--circle", action="store_true", help="overlay the unit circle centered at -1"
     )

@@ -105,15 +105,15 @@ json.dump({"numpy": numpy, "record": cert.record(), "stats": cert.stats}, sys.st
     # second, a square, where the exact gcds decide
     ["criterion 7 B_2 level1 |G|=1", "criterion 7 S_{3,2} level1 |G|=2"],
 )
-def test_modular_squarefree_test_loads_numpy_on_demand(key, pins, tmp_path):
-    """certify_cg imports numpy only for the modular squarefree test: in a
-    fresh process a certificate that runs the test loads it then, and still
+def test_certify_never_loads_numpy(key, pins, tmp_path):
+    """The modular squarefree test runs on plain integers: in a fresh
+    process a certificate that runs it leaves numpy unloaded, and still
     matches its pin."""
     p = dict(_instances("criterion_7"))[key]
     proc = run_fresh(["-c", _CERTIFY_FRESH], tmp_path, stdin=json.dumps(p.coeffs))
     assert proc.returncode == 0, proc.stderr.decode()
     out = json.loads(proc.stdout)
-    assert out["numpy"] == [False, True] and out["stats"]["modular_test"]
+    assert out["numpy"] == [False, False] and out["stats"]["modular_test"]
     assert _digest(out["record"], out["stats"]) == pins[key]
 
 

@@ -509,6 +509,12 @@ class TestUsageErrors:
             (["certify", "--join", "H:n,H:n", "--range", "\uff13"], "bad integer '\uff13'"),
             (["certify", "--join", "H:n+1_0,B:n", "--range", "3"], "bad operand index 'n+1_0'"),
             (["sweep", "--join", "H:n,B:+3", "--range", "3"], "bad operand index '+3'"),
+            (["roots", "--family", "path:3", "--max-iter", "1_0"], "invalid int value: '1_0'"),
+            (["roots", "--family", "path:3", "--max-iter", "\u0663"], "invalid int value: '\u0663'"),
+            (["plot", "--family", "path:3", "--max-iter", "\uff13"], "invalid int value: '\uff13'"),
+            (["roots", "--family", "path:3", "--tol", "1_0e-12"], "invalid float value: '1_0e-12'"),
+            (["roots", "--family", "path:3", "--tol", "\uff11e-12"], "invalid float value: '\uff11e-12'"),
+            (["plot", "--family", "path:3", "--tol", " 1e-12"], "invalid float value: ' 1e-12'"),
         ],
     )
     def test_non_integer_indices_are_rejected(self, capsys, argv, message):

@@ -73,6 +73,8 @@ _FAMILIES = [
     "compute --family complete:1..4 --oracle",
     "compute --family path:3 --oracle",
     "roots --family h_witness:10",  # every nonzero root is 5-fold
+    # the isolation lands on the 5-fold root, proves, and restarts
+    "certify --family h_witness:10",
     "roots --family h_witness:40",  # every nonzero root is 20-fold
     "roots --family friendship:68",
     "roots --family book:68",
@@ -200,11 +202,12 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("command", _README)
+@pytest.mark.parametrize("command", [*_README, "certify --family h_witness:10"])
 def test_only_roots_and_plot_load_numpy(command, golden, tmp_path):
-    """Each README command, in a fresh process, gives its golden bytes;
-    compute, certify and sweep run without numpy, and roots and plot load
-    it for the solver."""
+    """Each README command, and a certificate that runs the modular
+    squarefree test, in a fresh process, gives its golden bytes; compute,
+    certify and sweep run without numpy, and roots and plot load it for the
+    solver."""
     shutil.copy(FIXTURES / "graph.txt", tmp_path / "graph.txt")
     argv = command.split()
     proc = run_fresh(["-c", _REPORT_NUMPY, *argv], tmp_path)

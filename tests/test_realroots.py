@@ -34,6 +34,7 @@ from dompoly.realroots import (
     _exact_div,
     _scaled_below_one,
     _squarefree_mod_prime,
+    _yun_factors,
     certify_cg,
     check_oddness,
     squarefree_factors,
@@ -207,6 +208,53 @@ class TestSquarefreeFactors:
     def test_rejects_degree_below_one(self, p):
         with pytest.raises(ValueError, match="degree at least 1"):
             squarefree_factors(p)
+
+
+def _gf_squarefree(p: Poly) -> bool:
+    """Whether p mod _PRIME keeps its degree and gcd(s, s') is constant
+    there, by sympy's arithmetic over GF(_PRIME)."""
+    x = sympy.Symbol("x")
+    s = sympy.Poly(p.coeffs[::-1], x, modulus=_PRIME)
+    return s.degree() == p.degree and sympy.gcd(s, s.diff(x)).degree() == 0
+
+
+def _near_prime_multiples(seed: int, count: int) -> list[Poly]:
+    """Degree 1..30, each coefficient a small multiple of _PRIME plus -2..2,
+    so that reductions mod the prime vanish or collide."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        degree = rng.randint(1, 30)
+        p = Poly([rng.randint(-3, 3) * _PRIME + rng.randint(-2, 2) for _ in range(degree + 1)])
+        if p.degree >= 1:
+            out.append(p)
+    return out
+
+
+class TestModularSquarefreeTest:
+    @pytest.mark.parametrize(
+        "p",
+        _seeded_products(2040, 80)
+        + _near_prime_multiples(2041, 80)
+        + [
+            Poly([1, _PRIME]) ** 2,
+            Poly([2, 1]) * Poly([1, 1]) ** 2 * Poly([0, 1]),
+            # the prime divides lc: 3 x**2 + 1 mod the prime is squarefree,
+            # but the test cannot tell once the degree drops
+            Poly([1, 0, 3, _PRIME]),
+            Poly([1, 0, 3, -2 * _PRIME]),
+        ],
+    )
+    def test_agrees_with_a_gcd_over_gf_p(self, p):
+        assert _squarefree_mod_prime(p) is _gf_squarefree(p)
+
+    def test_prime_divides_only_the_discriminant(self):
+        # (x + 1)(x + 1 + p) is squarefree over the integers, (x + 1)**2 mod p
+        p = Poly([1, 1]) * Poly([1 + _PRIME, 1])
+        assert _squarefree_mod_prime(p) is False and _gf_squarefree(p) is False
+        assert _yun_factors(p) == [(p, 1)] and squarefree_factors(p) == [(p, 1)]
+        cert = certify_cg(p)
+        assert cert.stats["modular_test"] is cert.stats["squarefree_fallback"] is True
+        assert cert.nonzero_real_root_count == count_real_roots(p) == 2
 
 
 class TestExactDiv:
