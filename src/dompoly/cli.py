@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
 from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
-from .graphs import FamilySpec, _decimal, parse_edge_list
+from .graphs import FamilySpec, parse_edge_list
 from .plotting import render_scatter
-from .polynomials import Poly
+from .polynomials import Poly, _decimal
 from .realroots import certify_cg
 
 if TYPE_CHECKING:
@@ -45,7 +45,7 @@ class _UsageError(ValueError):
 
 def _parse_range(text: str) -> range:
     """Inclusive "a..b", or a single integer.  Here and in the family and
-    join parameters, graphs._decimal reads the integers: ASCII digits only."""
+    join parameters, polynomials._decimal reads the integers: ASCII digits only."""
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         try:
@@ -333,7 +333,7 @@ def _add_source_options(sub, join_ok: bool = False) -> None:
 
 def _number(kind: str, read: Callable[[str], float], text: str) -> float:
     """read(text) for ASCII text without the "_" or surrounding whitespace
-    that float() also reads (graphs._decimal reads --max-iter); argparse's
+    that float() also reads (polynomials._decimal reads --max-iter); argparse's
     own message for a bad int or float otherwise."""
     if text.isascii() and "_" not in text and text == text.strip():
         with contextlib.suppress(ValueError):

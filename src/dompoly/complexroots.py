@@ -518,7 +518,8 @@ def _solve_squarefree(
 
 
 def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
-    """Locate all complex roots of p.
+    """Locate all complex roots of p, a nonzero polynomial; a constant, such
+    as D = 1 of the empty graph, has none.
 
     The zero root is removed exactly (its multiplicity is the lowest nonzero
     coefficient index), and the rest, q, is split into its squarefree
@@ -543,8 +544,8 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
         raise ValueError(f"tolerance below {MIN_TOL} is not achievable in doubles")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a polynomial of degree at least 1")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no finite root set")
     zero_mult = p.zero_root_multiplicity()
     q = p.deflate_zero()
     keys = (

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CapacityError, EdgeListParseError
+from .polynomials import _decimal
 
 #: Hard cap on vertex count for any constructed graph.
 MAX_VERTICES = 4096
@@ -247,13 +248,6 @@ def parse_edge_list(text: str) -> Graph:
     if len(edges) != m:
         raise EdgeListParseError(f"expected {m} edges, found {len(edges)}", lineno + 1)
     return Graph(n, edges)
-
-
-def _decimal(field: str) -> int:
-    """int(field) for ASCII digits after an optional "-"; int() also reads "1_0" and "+1"."""
-    if not (field.isascii() and field.lstrip("-").isdigit()):
-        raise ValueError(f"not a decimal integer: {field!r}")
-    return int(field)
 
 
 def to_edge_list(g: Graph) -> str:

@@ -9,11 +9,16 @@ pure function of the input, so plots are reproducible.
 from __future__ import annotations
 
 import html
+import re
 from typing import Sequence
 
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 60
+
+#: A character outside XML 1.0's Char production: most C0 controls, lone
+#: surrogates, U+FFFE and U+FFFF.  No escape can stand for one.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _fmt(v: float) -> str:
@@ -25,7 +30,8 @@ def render_scatter(
     circle: tuple[float, float, float] | None = None,
     title: str = "",
 ) -> str:
-    """SVG scatter of (re, im) points; circle is (cx, cy, r) when given."""
+    """SVG scatter of (re, im) points; circle is (cx, cy, r) when given.
+    Each character of the title that XML forbids becomes U+FFFD."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     if circle is not None:
@@ -84,7 +90,7 @@ def render_scatter(
         (MARGIN - 4, MARGIN + 10, 11, "#444", right, _fmt(y_hi)),
     ]
     if title:
-        escaped = html.escape(title, quote=False)
+        escaped = html.escape(_NOT_XML.sub("\ufffd", title), quote=False)
         labels.append((WIDTH // 2, MARGIN - 16, 14, "#222", ' text-anchor="middle"', escaped))
     for x, y, size, fill, anchor, text in labels:
         out.append(f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{anchor}>{text}</text>')

@@ -24,13 +24,18 @@ O(deg²) products of two large coefficients.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import operator
-import re
 from typing import Iterable, Iterator
 
-_DECIMAL = re.compile("-?[0-9]+")
+
+def _decimal(field: str) -> int:
+    """int(field) for ASCII digits after an optional "-"; int() also reads "1_0" and "+1"."""
+    if not (field.isascii() and field.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {field!r}")
+    return int(field)
 
 
 class Poly:
@@ -251,9 +256,10 @@ class Poly:
             raise ValueError("expected an object with a 'coeffs' list")
         cs = []
         for c in obj["coeffs"]:
-            if isinstance(c, str) and _DECIMAL.fullmatch(c):
-                c = int(c)
-            elif type(c) is not int:
+            if isinstance(c, str):
+                with contextlib.suppress(ValueError):
+                    c = _decimal(c)
+            if type(c) is not int:
                 raise ValueError(f"coefficient {c!r} is not a decimal integer")
             cs.append(c)
         return cls(cs)

@@ -9,11 +9,11 @@ with 2**d p(x/2) and its Taylor shift by 1, so every number stays an
 integer.  Descartes' rule counts roots with multiplicity, so a count of 0
 or 1 is exact on any q; only a bisection that goes on needs q squarefree,
 to end.  So q is proven squarefree -- by a gcd modulo a word-size prime, or
-where that cannot tell by Yun's exact gcds -- only when the bisection is
-about to split a node at depth `_PROOF_DEPTH` or finds a root on a split
+where that cannot tell by the exact gcd(q, q') -- only when the bisection
+is about to split a node at depth `_PROOF_DEPTH` or finds a root on a split
 point, which might be a repeated one; if q is not, the isolation restarts
-on s = q_1 q_2 ... from q's squarefree decomposition q = c q_1 q_2**2 ...
-(`squarefree_factors`).  Each root found comes with an isolating interval,
+on s = q / gcd(q, q'), which is c q_1 q_2 ... for q = c q_1 q_2**2 ...:
+q's roots, each simple.  Each root found comes with an isolating interval,
 or the exact root itself, which the certificate reports as a witness that
 exact evaluation checks.  Every exact operation on the real line lives
 here: the solver of `complexroots` takes its real roots from the same
@@ -32,8 +32,8 @@ the roots of r(2**e (x+1)), those of r over 2**e less 1, sum to at most 0.
 When q is D(G)/x**gamma for an n-vertex graph G without isolated vertices,
 that centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.
 
-`squarefree_factors` is Yun's decomposition (Yun, SYMSAC 1976); the solver
-of `complexroots` takes it too, and finds each repeated root once, on its
+`squarefree_factors` is Yun's decomposition (Yun, SYMSAC 1976), which the
+solver of `complexroots` takes to find each repeated root once, on its
 squarefree factor.  Its gcds run on the primitive remainder sequence:
 pseudo-remainders reduced to their primitive part at each step, so every
 number stays an integer.  Signs at rationals num/den come from den**d
@@ -159,17 +159,26 @@ def _exact_div(p: Poly, g: Poly) -> Poly:
     return Poly(q)
 
 
-def _yun_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """squarefree_factors by exact gcds alone, without the modular test.
+def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's squarefree decomposition [(q_k, k), ...] of p, of degree >= 1.
 
-    With g = gcd(p, p'), b = p / g and c = p' / g are, up to one common
-    constant factor, b = q_1 q_2 ... and c = sum_k k q_k' b / q_k.  Then
-    d = c - b' = sum_k (k - 1) q_k' b / q_k, which q_1 divides and no other
-    q_k does, as they are squarefree and coprime; so gcd(b, d) = q_1, and
-    b / q_1, d / q_1 have the same form in q_2, q_3, ..., each k one less
-    (Yun, SYMSAC 1976).  Every gcd is primitive, so every quotient is exact
-    over the integers (Gauss's lemma).  d is zero once b is one factor.
+    p is a constant times the product of the q_k**k, the q_k squarefree,
+    pairwise coprime and of degree >= 1, in increasing k.  When p is
+    squarefree the list is [(p, 1)], p itself, and the modular test decides
+    most such p without an exact gcd.  Otherwise each q_k is primitive, with
+    a positive leading coefficient: with g = gcd(p, p'), b = p / g and
+    c = p' / g are, up to one common constant factor, b = q_1 q_2 ... and
+    c = sum_k k q_k' b / q_k.  Then d = c - b' = sum_k (k - 1) q_k' b / q_k,
+    which q_1 divides and no other q_k does, as they are squarefree and
+    coprime; so gcd(b, d) = q_1, and b / q_1, d / q_1 have the same form in
+    q_2, q_3, ..., each k one less (Yun, SYMSAC 1976).  Every gcd is
+    primitive, so every quotient is exact over the integers (Gauss's lemma).
+    d is zero once b is one factor.
     """
+    if p.is_zero or p.degree < 1:
+        raise ValueError("need a polynomial of degree at least 1")
+    if _squarefree_mod_prime(p):
+        return [(p, 1)]
     dp = p.derivative()
     g = _gcd(p, dp)
     if g.degree == 0:
@@ -185,30 +194,17 @@ def _yun_factors(p: Poly) -> list[tuple[Poly, int]]:
         b, c, k = _exact_div(b, a), _exact_div(d, a), k + 1
 
 
-def squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's squarefree decomposition [(q_k, k), ...] of p, of degree >= 1.
-
-    p is a constant times the product of the q_k**k, the q_k squarefree,
-    pairwise coprime and of degree >= 1, in increasing k.  When p is
-    squarefree the list is [(p, 1)], p itself; otherwise each q_k is
-    primitive, with a positive leading coefficient.  The modular test
-    decides most squarefree p without an exact gcd.
-    """
-    if p.is_zero or p.degree < 1:
-        raise ValueError("need a polynomial of degree at least 1")
-    return [(p, 1)] if _squarefree_mod_prime(p) else _yun_factors(p)
-
-
 class _RepeatedFactor(Exception):
-    """The polynomial under isolation is not squarefree; the one argument is
-    the product of its squarefree factors."""
+    """The polynomial q under isolation is not squarefree; the one argument
+    is q / gcd(q, q'), a constant times the product of its squarefree
+    factors: q's roots, each simple."""
 
 
 def _require_squarefree(q: Poly, stats: dict) -> None:
     """Return when q is squarefree, else raise _RepeatedFactor.
 
-    The modular test runs first, and Yun's exact gcds only where it cannot
-    tell; stats record which ran, and a later call returns at once.
+    The modular test runs first, and the exact gcd(q, q') only where it
+    cannot tell; stats record which ran, and a later call returns at once.
     """
     if stats["modular_test"]:
         return
@@ -216,9 +212,9 @@ def _require_squarefree(q: Poly, stats: dict) -> None:
     if _squarefree_mod_prime(q):
         return
     stats["squarefree_fallback"] = True
-    factors = _yun_factors(q)
-    if factors != [(q, 1)]:
-        raise _RepeatedFactor(math.prod(f for f, _ in factors))
+    g = _gcd(q, q.derivative())
+    if g.degree:
+        raise _RepeatedFactor(_exact_div(q, g))
 
 
 # -- certification by Descartes-rule bisection ---------------------------------
@@ -256,12 +252,13 @@ def _variations(coeffs: Iterable[int], cap: int) -> int:
 
 def _unit_interval_roots(
     p: list[int], stats: dict, prove: _Prover | None = None
-) -> tuple[list, list]:
+) -> list[tuple[int, int, int]]:
     """Isolate the roots of p in (0, 1) by Descartes bisection.
 
     A node (c, k) is the interval (c/2**k, (c+1)/2**k) with its polynomial
-    mapped onto (0, 1).  Returns the isolating nodes and the exact roots as
-    (c, k) for c/2**k, and counts the nodes and the depth in stats.  A root
+    mapped onto (0, 1).  Returns one (a, b, k) per root, for the ends
+    a/2**k <= b/2**k: b = a + 1 for an isolating node, b = a for a root on
+    a split point; and counts the nodes and the depth in stats.  A root
     on a split point shows as a zero constant term of the right half; it is
     divided out and marks the adjacent halves, which are split on until
     their interval is free of it, so no isolating interval ends at a root.
@@ -270,7 +267,7 @@ def _unit_interval_roots(
     depth _PROOF_DEPTH or deeper is split, and when a root on a split point
     is found, whose multiplicity only squarefreeness tells.
     """
-    isolated, exact = [], []
+    roots = []
     stack = [(0, 0, p, False, False)]
     while stack:
         c, k, f, left_root, right_root = stack.pop()
@@ -280,7 +277,7 @@ def _unit_interval_roots(
         if v == 0:
             continue
         if v == 1 and not (left_root or right_root):
-            isolated.append((c, k))
+            roots.append((c, c + 1, k))
             continue
         if prove and k >= _PROOF_DEPTH:
             prove()
@@ -292,11 +289,11 @@ def _unit_interval_roots(
         if mid_root:
             if prove:
                 prove()
-            exact.append((2 * c + 1, k + 1))
+            roots.append((2 * c + 1, 2 * c + 1, k + 1))
             del right[0]
         stack.append((2 * c + 1, k + 1, right, mid_root, right_root))
         stack.append((2 * c, k + 1, left, left_root, mid_root))
-    return isolated, exact
+    return roots
 
 
 def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
@@ -339,11 +336,8 @@ def _positive_roots(
     """
     e, unit = _scaled_below_one(r, stats)
     stats["bound_exponent"] = e
-    isolated, exact = _unit_interval_roots(unit, stats, prove)
-    scale = Fraction(1 << e)
-    pairs = [(scale * Fraction(c, 1 << k), scale * Fraction(c + 1, 1 << k)) for c, k in isolated]
-    pairs += [(scale * Fraction(c, 1 << k),) * 2 for c, k in exact]
-    return pairs
+    roots = _unit_interval_roots(unit, stats, prove)
+    return [(Fraction(a << e, 1 << k), Fraction(b << e, 1 << k)) for a, b, k in roots]
 
 
 def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> list[_Bracket]:
@@ -507,8 +501,8 @@ def certify_cg(p: Poly) -> CgCertificate:
     bisection on the deflated polynomial q.  Only a bisection that reaches
     depth _PROOF_DEPTH or finds a root on a split point proves q squarefree
     (the modular test, then the exact gcd where it cannot tell); if q is
-    not, the isolation restarts on the product s of its squarefree factors
-    (see squarefree_factors).  Each root comes with a witness [a, b], the
+    not, the isolation restarts on s = q / gcd(q, q'), with q's roots, each
+    simple (see _RepeatedFactor).  Each root comes with a witness [a, b], the
     ends of its _Bracket: a < b <= 0 with s of sign -right at a and right
     at b, the side the bracket was given by the parity of the roots above
     it, or a == b with s(a) == 0, checked here by exact evaluation before
@@ -522,8 +516,6 @@ def certify_cg(p: Poly) -> CgCertificate:
     q = p.deflate_zero()
     counts = dict(nodes=0, max_depth=0, bound_exponent=0, shifts=0, bound_tries=0)
     stats = dict(counts, modular_test=False, squarefree_fallback=False)
-    if q.degree <= 0:
-        return CgCertificate(gamma, 0, True, {"witnesses": []}, stats)
     try:
         brackets = _real_root_brackets(q, stats, functools.partial(_require_squarefree, q, stats))
     except _RepeatedFactor as repeated:

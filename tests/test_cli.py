@@ -431,6 +431,28 @@ class TestPlot:
         titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a&b roots (n=3..3)" in titles
 
+    @pytest.mark.parametrize("control", ["\x01", "\x1b"])
+    def test_title_control_character_is_replaced(self, capsys, tmp_path, control):
+        # XML 1.0 has no escape for most C0 controls: the SVG would not parse
+        path = tmp_path / f"a{control}b.txt"
+        path.write_text("3 2\n0 1\n1 2\n")
+        out = tmp_path / "f.svg"
+        code, _, _ = run(capsys, "plot", "--edge-list", str(path), "--out", str(out))
+        assert code == 0
+        root = ET.parse(out).getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a\ufffdb roots (n=3..3)" in titles
+
+    def test_empty_graph_plots_without_roots(self, capsys, tmp_path):
+        # D(P_0) = 1 and D(P_1) = x have no nonzero root, D(P_2) one, D(P_3) two
+        out = tmp_path / "f.svg"
+        code, _, _ = run(capsys, "plot", "--family", "path:0..3", "--out", str(out))
+        assert code == 0
+        root = ET.parse(out).getroot()
+        titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "path roots (n=0..3)" in titles
+        assert len(root.findall("{http://www.w3.org/2000/svg}circle")) == 3
+
 
 class TestUsageErrors:
     def test_requires_exactly_one_source(self, capsys):

@@ -99,9 +99,11 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(Poly([1, 1]), tol=1e-15)
         with pytest.raises(ValueError):
-            find_roots(Poly([5]))
-        with pytest.raises(ValueError):
             find_roots(Poly())
+        # a nonzero constant, the empty graph's 1 among them, has no root
+        rs = find_roots(Poly([5]))
+        assert (rs.zero_multiplicity, rs.roots) == (0, ())
+        assert len(rs.stats) == 12 and not any(rs.stats.values())
         with pytest.raises(ValueError):
             find_roots(Poly([1, 1]), max_iter=0)
 

@@ -78,6 +78,7 @@ _FAMILIES = [
     "roots --family h_witness:40",  # every nonzero root is 20-fold
     "roots --family friendship:68",
     "roots --family book:68",
+    "roots --family complete:0..2",  # K_0 and K_1 have no nonzero root, K_2 one
 ]
 
 _JOINS = [

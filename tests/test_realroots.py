@@ -34,7 +34,6 @@ from dompoly.realroots import (
     _exact_div,
     _scaled_below_one,
     _squarefree_mod_prime,
-    _yun_factors,
     certify_cg,
     check_oddness,
     squarefree_factors,
@@ -113,7 +112,7 @@ class TestCountRealRoots:
         def refuse(p):
             raise AssertionError("count_real_roots ran the certifier's modular test")
 
-        for name in ("_squarefree_mod_prime", "squarefree_factors", "_yun_factors"):
+        for name in ("_squarefree_mod_prime", "squarefree_factors"):
             monkeypatch.setattr(realroots, name, refuse)
         assert count_real_roots(Poly([-2, 0, 1])) == 2  # squarefree
         assert count_real_roots(Poly([-1, 1]) ** 2 * Poly([2, 1])) == 2  # (x-1)^2 (x+2)
@@ -251,7 +250,7 @@ class TestModularSquarefreeTest:
         # (x + 1)(x + 1 + p) is squarefree over the integers, (x + 1)**2 mod p
         p = Poly([1, 1]) * Poly([1 + _PRIME, 1])
         assert _squarefree_mod_prime(p) is False and _gf_squarefree(p) is False
-        assert _yun_factors(p) == [(p, 1)] and squarefree_factors(p) == [(p, 1)]
+        assert squarefree_factors(p) == [(p, 1)]
         cert = certify_cg(p)
         assert cert.stats["modular_test"] is cert.stats["squarefree_fallback"] is True
         assert cert.nonzero_real_root_count == count_real_roots(p) == 2
@@ -382,6 +381,25 @@ class TestCertifyCg:
         assert cert.evidence == {"witnesses": [["-4", "-2"], ["-2", "0"]]}
         assert cert.stats["modular_test"] is cert.stats["squarefree_fallback"] is True
         assert cert.stats["max_depth"] < _PROOF_DEPTH
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_restart_on_a_polynomial_with_content(self, seed):
+        # c f, f = prod (x + a_i)**k_i with a repeated factor, restarts on
+        # c f / gcd(c f, c f'), of content c: the same certificate as f's,
+        # and the witnesses of f's squarefree part
+        rng = random.Random(seed)
+        roots = [rng.randint(1, 40) for _ in range(rng.randint(1, 5))]
+        powers = [rng.randint(1, 4) for _ in roots]
+        powers[rng.randrange(len(powers))] = rng.randint(2, 4)
+        f = math.prod(((X + a) ** k for a, k in zip(roots, powers)), start=Poly.ONE)
+        c = rng.randint(2, 10**6)
+        cert, monic = certify_cg(c * f), certify_cg(f)
+        assert cert.record() == monic.record()
+        assert cert.stats == monic.stats
+        assert cert.stats["modular_test"] is cert.stats["squarefree_fallback"] is True
+        assert len(cert.evidence["witnesses"]) == len(set(roots))
+        squarefree = math.prod((X + a for a in set(roots)), start=Poly.ONE)
+        assert cert.record() == certify_cg(squarefree).record()
 
     def test_modular_test_only_where_the_bisection_needs_it(self):
         # none of the benchmark's certificates bisects deep enough, or onto
