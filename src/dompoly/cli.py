@@ -43,22 +43,23 @@ class _UsageError(ValueError):
 # -- instance sources ------------------------------------------------------------
 
 
+def _integers(fields: Iterable[str], message: str) -> list[int]:
+    """The integers in fields, read by polynomials._decimal: ASCII digits
+    only.  A usage error with message where one is not an integer."""
+    try:
+        return [_decimal(field) for field in fields]
+    except ValueError:
+        raise _UsageError(message) from None
+
+
 def _parse_range(text: str) -> range:
-    """Inclusive "a..b", or a single integer.  Here and in the family and
-    join parameters, polynomials._decimal reads the integers: ASCII digits only."""
+    """Inclusive "a..b", or a single integer."""
     if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        try:
-            lo, hi = _decimal(lo_s), _decimal(hi_s)
-        except ValueError:
-            raise _UsageError(f"bad range {text!r}, expected a..b") from None
+        lo, hi = _integers(text.partition("..")[::2], f"bad range {text!r}, expected a..b")
         if lo > hi:
             raise _UsageError(f"empty range {text!r}")
         return range(lo, hi + 1)
-    try:
-        v = _decimal(text)
-    except ValueError:
-        raise _UsageError(f"bad integer {text!r}") from None
+    (v,) = _integers([text], f"bad integer {text!r}")
     return range(v, v + 1)
 
 
@@ -68,10 +69,7 @@ def _parse_family_arg(text: str) -> tuple[str, tuple[int, ...], range]:
     if not sep or not name or not rest:
         raise _UsageError(f"expected 'name:params', got {text!r}")
     parts = rest.split(",")
-    try:
-        fixed = tuple(_decimal(p) for p in parts[:-1])
-    except ValueError:
-        raise _UsageError(f"non-integer parameter in {text!r}") from None
+    fixed = tuple(_integers(parts[:-1], f"non-integer parameter in {text!r}"))
     return name, fixed, _parse_range(parts[-1])
 
 
@@ -92,7 +90,7 @@ def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
     (compute only), family polynomials are counted on the graph and checked
     against the closed form where there is one.
     """
-    if getattr(args, "join", None):
+    if args.join:
         return _join_instances(args)
     if args.edge_list:
         path = Path(args.edge_list)
@@ -105,7 +103,7 @@ def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
     out = []
     for v in _apply_parity(values, args.odd_only, args.even_only):
         spec = FamilySpec(name, fixed + (v,))
-        if getattr(args, "oracle", False):
+        if args.oracle:
             p = domination_polynomial(build_family(spec))
             expected = closed_form(spec)
             if expected is not None and expected != p:
@@ -137,14 +135,10 @@ def _parse_operand(text: str) -> tuple[Family, int | None, int]:
     if expr == "n":
         return family, None, 0
     if expr.startswith("n+"):
-        try:
-            return family, None, _decimal(expr[2:])
-        except ValueError:
-            raise _UsageError(f"bad operand index {expr!r}") from None
-    try:
-        return family, _decimal(expr), 0
-    except ValueError:
-        raise _UsageError(f"bad operand index {expr!r} (use n, n+k, or an integer)") from None
+        (offset,) = _integers([expr[2:]], f"bad operand index {expr!r}")
+        return family, None, offset
+    (fixed,) = _integers([expr], f"bad operand index {expr!r} (use n, n+k, or an integer)")
+    return family, fixed, 0
 
 
 def _join_instances(args) -> list[tuple[str, tuple[int], Poly]]:
@@ -320,7 +314,7 @@ def _cmd_plot(args) -> int:
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_source_options(sub, join_ok: bool = False) -> None:
+def _add_source_options(sub, join_ok: bool) -> None:
     sub.add_argument("--family", help="family instance or sweep, e.g. friendship:1..15")
     sub.add_argument("--edge-list", help="path to an edge-list file ('n m' header)")
     if join_ok:
@@ -353,44 +347,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+#: The subcommands, in --help order: (name, help, handler, takes --join and
+#: --range, takes --tol and --max-iter).
+_COMMANDS = (
+    ("compute", "print the exact polynomial as JSON", _cmd_compute, False, False),
+    ("certify", "certify absence of nonzero real roots (JSON lines)", _cmd_certify, True, False),
+    ("sweep", "certification sweep as a CSV table", _cmd_sweep, True, False),
+    ("roots", "locate complex roots (CSV)", _cmd_roots, False, True),
+    ("plot", "render a root scatter plot (SVG)", _cmd_plot, False, True),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="dompoly",
         description="Exact domination polynomials: compute, certify, locate roots, plot.",
     )
+    # the options that only some subcommands take
+    parser.set_defaults(join=None, range=None, oracle=False)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = subs.add_parser("compute", help="print the exact polynomial as JSON")
-    _add_source_options(p_compute)
-    p_compute.add_argument(
+    sub = {}
+    for name, help_text, func, join_ok, solver in _COMMANDS:
+        sub[name] = subs.add_parser(name, help=help_text)
+        _add_source_options(sub[name], join_ok)
+        if solver:
+            _add_solver_options(sub[name])
+        sub[name].set_defaults(func=func)
+    sub["compute"].add_argument(
         "--oracle",
         action="store_true",
         help="count dominating sets from the graph and cross-check the closed form",
     )
-    p_compute.set_defaults(func=_cmd_compute)
-
-    p_certify = subs.add_parser(
-        "certify", help="certify absence of nonzero real roots (JSON lines)"
-    )
-    _add_source_options(p_certify, join_ok=True)
-    p_certify.set_defaults(func=_cmd_certify)
-
-    p_sweep = subs.add_parser("sweep", help="certification sweep as a CSV table")
-    _add_source_options(p_sweep, join_ok=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_roots = subs.add_parser("roots", help="locate complex roots (CSV)")
-    _add_source_options(p_roots)
-    _add_solver_options(p_roots)
-    p_roots.set_defaults(func=_cmd_roots)
-
-    p_plot = subs.add_parser("plot", help="render a root scatter plot (SVG)")
-    _add_source_options(p_plot)
-    _add_solver_options(p_plot)
-    p_plot.add_argument(
+    sub["plot"].add_argument(
         "--circle", action="store_true", help="overlay the unit circle centered at -1"
     )
-    p_plot.set_defaults(func=_cmd_plot)
     return parser
 
 
@@ -402,14 +392,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _validate_source(args) -> None:
-    sources = [bool(args.family), bool(args.edge_list), bool(getattr(args, "join", None))]
+    sources = [bool(args.family), bool(args.edge_list), bool(args.join)]
     if sum(sources) != 1:
         raise _UsageError("exactly one of --family, --edge-list, --join is required")
-    if getattr(args, "range", None) and not args.join:
+    if args.range and not args.join:
         raise _UsageError("--range applies only to --join")
     if args.edge_list and (args.odd_only or args.even_only):
         raise _UsageError("--odd-only and --even-only do not apply to --edge-list")
-    if args.edge_list and getattr(args, "oracle", False):
+    if args.edge_list and args.oracle:
         raise _UsageError("--oracle does not apply to --edge-list: no closed form to check")
 
 

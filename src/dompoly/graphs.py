@@ -1,9 +1,9 @@
-"""Simple graphs with per-vertex closed-neighborhood bitmasks.
+"""Simple graphs with one closed-neighborhood bitmask per vertex.
 
-Vertices are dense integers ``0..n-1``.  Adjacency is kept as one bitmask per
-vertex so that unions of closed neighborhoods and coverage tests are single
-integer operations; Python integers widen as needed, so the vertex cap below
-is a policy limit rather than a machine word size.
+Vertices are dense integers ``0..n-1``.  The bitmask of vertex v holds v and
+its neighbors, so that unions of closed neighborhoods and coverage tests are
+single integer operations; Python integers widen as needed, so the vertex cap
+below is a policy limit rather than a machine word size.
 
 Graphs are immutable after construction and safe to share across threads.
 """
@@ -23,10 +23,11 @@ MAX_VERTICES = 4096
 
 
 class Graph:
-    __slots__ = ("n", "adj", "closed")
+    """n vertices and one closed-neighborhood bitmask per vertex, closed[v]."""
+
+    __slots__ = ("n", "closed")
 
     n: int
-    adj: tuple[int, ...]
     closed: tuple[int, ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
@@ -35,47 +36,45 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise CapacityError(f"{n} vertices exceeds the cap of {MAX_VERTICES}")
-        adj = [0] * n
+        closed = [1 << v for v in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            closed[u] |= 1 << v
+            closed[v] |= 1 << u
         self.n = n
-        self.adj = tuple(adj)
-        self.closed = tuple(m | (1 << v) for v, m in enumerate(adj))
+        self.closed = tuple(closed)
 
     # -- queries -------------------------------------------------------------
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.adj[v]))
+        return tuple(_bits(self.closed[v] ^ (1 << v)))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, lexicographic order."""
-        for u in range(self.n):
-            rest = self.adj[u] >> (u + 1) << (u + 1)
-            for v in _bits(rest):
+        for u, m in enumerate(self.closed):
+            for v in _bits(m >> (u + 1) << (u + 1)):  # the neighbors v > u
                 yield (u, v)
 
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return (sum(m.bit_count() for m in self.closed) - self.n) // 2
 
     def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return self.closed[v].bit_count() - 1
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Vertex degrees in nonincreasing order."""
-        return tuple(sorted((m.bit_count() for m in self.adj), reverse=True))
+        return tuple(sorted((m.bit_count() - 1 for m in self.closed), reverse=True))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and self.closed == other.closed
 
     def __hash__(self) -> int:
-        return hash((self.n, self.adj))
+        return hash((self.n, self.closed))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"

@@ -324,30 +324,16 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
         e += 1
 
 
-def _positive_roots(
-    r: Sequence[int], stats: dict, prove: _Prover | None = None
-) -> list[tuple[Fraction, Fraction]]:
-    """One pair (a, b), 0 <= a <= b, per distinct positive root of r,
-    coefficients ascending, squarefree unless prove is given (see
-    _unit_interval_roots).
-
-    a < b isolates one root; a == b is a root.  The roots are scaled into
-    (0, 1) by a power of two, so the ends are dyadic rationals.
-    """
-    e, unit = _scaled_below_one(r, stats)
-    stats["bound_exponent"] = e
-    roots = _unit_interval_roots(unit, stats, prove)
-    return [(Fraction(a << e, 1 << k), Fraction(b << e, 1 << k)) for a, b, k in roots]
-
-
 def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> list[_Bracket]:
-    """One _Bracket per distinct real root of s with s(0) != 0, ascending:
-    the positive roots from s, the negative ones from s(-x), reflected,
-    searched in that order, so stats keep the negative side's
-    bound_exponent.  A side on which the coefficients show no sign
-    variation has no root (Descartes' rule of signs) and is skipped: the
-    positive side of every polynomial without negative coefficients.  s is
-    squarefree unless prove is given (see _unit_interval_roots).
+    """One _Bracket per distinct real root of s with s(0) != 0, ascending.
+    The positive roots of s are searched, then those of s(-x), with their
+    ends negated, so stats keep the negative side's bound_exponent.  A side
+    whose coefficients show no sign variation has no root (Descartes' rule
+    of signs) and is skipped: the positive side of every polynomial without
+    negative coefficients.  s is squarefree unless prove is given (see
+    _unit_interval_roots).  A side's roots are scaled into (0, 1) by a power
+    of two, 2**e, so each (a, b, k) of its bisection has the dyadic ends
+    a 2**e / 2**k and b 2**e / 2**k: a < b isolates one root, a == b is the root.
 
     s changes sign at each of its simple real roots, so just right of the
     j-th of r its sign is its leading coefficient's times (-1)**(r - 1 - j).
@@ -357,10 +343,13 @@ def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> l
     """
     mirror = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
     pairs = []
-    if _variations(s.coeffs, 1):
-        pairs += _positive_roots(s.coeffs, stats, prove)
-    if _variations(mirror, 1):
-        pairs += [(-b, -a) for a, b in _positive_roots(mirror, stats, prove)]
+    for side, coeffs in ((1, s.coeffs), (-1, mirror)):
+        if not _variations(coeffs, 1):
+            continue
+        e, unit = _scaled_below_one(coeffs, stats)
+        stats["bound_exponent"] = e
+        for a, b, k in _unit_interval_roots(unit, stats, prove):
+            pairs.append(sorted(Fraction(side * x << e, 1 << k) for x in (a, b)))
     pairs.sort()
     r, lead = len(pairs), 1 if s.coeffs[-1] > 0 else -1
     return [_Bracket(s, lo, hi, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]

@@ -21,6 +21,7 @@ import shutil
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -120,7 +121,17 @@ _ERRORS = [
     "",  # no subcommand
 ]
 
-COMMANDS = _README + _EDGE_LIST + _FAMILIES + _JOINS + _ERRORS
+#: The help of the program and of each subcommand, at COLUMNS=80.
+_HELP = [
+    "--help",
+    "compute --help",
+    "certify --help",
+    "sweep --help",
+    "roots --help",
+    "plot --help",
+]
+
+COMMANDS = _README + _EDGE_LIST + _FAMILIES + _JOINS + _ERRORS + _HELP
 
 
 def _sha(data: bytes) -> str:
@@ -128,7 +139,10 @@ def _sha(data: bytes) -> str:
 
 
 def run_command(command: str, workdir: Path) -> dict:
-    """Run one command line in workdir; exit code and output digests."""
+    """Run one command line in workdir; exit code and output digests.
+
+    COLUMNS is 80 meanwhile, the width argparse wraps --help to, and the
+    code of the SystemExit that --help raises is the exit code."""
     shutil.copy(FIXTURES / "graph.txt", workdir / "graph.txt")
     argv = command.split()
     out_path = workdir / argv[argv.index("--out") + 1] if "--out" in argv else None
@@ -137,7 +151,11 @@ def run_command(command: str, workdir: Path) -> dict:
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
+            with mock.patch.dict(os.environ, COLUMNS="80"):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as e:
+                    code = e.code
     finally:
         os.chdir(cwd)
     return {

@@ -32,7 +32,7 @@ def fingerprint(g):
 class TestGraphBasics:
     def test_construction_and_closed_neighborhoods(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert g.adj == (0b010, 0b101, 0b010)
+        assert tuple(m ^ 1 << v for v, m in enumerate(g.closed)) == (0b010, 0b101, 0b010)
         assert g.closed == (0b011, 0b111, 0b110)
         assert g.neighbors(1) == (0, 2)
         assert g.degree_sequence() == (2, 1, 1)
@@ -48,7 +48,7 @@ class TestGraphBasics:
     def test_equality_hash_and_repr(self):
         g = Graph(3, [(0, 1), (1, 2)])
         assert g == Graph(3, [(2, 1), (1, 0)]) and g != Graph(3, [(0, 1)])
-        assert g != (3, g.adj) and g.__eq__("graph") is NotImplemented
+        assert g != (3, g.closed) and g.__eq__("graph") is NotImplemented
         assert hash(g) == hash(Graph(3, [(1, 2), (0, 1)]))
         assert repr(g) == "Graph(n=3, m=2)"
 
@@ -193,21 +193,17 @@ class TestCombinators:
         assert fingerprint(g) == fingerprint(fam("complement_friendship", 3))
 
     def test_exact_adjacency_against_definitions(self, rng):
-        """Each combinator's adjacency masks equal those of its definition,
-        built here from plain edge lists; h's vertex i becomes g.n + i."""
-
-        def masks(n, edges):
-            adj = [0] * n
-            for u, v in edges:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            return tuple(adj)
+        """Each combinator's closed-neighborhood masks, and every query on
+        the result, agree with its definition, built here from plain edge
+        lists; h's vertex i becomes g.n + i.  Graph(m) adds m isolated
+        vertices."""
 
         def random_edges(n):
             p = rng.random()
             return [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
 
-        for n, m in [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(40)] + [(70, 65)]:
+        sizes = [(rng.randint(0, 12), rng.randint(0, 12)) for _ in range(40)]
+        for n, m in [(0, 0), (0, 3), (4, 0)] + sizes + [(70, 65)]:
             g_edges, h_edges = random_edges(n), random_edges(m)
             g, h = Graph(n, g_edges), Graph(m, h_edges)
             shifted = [(n + u, n + v) for u, v in h_edges]
@@ -216,12 +212,23 @@ class TestCombinators:
             cases = [
                 (join(g, h), n + m, g_edges + shifted + across),
                 (disjoint_union(g, h), n + m, g_edges + shifted),
+                (disjoint_union(g, Graph(m)), n + m, g_edges),
                 (complement(g), n, non_edges),
             ]
             for result, order, edges in cases:
+                edges = sorted(edges)
+                nbrs = [[] for _ in range(order)]
+                for u, v in edges:
+                    nbrs[u].append(v)
+                    nbrs[v].append(u)
                 assert result.n == order
-                assert result.adj == masks(order, edges)
-                assert result.closed == tuple(a | 1 << v for v, a in enumerate(result.adj))
+                closed = tuple(sum(1 << w for w in {v, *a}) for v, a in enumerate(nbrs))
+                assert result.closed == closed
+                for v, a in enumerate(nbrs):
+                    assert result.neighbors(v) == tuple(sorted(a)) and result.degree(v) == len(a)
+                assert result.degree_sequence() == tuple(sorted(map(len, nbrs), reverse=True))
+                assert result.edge_count() == len(edges)
+                assert list(result.edges()) == edges
 
     @pytest.mark.parametrize(
         "combine, operand",

@@ -688,12 +688,27 @@ class TestRealRootWitnesses:
         with pytest.raises(AssertionError, match="fails its exact check"):
             certify_cg(p)
 
+    def test_the_sides_mirror_each_other(self):
+        """The ends for s(-x) are those for s, negated and reversed, on s
+        with real roots of both signs, so neither side's signs can slip."""
+        rng = random.Random(30)
+        for _ in range(60):
+            p = Poly([rng.randint(-12, 12) or 1, rng.randint(-12, 12), 1])
+            for sign in [1, -1] + rng.choices([1, -1], k=rng.randint(0, 4)):
+                p = p * Poly([-sign * rng.randint(1, 40), rng.randint(1, 9)])
+            s = math.prod(f for f, _ in squarefree_factors(p))
+            mirror = Poly(_mirror(s))
+            ends = [(b.lo, b.hi) for b in realroots._real_root_brackets(s, Counter())]
+            mirrored = [(b.lo, b.hi) for b in realroots._real_root_brackets(mirror, Counter())]
+            assert ends[0][0] < 0 < ends[-1][1] and len(ends) == count_real_roots(s)
+            assert mirrored == [(-hi, -lo) for lo, hi in reversed(ends)]
+
     def test_a_side_without_sign_variation_is_not_searched(self, monkeypatch):
-        searched, isolate = [], realroots._positive_roots
+        searched, scale = [], realroots._scaled_below_one
         monkeypatch.setattr(
             realroots,
-            "_positive_roots",
-            lambda r, stats, prove=None: searched.append(list(r)) or isolate(r, stats, prove),
+            "_scaled_below_one",
+            lambda r, stats: searched.append(list(r)) or scale(r, stats),
         )
         # no negative coefficient: only the negative side, the positive
         # roots of q(-x), is searched
@@ -708,11 +723,11 @@ class TestRealRootWitnesses:
     def test_the_solver_and_the_certifier_share_it(self, monkeypatch):
         from dompoly.complexroots import find_roots
 
-        searched, isolate = [], realroots._positive_roots
+        searched, scale = [], realroots._scaled_below_one
         monkeypatch.setattr(
             realroots,
-            "_positive_roots",
-            lambda r, stats, prove=None: searched.append(list(r)) or isolate(r, stats, prove),
+            "_scaled_below_one",
+            lambda r, stats: searched.append(list(r)) or scale(r, stats),
         )
         p = poly_book(6)
         find_roots(p)
