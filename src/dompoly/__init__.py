@@ -13,11 +13,7 @@ the solver needs numpy: importing the package, or the CLI, leaves it
 unloaded until a root is located.
 """
 
-from .enumeration import (
-    domination_number,
-    domination_polynomial,
-    is_dominating,
-)
+from .enumeration import domination_polynomial
 from .errors import (
     CapacityError,
     EdgeListParseError,
@@ -50,12 +46,7 @@ from .graphs import (
     to_edge_list,
 )
 from .polynomials import Poly, binomial_power
-from .realroots import (
-    CgCertificate,
-    certify_cg,
-    check_oddness,
-    squarefree_factors,
-)
+from .realroots import CgCertificate, certify_cg, squarefree_factors
 
 __version__ = "0.1.0"
 
@@ -75,17 +66,13 @@ __all__ = [
     "build_family",
     "certify_cg",
     "cg_family_factor",
-    "check_oddness",
     "circle_deviation",
     "closed_form",
     "complement",
     "corona",
     "disjoint_union",
-    "distinct_real_roots",
-    "domination_number",
     "domination_polynomial",
     "find_roots",
-    "is_dominating",
     "join",
     "parse_edge_list",
     "poly_H",
@@ -102,9 +89,7 @@ __all__ = [
 ]
 
 #: Names served from dompoly.complexroots, which imports numpy.
-_SOLVER_NAMES = frozenset(
-    {"CircleDeviation", "RootSet", "circle_deviation", "distinct_real_roots", "find_roots"}
-)
+_SOLVER_NAMES = frozenset({"CircleDeviation", "RootSet", "circle_deviation", "find_roots"})
 
 
 def __getattr__(name: str):

@@ -280,6 +280,8 @@ def _root_entries(args) -> list[tuple[str, int, RootSet]]:
 
     if not complexroots.MIN_TOL <= args.tol <= TOL_MAX:
         raise _UsageError(f"--tol must lie in [{complexroots.MIN_TOL}, {TOL_MAX}]")
+    if args.max_iter < 1:
+        raise _UsageError("--max-iter must be positive")
     entries, failed = [], []
     for label, (*_, n), p in _instances(args):
         try:

@@ -571,17 +571,6 @@ def find_roots(p: Poly, tol: float = 1e-12, max_iter: int = 500) -> RootSet:
     return RootSet(zero_mult, roots, tol, dict(stats))
 
 
-def distinct_real_roots(rs: RootSet) -> list[float]:
-    """The distinct real nonzero roots, ascending.
-
-    A k-fold root is k equal rows, and the rows with im == 0 are exactly the
-    real roots that exact isolation proved, each the double nearest its
-    root (non-real roots never sit on the axis), so these are their real
-    parts, each once.
-    """
-    return sorted({re for re, im, _ in rs.roots if im == 0})
-
-
 def circle_deviation(rs: RootSet, center: complex, radius: float) -> CircleDeviation:
     """Max and mean of | |z - center| - radius | over the nonzero roots."""
     if not rs.roots:

@@ -36,19 +36,6 @@ STATE_BUDGET = 1 << 16
 FRONTIER_BITS = 1 << 28
 
 
-def is_dominating(g: Graph, subset_mask: int) -> bool:
-    """True iff the union of closed neighborhoods over the subset covers V."""
-    if subset_mask < 0 or subset_mask >> g.n:
-        raise ValueError(f"subset mask references vertices outside 0..{g.n - 1}")
-    full = (1 << g.n) - 1
-    cover = 0
-    for v in _bits(subset_mask):
-        cover |= g.closed[v]
-        if cover == full:
-            return True
-    return cover == full
-
-
 def _greedy_order(g: Graph) -> list[int]:
     """Each next vertex minimises (vertices it newly touches - vertices it closes).
 
@@ -130,8 +117,3 @@ def domination_polynomial(g: Graph) -> Poly:
         f" of {STATE_BUDGET} states or {FRONTIER_BITS} bits of counts."
         " Use a closed-form family formula instead."
     )
-
-
-def domination_number(g: Graph) -> int:
-    """Minimum dominating-set size (0 for the empty graph)."""
-    return domination_polynomial(g).zero_root_multiplicity()

@@ -64,10 +64,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.closed[v].bit_count() - 1
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Vertex degrees in nonincreasing order."""
-        return tuple(sorted((m.bit_count() - 1 for m in self.closed), reverse=True))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

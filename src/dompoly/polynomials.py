@@ -88,7 +88,8 @@ class Poly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # a constant equals its int value, so it hashes as that int
+        return hash(self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"

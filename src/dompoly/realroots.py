@@ -516,8 +516,3 @@ def certify_cg(p: Poly) -> CgCertificate:
             raise AssertionError(f"certifier witness [{b.lo}, {b.hi}] fails its exact check")
     evidence = {"witnesses": [[str(b.lo), str(b.hi)] for b in brackets]}
     return CgCertificate(gamma, len(brackets), not brackets, evidence, stats)
-
-
-def check_oddness(p: Poly) -> bool:
-    """True iff p(1) is odd (the dominating-set count of any graph is odd)."""
-    return p.eval_exact(1) % 2 == 1

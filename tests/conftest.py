@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,48 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph(n, edges)
+
+
+def is_dominating(g: Graph, subset_mask: int) -> bool:
+    """True iff the closed neighbourhoods of the vertices in subset_mask cover V."""
+    cover = 0
+    for v in range(g.n):
+        if subset_mask >> v & 1:
+            cover |= g.closed[v]
+    return cover == (1 << g.n) - 1
+
+
+def domination_number(g: Graph) -> int:
+    """γ(G) by brute force: the least k for which some k-subset dominates.
+
+    The reference for the zero-root multiplicity of the frontier DP's
+    polynomial, with which it shares no code; it tests Σ_{k≤γ} C(n, k)
+    subsets.
+    """
+    return next(
+        k
+        for k in range(g.n + 1)
+        if any(
+            is_dominating(g, sum(1 << v for v in subset))
+            for subset in itertools.combinations(range(g.n), k)
+        )
+    )
+
+
+def degree_sequence(g: Graph) -> tuple[int, ...]:
+    """Vertex degrees in nonincreasing order."""
+    return tuple(sorted((g.degree(v) for v in range(g.n)), reverse=True))
+
+
+def check_oddness(p: Poly) -> bool:
+    """True iff p(1) is odd (the dominating-set count of any graph is odd)."""
+    return p.eval_exact(1) % 2 == 1
+
+
+def distinct_real_roots(rs) -> list[float]:
+    """The distinct real nonzero roots of a RootSet, ascending: the real
+    parts of its rows with im == 0, each once."""
+    return sorted({re for re, im, _ in rs.roots if im == 0})
 
 
 #: The certify --join patterns of the join_certify benchmark, by index n.

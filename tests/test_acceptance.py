@@ -18,8 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from dompoly import cli
-from dompoly.complexroots import circle_deviation, distinct_real_roots, find_roots
-from dompoly.enumeration import domination_number, domination_polynomial
+from dompoly.complexroots import circle_deviation, find_roots
+from dompoly.enumeration import domination_polynomial
 from dompoly.formulas import (
     build_family,
     cg_family_factor,
@@ -34,12 +34,15 @@ from dompoly.formulas import (
 )
 from dompoly.graphs import FamilySpec, corona, join
 from dompoly.polynomials import Poly, binomial_power
-from dompoly.realroots import certify_cg, check_oddness
+from dompoly.realroots import certify_cg
 
 from conftest import (
+    check_oddness,
     count_real_roots,
     criterion_6_joins,
     criterion_7_coronas,
+    distinct_real_roots,
+    domination_number,
     expand_from_roots,
     random_graph,
 )
@@ -348,7 +351,7 @@ def test_criterion_10_structural_invariants():
         p = domination_polynomial(g)
         polys.append((f"random {i}", p))
         if p.zero_root_multiplicity() != domination_number(g):
-            failures.append(f"random {i}: gamma mismatch")
+            failures.append(f"random {i}: gamma != brute-force domination number")
     for n in range(3, 12):
         polys.append(
             (f"H_{n}+H_{n}", poly_join(poly_H(n), poly_H(n)))

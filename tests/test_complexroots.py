@@ -25,7 +25,6 @@ from dompoly.complexroots import (
     _power_sums,
     _split_coefficients,
     circle_deviation,
-    distinct_real_roots,
     find_roots,
 )
 from dompoly.errors import CapacityError, NonConvergenceError
@@ -46,7 +45,7 @@ from dompoly.realroots import (
     squarefree_factors,
 )
 
-from conftest import count_real_roots, record_digests
+from conftest import count_real_roots, distinct_real_roots, record_digests
 
 
 class TestFindRoots:

@@ -4,13 +4,13 @@ from pathlib import Path
 import pytest
 
 from dompoly import enumeration
-from dompoly.enumeration import domination_number, domination_polynomial, is_dominating
+from dompoly.enumeration import domination_polynomial
 from dompoly.errors import CapacityError
 from dompoly.formulas import build_family, closed_form
 from dompoly.graphs import FamilySpec, Graph, disjoint_union, parse_edge_list
 from dompoly.polynomials import Poly, binomial_power
 
-from conftest import random_graph, subset_sweep
+from conftest import domination_number, is_dominating, random_graph, subset_sweep
 
 
 def fam(name, *params):
@@ -33,12 +33,6 @@ class TestIsDominating:
             g = random_graph(rng.randint(1, 7), rng)
             assert is_dominating(g, (1 << g.n) - 1)
 
-    def test_mask_validation(self):
-        with pytest.raises(ValueError):
-            is_dominating(fam("path", 3), 1 << 3)
-        with pytest.raises(ValueError):
-            is_dominating(fam("path", 3), -1)
-
 
 class TestDominationPolynomial:
     def test_hand_enumerated_small_graphs(self):
@@ -53,8 +47,9 @@ class TestDominationPolynomial:
         assert domination_polynomial(fam("complete", n)) == binomial_power(n) - 1
 
     def test_empty_graph(self):
-        assert domination_polynomial(Graph(0)) == Poly.ONE
-        assert domination_number(Graph(0)) == 0
+        g = Graph(0)
+        assert domination_polynomial(g) == Poly.ONE
+        assert domination_polynomial(g).zero_root_multiplicity() == domination_number(g) == 0
 
     def test_coefficient_structure(self, rng):
         # d(G, n) = 1 and d(G, i) > 0 for gamma <= i <= n
@@ -147,13 +142,18 @@ class TestGreedyOrder:
 
 
 class TestDominationNumber:
+    """The zero-root multiplicity of the DP's polynomial against the brute force."""
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete(self, n):
-        assert domination_number(fam("complete", n)) == 1
+        g = fam("complete", n)
+        assert domination_polynomial(g).zero_root_multiplicity() == domination_number(g) == 1
 
     def test_c4(self):
-        assert domination_number(fam("cycle", 4)) == 2
+        g = fam("cycle", 4)
+        assert domination_polynomial(g).zero_root_multiplicity() == domination_number(g) == 2
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complement_friendship_needs_three(self, n):
-        assert domination_number(fam("complement_friendship", n)) == 3
+        g = fam("complement_friendship", n)
+        assert domination_polynomial(g).zero_root_multiplicity() == domination_number(g) == 3

@@ -67,6 +67,13 @@ def test_mixed_int_operands():
         p + 1.5
 
 
+@pytest.mark.parametrize("c", [0, 5, -7, 2**70])
+def test_a_constant_hashes_as_the_int_it_equals(c):
+    assert Poly([c]) == c and hash(Poly([c])) == hash(c)
+    assert Poly([c]) in {c} and c in {Poly([c])}
+    assert {Poly([c]): "poly"}[c] == "poly"
+
+
 def test_negative_exponents_rejected():
     with pytest.raises(IndexError, match="negative exponent"):
         Poly([1, 2]).coefficient(-1)

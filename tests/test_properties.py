@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dompoly import cli
-from dompoly.enumeration import domination_number, domination_polynomial, is_dominating
+from dompoly.enumeration import domination_polynomial
 from dompoly.formulas import FAMILIES, build_family, closed_form, poly_corona, poly_join, poly_union
 from dompoly.graphs import (
     FamilySpec,
@@ -37,7 +37,7 @@ from dompoly.graphs import (
 )
 from dompoly.polynomials import Poly
 
-from conftest import inclusion_exclusion_coeffs, random_graph, subset_sweep
+from conftest import domination_number, inclusion_exclusion_coeffs, random_graph, subset_sweep
 
 D = domination_polynomial
 
@@ -98,15 +98,7 @@ def test_dominating_set_count_is_odd(g):
 @examples
 @given(graphs())
 def test_domination_number_is_smallest_dominating_size(g):
-    gamma = next(
-        k
-        for k in range(g.n + 1)
-        if any(
-            is_dominating(g, sum(1 << v for v in subset))
-            for subset in itertools.combinations(range(g.n), k)
-        )
-    )
-    assert domination_number(g) == gamma
+    assert D(g).zero_root_multiplicity() == domination_number(g)
 
 
 @examples

@@ -35,11 +35,16 @@ from dompoly.realroots import (
     _scaled_below_one,
     _squarefree_mod_prime,
     certify_cg,
-    check_oddness,
     squarefree_factors,
 )
 
-from conftest import BENCHMARK_JOINS, count_real_roots, random_graph, sturm_sequence
+from conftest import (
+    BENCHMARK_JOINS,
+    check_oddness,
+    count_real_roots,
+    random_graph,
+    sturm_sequence,
+)
 
 X = Poly.X
 INF = float("inf")
