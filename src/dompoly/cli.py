@@ -28,7 +28,7 @@ from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
 from .graphs import FamilySpec, parse_edge_list
 from .plotting import render_scatter
 from .polynomials import Poly, _decimal
-from .realroots import certify_cg
+from .realroots import MIN_TOL, certify_cg
 
 if TYPE_CHECKING:
     from .complexroots import RootSet
@@ -274,14 +274,15 @@ def _cmd_sweep(args) -> int:
 
 def _root_entries(args) -> list[tuple[str, int, RootSet]]:
     """(label, n, RootSet) per instance.  The solver, and numpy with it, is
-    imported here, so that the other subcommands start without it, and
-    find_roots is looked up on it at each call, where bench/spans.py wraps it."""
-    from . import complexroots
-
-    if not complexroots.MIN_TOL <= args.tol <= TOL_MAX:
-        raise _UsageError(f"--tol must lie in [{complexroots.MIN_TOL}, {TOL_MAX}]")
+    imported here, after the options are checked, so that the other
+    subcommands and a usage error start without it, and find_roots is looked
+    up on it at each call, where bench/spans.py wraps it."""
+    if not MIN_TOL <= args.tol <= TOL_MAX:
+        raise _UsageError(f"--tol must lie in [{MIN_TOL}, {TOL_MAX}]")
     if args.max_iter < 1:
         raise _UsageError("--max-iter must be positive")
+    from . import complexroots
+
     entries, failed = [], []
     for label, (*_, n), p in _instances(args):
         try:

@@ -71,10 +71,7 @@ import numpy as np
 
 from .errors import CapacityError, NonConvergenceError
 from .polynomials import Poly
-from .realroots import _Bracket, _nearest_double, _real_root_brackets, squarefree_factors
-
-#: Smallest accepted tolerance: below it the double iterates cannot settle.
-MIN_TOL = 1e-14
+from .realroots import MIN_TOL, _Bracket, _nearest_double, _real_root_brackets, squarefree_factors
 
 #: Margin factor on the error bound of the double-precision evaluation.
 _NOISE_MARGIN = 64.0
@@ -111,8 +108,9 @@ class RootSet:
     conjugate pair), of which `gate_reused` took the value of an exact step
     at that very point, `real_roots` (distinct real roots, found by exact
     isolation), `sign_evaluations` (exact signs spent bracketing them),
-    `nodes` and `shifts` (the isolation's intervals tested and Taylor shifts
-    started, over both sides of 0, as in realroots.CgCertificate.stats), and
+    `nodes` and `shifts` (the isolation's intervals tested and runs of the
+    shift kernel, two lanes each, over both sides of 0, as in
+    realroots.CgCertificate.stats), and
     the centroid `shift` of the first factor; all twelve are 0 when p has
     no nonzero root.  It takes no part in comparisons.
     """

@@ -3,34 +3,40 @@
 `certify_cg` counts the distinct negative roots of a domination polynomial
 by Descartes-rule bisection (Vincent-Collins-Akritas; Collins and Akritas
 1976, Rouillier and Zimmermann 2004).  The roots of r(x) = q(-x), q the
-deflated polynomial, are scaled into (0, 1) by a power of two.  Each
-interval is tested by the sign variations of (x+1)**d p(1/(x+1)) and split
-with 2**d p(x/2) and its Taylor shift by 1, so every number stays an
-integer.  Descartes' rule counts roots with multiplicity, so a count of 0
-or 1 is exact on any q; only a bisection that goes on needs q squarefree,
-to end.  So q is proven squarefree -- by a gcd modulo a word-size prime, or
-where that cannot tell by the exact gcd(q, q') -- only when the bisection
-is about to split a node at depth `_PROOF_DEPTH` or finds a root on a split
-point, which might be a repeated one; if q is not, the isolation restarts
-on s = q / gcd(q, q'), which is c q_1 q_2 ... for q = c q_1 q_2**2 ...:
-q's roots, each simple.  Each root found comes with an isolating interval,
-or the exact root itself, which the certificate reports as a witness that
-exact evaluation checks.  Every exact operation on the real line lives
-here: the solver of `complexroots` takes its real roots from the same
-isolation, run on both sides of 0 (`_real_root_brackets`) on squarefree
-factors, as the certifier's `_Bracket`s, narrows them by exact signs
-(`_Bracket.cross`) and proves each root the double nearest it
-(`_nearest_double`).
+deflated polynomial, are scaled into (0, 1) by a power of two.  A node
+maps its interval onto (0, 1) by a polynomial f, and its Descartes test
+is the sign variations of T(f) = (x+1)**d f(1/(x+1)), which the node
+carries instead of f; a split maps the halves by 2**d f(x/2) and
+2**d f((x+1)/2), whose T are T(2x+1) and (x+2)**d T(x/(x+2)), so every
+number stays an integer.  Descartes' rule counts roots with multiplicity,
+so a count of 0 or 1 is exact on any q; only a bisection that goes on
+needs q squarefree, to end.  So q is proven squarefree -- by a gcd modulo
+a word-size prime, or where that cannot tell by the exact gcd(q, q') --
+only when the bisection is about to split a node at depth `_PROOF_DEPTH`
+or finds a root on a split point, which might be a repeated one; if q is
+not, the isolation restarts on s = q / gcd(q, q'), which is
+c q_1 q_2 ... for q = c q_1 q_2**2 ...: q's roots, each simple.  Each
+root found comes with an isolating interval, or the exact root itself,
+which the certificate reports as a witness that exact evaluation checks.
+Every exact operation on the real line lives here: the solver of
+`complexroots` takes its real roots from the same isolation, run on both
+sides of 0 (`_real_root_brackets`) on squarefree factors, as the
+certifier's `_Bracket`s, narrows them by exact signs (`_Bracket.cross`)
+and proves each root the double nearest it (`_nearest_double`).
 
 Every Taylor shift runs on one kernel, `polynomials.taylor_shift_by_one`,
-on plain coefficient lists; it yields the coefficients from the lowest
-degree up, so a Descartes test stops at its second sign variation (the
-interval is split either way).  The root bound 2**e is the first to leave
-r(2**e (x+1)) without sign variation, and its search starts at the least e
-with 2**e at or above the centroid of the roots of r: without variations
-the roots of r(2**e (x+1)), those of r over 2**e less 1, sum to at most 0.
-When q is D(G)/x**gamma for an n-vertex graph G without isolated vertices,
-that centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.
+in two lanes (`_shift_lanes`): a polynomial a and its reverse side by side
+in one integer per coefficient, so one run yields a(x+1) and T(a) at about
+1.3 times the cost of one, as the kernel's cost lies in the number of its
+additions more than in their size.  The root bound 2**e is the first to
+leave r(2**e (x+1)) without sign variation, the low lane of a run on the
+scaled r read up to its first variation; where it passes, the high lane
+is the root node's T.  Its search starts at the least e with 2**e at or
+above the centroid of the roots of r: without variations the roots of
+r(2**e (x+1)), those of r over 2**e less 1, sum to at most 0.  When q is
+D(G)/x**gamma for an n-vertex graph G without isolated vertices, that
+centroid is n/(n - gamma) > 1, so the try at e = 0 never runs.  A split
+is one run on the node's T, so a node's test costs no shift of its own.
 
 `squarefree_factors` is Yun's decomposition (Yun, SYMSAC 1976), which the
 solver of `complexroots` takes to find each repeated root once, on its
@@ -49,7 +55,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .polynomials import Poly, taylor_shift_by_one
 
@@ -220,26 +226,36 @@ def _require_squarefree(q: Poly, stats: dict) -> None:
 # -- certification by Descartes-rule bisection ---------------------------------
 
 #: Depth from which a node is split only on a polynomial proven squarefree.
-#: The modular test costs about two levels of bisection (a median of 2.9
-#: root-node Taylor shifts, 1-12.5, over the 87 pinned certificates that run
-#: it, degrees 3-126), so a repeated factor wastes at most about what the
-#: skipped test saves on a squarefree polynomial.
+#: The modular test costs about the splits of the first level or two of
+#: bisection (a median of 1.7 two-lane runs on the root node's polynomial,
+#: 0.7-9.6, over the 87 pinned certificates that run it, degrees 3-126), so
+#: a repeated factor wastes at most about what the skipped test saves on a
+#: squarefree polynomial.
 _PROOF_DEPTH = 2
 
 #: Proves the polynomial under isolation squarefree, or raises _RepeatedFactor.
 _Prover = Callable[[], None]
 
 
-def _descartes_test(f: list[int], stats: dict) -> int:
-    """min(2, sign variations of (x+1)**d f(1/(x+1))), for f ascending.
+def _shift_lanes(a: Sequence[int], stats: dict) -> Iterator[tuple[int, int]]:
+    """The coefficients of a(x+1) and of T(a) = (x+1)**d a(1/(x+1)) in
+    pairs, from the lowest degree up, for a ascending of degree d: one run
+    of the shift kernel, counted in stats["shifts"].
 
-    The count bounds the number of roots of f in the open interval (0, 1),
-    with the same parity, and is exact when it reads 0 or 1; from 2 on the
-    interval is split whatever it reads, so the shift stops there.  f
-    ascending is the reversed polynomial from the highest degree down.
+    The kernel takes a descending for a(x+1) and a ascending, its reverse
+    descending, for T(a); it runs on a_(d-k) + a_k 2**w, k = 0..d, with
+    w = (bit length of max |a_i|) + d + 2.  Its additions are exact, so each
+    yielded p is lo + hi 2**w with lo of a(x+1) and hi of T(a), and lo is
+    the residue of p modulo 2**w nearest 0, since
+    |lo| <= max |a_i| C(d+1, k+1) < 2**(w-1).
     """
+    d = len(a) - 1
+    w = max(map(int.bit_length, a)) + d + 2
+    half, mask = 1 << (w - 1), (1 << w) - 1
     stats["shifts"] += 1
-    return _variations(taylor_shift_by_one(f), 2)
+    for p in taylor_shift_by_one([lo + (hi << w) for lo, hi in zip(reversed(a), a)]):
+        p += half  # lo + half + hi 2**w, with 0 <= lo + half < 2**w
+        yield (p & mask) - half, p >> w
 
 
 def _variations(coeffs: Iterable[int], cap: int) -> int:
@@ -251,29 +267,34 @@ def _variations(coeffs: Iterable[int], cap: int) -> int:
 
 
 def _unit_interval_roots(
-    p: list[int], stats: dict, prove: _Prover | None = None
+    t: list[int], stats: dict, prove: _Prover | None = None
 ) -> list[tuple[int, int, int]]:
-    """Isolate the roots of p in (0, 1) by Descartes bisection.
+    """Isolate the roots in (0, 1) of f, given t = T(f), by Descartes
+    bisection.
 
-    A node (c, k) is the interval (c/2**k, (c+1)/2**k) with its polynomial
-    mapped onto (0, 1).  Returns one (a, b, k) per root, for the ends
+    A node (c, k) is the interval (c/2**k, (c+1)/2**k), and carries T of the
+    polynomial that maps it onto (0, 1).  Its test is min(2, sign variations
+    of T): a bound on the number of roots in the interval, with the same
+    parity, exact when it reads 0 or 1; from 2 on the interval is split
+    whatever it reads.  Returns one (a, b, k) per root, for the ends
     a/2**k <= b/2**k: b = a + 1 for an isolating node, b = a for a root on
     a split point; and counts the nodes and the depth in stats.  A root
-    on a split point shows as a zero constant term of the right half; it is
-    divided out and marks the adjacent halves, which are split on until
-    their interval is free of it, so no isolating interval ends at a root.
+    on a split point shows as a zero top coefficient of the right half's T;
+    it is dropped, which leaves T of the right half divided by x, and marks
+    the adjacent halves, which are split on until their interval is free of
+    it, so no isolating interval ends at a root.
 
-    p must be squarefree, or prove given: it is called before a node at
+    f must be squarefree, or prove given: it is called before a node at
     depth _PROOF_DEPTH or deeper is split, and when a root on a split point
     is found, whose multiplicity only squarefreeness tells.
     """
     roots = []
-    stack = [(0, 0, p, False, False)]
+    stack = [(0, 0, t, False, False)]
     while stack:
-        c, k, f, left_root, right_root = stack.pop()
+        c, k, t, left_root, right_root = stack.pop()
         stats["nodes"] += 1
         stats["max_depth"] = max(stats["max_depth"], k)
-        v = _descartes_test(f, stats)
+        v = _variations(t, 2)
         if v == 0:
             continue
         if v == 1 and not (left_root or right_root):
@@ -281,24 +302,24 @@ def _unit_interval_roots(
             continue
         if prove and k >= _PROOF_DEPTH:
             prove()
-        d = len(f) - 1
-        left = _primitive([a << (d - i) for i, a in enumerate(f)])
-        stats["shifts"] += 1
-        right = list(taylor_shift_by_one(reversed(left)))
-        mid_root = right[0] == 0
+        lanes = list(_shift_lanes(t, stats))
+        # T(2x+1), and (x+2)**d T(x/(x+2)): the reverse of H(2x), H the high lane
+        left = _primitive([lo << i for i, (lo, _) in enumerate(lanes)])
+        right = _primitive([hi << j for j, (_, hi) in enumerate(lanes)][::-1])
+        mid_root = right[-1] == 0
         if mid_root:
             if prove:
                 prove()
             roots.append((2 * c + 1, 2 * c + 1, k + 1))
-            del right[0]
+            del right[-1]
         stack.append((2 * c + 1, k + 1, right, mid_root, right_root))
         stack.append((2 * c, k + 1, left, left_root, mid_root))
     return roots
 
 
-def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
-    """(e, r(2**e x) made primitive) for the least e >= 0 that puts every
-    positive root of r below 1.
+def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int], list[int]]:
+    """(e, unit, T(unit)), unit = r(2**e x) made primitive, for the least
+    e >= 0 that puts every positive root of r below 1.
 
     r has no root at or beyond 2**e when r(2**e (x + 1)) has a nonzero
     constant term and no sign variation.  That holds as soon as 2**e exceeds
@@ -306,7 +327,8 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
     polynomials, whose roots crowd around -1, it ends after a few tries
     with a far tighter bound than Fujiwara's.  The search starts at the
     least e with 2**e at or above the centroid -r_(d-1) / (d r_d) of the
-    roots, since no smaller e can pass (see the module docstring).
+    roots, since no smaller e can pass (see the module docstring).  Each try
+    is one run of the lanes, whose high lane is T(unit) where it passes.
     """
     d = len(r) - 1
     num, den = -r[d - 1], d * r[d]
@@ -315,12 +337,17 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int]]:
     e = (max(-(-num // den), 1) - 1).bit_length()  # least 2**e >= ceil(num / den)
     while True:
         unit = _primitive([a << (e * i) for i, a in enumerate(r)])
-        stats["shifts"] += 1
         stats["bound_tries"] += 1
-        beyond = taylor_shift_by_one(reversed(unit))
-        low = next(beyond)
-        if low and not _variations(itertools.chain((low,), beyond), 1):
-            return e, unit
+        lanes = _shift_lanes(unit, stats)
+        low, hi = next(lanes)
+        high = [hi]  # T(unit), as far as the test reads the low lane
+        if low:
+            for lo, hi in lanes:
+                if lo and (lo > 0) != (low > 0):
+                    break
+                high.append(hi)
+            else:
+                return e, unit, high
         e += 1
 
 
@@ -346,13 +373,19 @@ def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> l
     for side, coeffs in ((1, s.coeffs), (-1, mirror)):
         if not _variations(coeffs, 1):
             continue
-        e, unit = _scaled_below_one(coeffs, stats)
+        e, _, t = _scaled_below_one(coeffs, stats)
         stats["bound_exponent"] = e
-        for a, b, k in _unit_interval_roots(unit, stats, prove):
+        for a, b, k in _unit_interval_roots(t, stats, prove):
             pairs.append(sorted(Fraction(side * x << e, 1 << k) for x in (a, b)))
     pairs.sort()
     r, lead = len(pairs), 1 if s.coeffs[-1] > 0 else -1
     return [_Bracket(s, lo, hi, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]
+
+
+#: Smallest tolerance the solver of `complexroots` accepts: below it the
+#: double iterates cannot settle.  It lives here, apart from numpy, so the
+#: command line checks --tol without importing the solver.
+MIN_TOL = 1e-14
 
 
 @dataclass
@@ -456,9 +489,9 @@ class CgCertificate:
     to_json(): "nodes" (intervals tested), "max_depth" (bisection levels),
     "bound_exponent" (e of the root bound 2**e), "modular_test" (whether
     the modular squarefree test ran), "squarefree_fallback" (whether the
-    exact gcd ran), "shifts" (Taylor shifts started, the ones a test
-    stopped early included) and "bound_tries" (exponents tried for the root
-    bound).  After a restart on the squarefree part, the counts are the
+    exact gcd ran), "shifts" (runs of the shift kernel, two lanes each,
+    the ones a bound try stopped early included) and "bound_tries"
+    (exponents tried for the root bound).  After a restart on the squarefree part, the counts are the
     restarted isolation's.
     """
 

@@ -93,6 +93,7 @@ _JOINS = [
     "certify --join book:n,h_witness:n+1 --range 1..6",
     "certify --join friendship:n,complement_friendship:n --range 1..6",
     "certify --join H:n+1,B:n --range 3..12",
+    "certify --join H:n+1,B:n --range 100",  # degree 405, three witnesses
     "certify --join K:2,B:n --range 1..5 --odd-only",
     "certify --join F:n,F:n+1 --range 1..4",
     "certify --join K:n,K:n --range 1..4",

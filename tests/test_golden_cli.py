@@ -91,6 +91,18 @@ def test_only_roots_and_plot_load_numpy(command, golden, tmp_path):
     assert report == str(argv[0] in ("roots", "plot"))
 
 
+@pytest.mark.parametrize("command", ["roots", "plot"])
+@pytest.mark.parametrize("option", [["--tol", "1"], ["--max-iter", "0"]])
+def test_a_usage_error_of_the_solver_leaves_numpy_unloaded(command, option, tmp_path):
+    """roots and plot check --tol and --max-iter before they import the
+    solver, so a usage error exits 1 without loading numpy."""
+    argv = [command, "--family", "path:3", *option]
+    proc = run_fresh(["-c", _REPORT_NUMPY, *argv], tmp_path)
+    stderr, _, report = proc.stderr.decode().rpartition("numpy loaded: ")
+    assert proc.returncode == 1 and option[0] in stderr and proc.stdout == b""
+    assert report == "False"
+
+
 def test_readme_quotes_the_solver_failure_verbatim(capsys):
     """README's Caps and limits quote the stderr of a non-converging solve;
     the quote, rewrapped, must be the message the CLI prints now."""

@@ -30,9 +30,9 @@ from dompoly.polynomials import Poly
 from dompoly.realroots import (
     _PRIME,
     _PROOF_DEPTH,
-    _descartes_test,
     _exact_div,
     _scaled_below_one,
+    _shift_lanes,
     _squarefree_mod_prime,
     certify_cg,
     squarefree_factors,
@@ -348,8 +348,9 @@ class TestCertifyCg:
         cert = certify_cg(poly_friendship(4))
         assert cert.stats["nodes"] >= 1 and cert.stats["max_depth"] >= 0
         assert cert.stats["squarefree_fallback"] is False
-        # one bound try, then three nodes: three Descartes tests and one split
-        assert (cert.stats["bound_tries"], cert.stats["shifts"]) == (1, 5)
+        # one bound try, whose high lane is the root's Descartes polynomial,
+        # then three nodes and one split: two kernel runs
+        assert (cert.stats["bound_tries"], cert.stats["shifts"]) == (1, 2)
         assert "stats" not in json.loads(cert.to_json())
         assert set(cert.record()) == {"gamma", "nonzero_real_root_count", "in_cg", "evidence"}
         # a square takes the exact squarefree path and keeps the verdict
@@ -570,8 +571,53 @@ class TestEarlyExitDescartesTest:
     def test_reads_variations_up_to_two(self, f):
         stats = {"shifts": 0}
         full = _variations(Poly(reversed(f)).taylor_shift(1).coeffs)
-        assert _descartes_test(f, stats) == min(full, 2)
+        t = [hi for _, hi in _shift_lanes(f, stats)]
+        assert realroots._variations(t, 2) == min(full, 2)
         assert stats["shifts"] == 1
+
+
+def _lanes(a: list[int]) -> tuple[list[int], list[int]]:
+    stats = {"shifts": 0}
+    lanes = list(_shift_lanes(a, stats))
+    assert stats["shifts"] == 1 and len(lanes) == len(a)
+    return [lo for lo, _ in lanes], [hi for _, hi in lanes]
+
+
+def _shifted(a) -> list[int]:
+    """The coefficients of a(x+1), of degree len(a) - 1, by Poly.taylor_shift."""
+    coeffs = list(Poly(a).taylor_shift(1).coeffs)
+    return coeffs + [0] * (len(a) - len(coeffs))
+
+
+class TestShiftLanes:
+    """_shift_lanes: a(x+1) and T(a) = (x+1)**d a(1/(x+1)) from one kernel run."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_coefficients | st.integers(-(2**200), 2**200), min_size=1, max_size=40))
+    @example([0])
+    @example([5])
+    @example([-3])
+    @example([0, 0])
+    @example([-1, 1])
+    @example([0, -7])
+    @example([4, 0, 0, -1])
+    def test_both_lanes_are_taylor_shifts(self, a):
+        low, high = _lanes(a)
+        assert low == _shifted(a)
+        assert high == _shifted(a[::-1])
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 7, 64, 257, 600])
+    @pytest.mark.parametrize("b", [1, 2, 31, 130])
+    def test_widest_coefficients_decode(self, d, b):
+        # coefficients +-(2**b - 1): of one sign, a(x+1) has the coefficients
+        # (2**b - 1) C(d+1, k+1), at the width's bound; alternating, both
+        # lanes mix signs
+        m = (1 << b) - 1
+        top = [m * math.comb(d + 1, k + 1) for k in range(d + 1)]
+        assert _lanes([m] * (d + 1)) == (top, top)
+        assert _lanes([-m] * (d + 1)) == ([-c for c in top], [-c for c in top])
+        for a in ([(-1) ** i * m for i in range(d + 1)], [m if i % 3 else -m for i in range(d + 1)]):
+            assert _lanes(a) == (_shifted(a), _shifted(a[::-1]))
 
 
 def _plain_bound(r: list[int]) -> tuple[int, list[int]]:
@@ -592,8 +638,9 @@ class TestCentroidStart:
     @example([20, -8, 1])  # roots 4 +- 2i: the centroid 4 passes at e = 2
     def test_matches_a_search_from_zero(self, r):
         stats = {"shifts": 0, "bound_tries": 0}
-        e, unit = _scaled_below_one(r, stats)
+        e, unit, t = _scaled_below_one(r, stats)
         assert (e, list(unit)) == _plain_bound(r)
+        assert t == _shifted(unit[::-1])  # T(unit), the root node's test
         assert 1 <= stats["bound_tries"] == stats["shifts"] <= e + 1
 
     @pytest.mark.parametrize(
@@ -609,8 +656,9 @@ class TestCentroidStart:
         r = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
         assert r == [6, -4, 1]
         stats = {"shifts": 0, "bound_tries": 0}
-        e, unit = _scaled_below_one(r, stats)
+        e, unit, t = _scaled_below_one(r, stats)
         assert (e, list(unit)) == _plain_bound(r) == (1, [3, -4, 2])
+        assert t == [1, 2, 3]  # (x+1)**2 unit(1/(x+1))
         assert stats["bound_tries"] == 1
         assert certify_cg(p).stats["bound_exponent"] == 1
 
