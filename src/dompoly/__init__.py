@@ -8,12 +8,18 @@ certifies, in exact integer arithmetic, which polynomials have no nonzero
 real roots, and locates the complex roots numerically for plotting and
 limit-curve analysis.
 
-The root solver's names are served on first access (PEP 562), since only
-the solver needs numpy: importing the package, or the CLI, leaves it
-unloaded until a root is located.
+These names are served on first access (PEP 562), each from the module
+that ``_SERVED`` gives it, so that importing the package, or the CLI, loads
+none of these modules until one of its names is used:
+
+    complexroots  CircleDeviation, RootSet, circle_deviation, find_roots
+                  (the root solver, the only module that imports numpy)
+    realroots     CgCertificate, certify_cg, squarefree_factors
+    enumeration   domination_polynomial
 """
 
-from .enumeration import domination_polynomial
+import importlib
+
 from .errors import (
     CapacityError,
     EdgeListParseError,
@@ -46,7 +52,6 @@ from .graphs import (
     to_edge_list,
 )
 from .polynomials import Poly, binomial_power
-from .realroots import CgCertificate, certify_cg, squarefree_factors
 
 __version__ = "0.1.0"
 
@@ -88,17 +93,24 @@ __all__ = [
     "to_edge_list",
 ]
 
-#: Names served from dompoly.complexroots, which imports numpy.
-_SOLVER_NAMES = frozenset({"CircleDeviation", "RootSet", "circle_deviation", "find_roots"})
+#: The names served on first access, each with the module that holds it.
+_SERVED = {
+    "CircleDeviation": "complexroots",
+    "RootSet": "complexroots",
+    "circle_deviation": "complexroots",
+    "find_roots": "complexroots",
+    "CgCertificate": "realroots",
+    "certify_cg": "realroots",
+    "squarefree_factors": "realroots",
+    "domination_polynomial": "enumeration",
+}
 
 
 def __getattr__(name: str):
-    if name in _SOLVER_NAMES:
-        from . import complexroots
-
-        return getattr(complexroots, name)
+    if name in _SERVED:
+        return getattr(importlib.import_module(f".{_SERVED[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _SOLVER_NAMES)
+    return sorted(set(globals()) | set(_SERVED))

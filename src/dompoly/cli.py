@@ -7,6 +7,12 @@ index ("--join H:n,H:n --range 3..20").  Join operands are the families with
 a closed form, by name or short alias.  Instances run one after another and
 print in index order.
 
+Each subcommand imports the layers it runs where it first needs them: the
+counter (enumeration) only for a graph without a closed form, an edge list
+or --oracle, the certifier (realroots) for certify and sweep, the solver
+(complexroots, with numpy) for roots and plot, and the SVG writer
+(plotting) for plot.  So compute of a family starts with none of them.
+
 Exit codes: 0 success, 1 usage or data error (argparse's own included), 2
 capacity exceeded, 3 solver non-convergence, 4 oracle mismatch.
 """
@@ -22,13 +28,10 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .enumeration import domination_polynomial
 from .errors import CapacityError, NonConvergenceError, OracleMismatchError
 from .formulas import FAMILIES, Family, build_family, closed_form, poly_join
 from .graphs import FamilySpec, parse_edge_list
-from .plotting import render_scatter
 from .polynomials import Poly, _decimal
-from .realroots import MIN_TOL, certify_cg
 
 if TYPE_CHECKING:
     from .complexroots import RootSet
@@ -93,6 +96,8 @@ def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
     if args.join:
         return _join_instances(args)
     if args.edge_list:
+        from .enumeration import domination_polynomial
+
         path = Path(args.edge_list)
         g = parse_edge_list(path.read_text(encoding="utf-8-sig"))  # a leading BOM is skipped
         # bytes of the name that are not UTF-8 become U+FFFD, so every
@@ -103,15 +108,14 @@ def _instances(args) -> list[tuple[str, tuple[int, ...], Poly]]:
     out = []
     for v in _apply_parity(values, args.odd_only, args.even_only):
         spec = FamilySpec(name, fixed + (v,))
-        if args.oracle:
+        p = None if args.oracle else closed_form(spec)
+        if p is None:  # counted on the graph: --oracle, or no closed form
+            from .enumeration import domination_polynomial
+
             p = domination_polynomial(build_family(spec))
-            expected = closed_form(spec)
+            expected = closed_form(spec) if args.oracle else None
             if expected is not None and expected != p:
                 raise OracleMismatchError(f"enumeration disagrees with the closed form for {spec}")
-        else:
-            p = closed_form(spec)
-            if p is None:
-                p = domination_polynomial(build_family(spec))
         out.append((name, spec.params, p))
     return out
 
@@ -244,6 +248,8 @@ def _cmd_compute(args) -> int:
 
 
 def _certificate_rows(args) -> list[dict]:
+    from .realroots import certify_cg
+
     return [
         {"family": label, "n": n, **certify_cg(p).record()}
         for label, (*_, n), p in _instances(args)
@@ -274,9 +280,12 @@ def _cmd_sweep(args) -> int:
 
 def _root_entries(args) -> list[tuple[str, int, RootSet]]:
     """(label, n, RootSet) per instance.  The solver, and numpy with it, is
-    imported here, after the options are checked, so that the other
-    subcommands and a usage error start without it, and find_roots is looked
-    up on it at each call, where bench/spans.py wraps it."""
+    imported here, after the options are checked against realroots.MIN_TOL,
+    so that the other subcommands and a usage error start without it, and
+    find_roots is looked up on it at each call, where bench/spans.py wraps
+    it."""
+    from .realroots import MIN_TOL
+
     if not MIN_TOL <= args.tol <= TOL_MAX:
         raise _UsageError(f"--tol must lie in [{MIN_TOL}, {TOL_MAX}]")
     if args.max_iter < 1:
@@ -310,6 +319,8 @@ def _cmd_plot(args) -> int:
     labels = sorted({label for label, _, _ in entries})
     ns = [n for _, n, _ in entries]
     title = f"{','.join(labels)} roots (n={min(ns)}..{max(ns)})" if entries else ""
+    from .plotting import render_scatter
+
     _write_output(render_scatter(points, circle=circle, title=title), args.out)
     return 0
 
@@ -348,6 +359,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(message)
+
+    def _check_value(self, action, value):
+        """argparse's check of a choice, with one message on every Python:
+        the choices quoted, as argparse writes them on 3.10 to 3.13.0 (3.13.13
+        writes them bare)."""
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {value!r} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
 
 
 #: The subcommands, in --help order: (name, help, handler, takes --join and

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import html
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dompoly import cli, complexroots, enumeration
+from dompoly import cli, complexroots, enumeration, plotting
 from dompoly.complexroots import find_roots
 from dompoly.errors import NonConvergenceError
 from dompoly.formulas import FAMILIES, _index_from_1, build_family, closed_form, poly_join, poly_H
@@ -442,6 +443,16 @@ class TestPlot:
         root = ET.parse(out).getroot()
         titles = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a\ufffdb roots (n=3..3)" in titles
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.text(st.characters(blacklist_categories=())))
+    @example("\x00\t\n\r\x1f \ud7ff\ud800\udfff\ue000\ufffd\ufffe\uffff\U00010000\U0010ffff")
+    @example("&<>\"'&amp;")
+    def test_title_text_matches_a_regex_and_html_escape(self, title):
+        """plotting._xml_text gives what the regex over XML 1.0's Char ranges
+        and html.escape gave before it was written out."""
+        not_xml = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+        assert plotting._xml_text(title) == html.escape(not_xml.sub("\ufffd", title), quote=False)
 
     def test_empty_graph_plots_without_roots(self, capsys, tmp_path):
         # D(P_0) = 1 and D(P_1) = x have no nonzero root, D(P_2) one, D(P_3) two

@@ -1,7 +1,9 @@
 """The package namespace: every exported name exists, so a removed symbol
-cannot leave a stale entry in ``__all__`` behind.  The solver's names are
-served on first access (a module ``__getattr__``), and must behave as the
-others do."""
+cannot leave a stale entry in ``__all__`` behind.  The names of the solver,
+the certifier and the counter are served on first access (a module
+``__getattr__``), and must behave as the others do."""
+
+import importlib
 
 import pytest
 
@@ -62,11 +64,16 @@ def test_star_import():
     assert all(namespace[name] is getattr(dompoly, name) for name in dompoly.__all__)
 
 
-def test_solver_names_come_from_complexroots():
-    from dompoly import complexroots
-
-    for name in ["CircleDeviation", "RootSet", "circle_deviation", "find_roots"]:
-        assert getattr(dompoly, name) is getattr(complexroots, name)
+def test_served_names_come_from_their_modules():
+    modules = {}
+    for name, module in dompoly._SERVED.items():
+        modules.setdefault(module, []).append(name)
+        assert getattr(dompoly, name) is getattr(importlib.import_module(f"dompoly.{module}"), name)
+    assert modules == {
+        "complexroots": ["CircleDeviation", "RootSet", "circle_deviation", "find_roots"],
+        "realroots": ["CgCertificate", "certify_cg", "squarefree_factors"],
+        "enumeration": ["domination_polynomial"],
+    }
 
 
 def test_dir_lists_every_exported_name():
