@@ -64,7 +64,6 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -460,11 +459,13 @@ def _final_residuals(
 
 
 def _centroid_shift(q: Poly) -> int:
-    """The integer nearest the root centroid -a_{d-1} / (d * a_d) of q.
+    """The integer nearest the root centroid -a_{d-1} / (d * a_d) of q, ties to even.
 
     0 when q vanishes there: the shifted polynomial would have a zero root.
     """
-    s = round(Fraction(-q.coefficient(q.degree - 1), q.degree * q.coeffs[-1]))
+    num, den = -q.coefficient(q.degree - 1), q.degree * q.coeffs[-1]
+    s, rem = divmod(2 * num + den, 2 * den)  # floor(num / den + 1/2), for either sign of den
+    s -= not rem and s % 2  # a tie, which leaves no remainder, goes to the even one
     return 0 if s == 0 or q.eval_exact(s) == 0 else s
 
 

@@ -42,8 +42,9 @@ is one run on the node's T, so a node's test costs no shift of its own.
 solver of `complexroots` takes to find each repeated root once, on its
 squarefree factor.  Its gcds run on the primitive remainder sequence:
 pseudo-remainders reduced to their primitive part at each step, so every
-number stays an integer.  Signs at rationals num/den come from den**d
-p(num/den), exactly.
+number stays an integer.  Every exact point on the real line is a dyadic
+m/2**k, an integer over a power of two, and a sign there comes from
+2**(k d) p(m/2**k), exactly.
 """
 
 from __future__ import annotations
@@ -53,8 +54,7 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .polynomials import Poly, taylor_shift_by_one
@@ -68,15 +68,19 @@ def _primitive(coeffs: Sequence[int]) -> Sequence[int]:
     return [k // c for k in coeffs]
 
 
-def _sign_at(p: Poly, x: Fraction) -> int:
-    """Sign of p at the rational x = num/den, exactly: den**deg(p) * p(num/den)
-    by Horner over the integers (den > 0)."""
-    num, den = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(p.coeffs):
-        acc = acc * num + c * scale
-        scale *= den
+def _sign_at(p: Poly, m: int, k: int) -> int:
+    """Sign of p at the dyadic m / 2**k, k >= 0, exactly: 2**(k deg(p))
+    p(m / 2**k) by Horner over the integers, the powers of two as shifts."""
+    acc = 0
+    for i, c in enumerate(reversed(p.coeffs)):
+        acc = acc * m + (c << (i * k))
     return (acc > 0) - (acc < 0)
+
+
+def _dyadic_str(m: int, k: int) -> str:
+    """m / 2**k in lowest terms, "m" or "m/2**k" with 2**k in decimal."""
+    z = min(k, (m & -m).bit_length() - 1) if m else k  # the common factors of two
+    return f"{m >> z}/{1 << (k - z)}" if k > z else str(m >> z)
 
 
 # -- squarefree decomposition ---------------------------------------------------
@@ -331,9 +335,7 @@ def _scaled_below_one(r: list[int], stats: dict) -> tuple[int, list[int], list[i
     is one run of the lanes, whose high lane is T(unit) where it passes.
     """
     d = len(r) - 1
-    num, den = -r[d - 1], d * r[d]
-    if den < 0:
-        num, den = -num, -den
+    num, den = -r[d - 1], d * r[d]  # den of either sign: // floors
     e = (max(-(-num // den), 1) - 1).bit_length()  # least 2**e >= ceil(num / den)
     while True:
         unit = _primitive([a << (e * i) for i, a in enumerate(r)])
@@ -361,6 +363,8 @@ def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> l
     _unit_interval_roots).  A side's roots are scaled into (0, 1) by a power
     of two, 2**e, so each (a, b, k) of its bisection has the dyadic ends
     a 2**e / 2**k and b 2**e / 2**k: a < b isolates one root, a == b is the root.
+    Every end is put over one exponent, the least that takes them all, so
+    the ends sort as integers and every bracket starts on that exponent.
 
     s changes sign at each of its simple real roots, so just right of the
     j-th of r its sign is its leading coefficient's times (-1)**(r - 1 - j).
@@ -369,17 +373,17 @@ def _real_root_brackets(s: Poly, stats: dict, prove: _Prover | None = None) -> l
     not.
     """
     mirror = [-a if i % 2 else a for i, a in enumerate(s.coeffs)]
-    pairs = []
+    found = []  # (side a, side b, j): the ends side a / 2**j and side b / 2**j
     for side, coeffs in ((1, s.coeffs), (-1, mirror)):
         if not _variations(coeffs, 1):
             continue
         e, _, t = _scaled_below_one(coeffs, stats)
         stats["bound_exponent"] = e
-        for a, b, k in _unit_interval_roots(t, stats, prove):
-            pairs.append(sorted(Fraction(side * x << e, 1 << k) for x in (a, b)))
-    pairs.sort()
+        found += [(side * a, side * b, k - e) for a, b, k in _unit_interval_roots(t, stats, prove)]
+    k = max([0, *(j for _, _, j in found)])
+    pairs = sorted(sorted((a << (k - j), b << (k - j))) for a, b, j in found)
     r, lead = len(pairs), 1 if s.coeffs[-1] > 0 else -1
-    return [_Bracket(s, lo, hi, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]
+    return [_Bracket(s, lo, hi, k, lead * (-1) ** (r - 1 - j)) for j, (lo, hi) in enumerate(pairs)]
 
 
 #: Smallest tolerance the solver of `complexroots` accepts: below it the
@@ -390,32 +394,43 @@ MIN_TOL = 1e-14
 
 @dataclass
 class _Bracket:
-    """An exact bracket [lo, hi] of one real root of q: lo < hi with q of
-    sign -right at lo and right at hi, or lo == hi, the root; ends holds
-    them rounded to doubles."""
+    """An exact bracket [lo, hi] / 2**k, k >= 0, of one real root of q: lo < hi
+    with q of sign -right at lo / 2**k and right at hi / 2**k, or lo == hi, the
+    root.  k rises only to take a finer point: a middle or a rounding cell's edge."""
 
     q: Poly
-    lo: Fraction
-    hi: Fraction
+    lo: int
+    hi: int
+    k: int
     right: int
-    ends: tuple[float, float] = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.ends = (float(self.lo), float(self.hi))
+    @property
+    def ends(self) -> tuple[float, float]:
+        return self.lo / (1 << self.k), self.hi / (1 << self.k)  # rounded correctly
 
     def middle(self) -> float:
-        return float((self.lo + self.hi) / 2)
+        return (self.lo + self.hi) / (2 << self.k)
 
-    def narrow(self, t: Fraction, stats: Counter) -> int:
-        """Move the end of the sign of q(t), t in [lo, hi], to t, and return
-        that sign; both ends when it is 0."""
+    def cell(self, x: float) -> tuple[int, int]:
+        """The ends of the rounding cell of the finite double x, its midpoints
+        with its two neighbours, over the bracket's exponent, raised as far
+        as they need."""
+        near = math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
+        ratios = [v.as_integer_ratio() for v in near]
+        k = max(self.k, max(d for _, d in ratios).bit_length())  # 2**k >= twice each d
+        self.lo, self.hi, self.k = self.lo << (k - self.k), self.hi << (k - self.k), k
+        low, mid, high = ((n << (self.k - 1)) // d for n, d in ratios)
+        return low + mid, mid + high
+
+    def narrow(self, t: int, stats: Counter) -> int:
+        """Move the end of the sign of q(t / 2**k), t in [lo, hi], to t, and
+        return that sign; both ends when it is 0."""
         stats["sign_evaluations"] += 1
-        sign = _sign_at(self.q, t)
+        sign = _sign_at(self.q, t, self.k)
         if sign != -self.right:
             self.hi = t
         if sign != self.right:
             self.lo = t
-        self.ends = (float(self.lo), float(self.hi))
         return sign
 
     def settled(self) -> bool:
@@ -432,14 +447,20 @@ class _Bracket:
         bisected, one exact sign each, until it is no wider than the modulus
         of its middle (an end at 0 halves away), and the iterate goes there."""
         lo, hi = self.ends
-        end, other = (lo, hi) if below else (hi, lo)
-        edge = _midpoint(end, math.nextafter(end, other))
-        if end and self.lo < edge < self.hi:  # q has no root in the cell of 0
-            self.narrow(edge, stats)
+        end = lo if below else hi
+        if end:  # q has no root in the cell of 0, whose edge 2**-1075 would raise k for good
+            down, up = self.cell(end)
+            edge = up if below else down
+            if self.lo < edge < self.hi:
+                self.narrow(edge, stats)
         if self.settled():
             return end
-        while self.narrow((self.lo + self.hi) / 2, stats):
-            if self.hi - self.lo <= abs(self.lo + self.hi) / 2:
+        while True:
+            if (self.lo + self.hi) & 1:  # the middle needs a finer exponent
+                self.lo, self.hi, self.k = 2 * self.lo, 2 * self.hi, self.k + 1
+            if not self.narrow((self.lo + self.hi) >> 1, stats):
+                break
+            if 2 * (self.hi - self.lo) <= abs(self.lo + self.hi):
                 break
         return self.middle()
 
@@ -456,24 +477,16 @@ def _nearest_double(bracket: _Bracket, x: float, stats: Counter) -> float:
     to the middle of the bracket.  A root at a midpoint is exactly half way,
     and float rounds it to even."""
     for moves in itertools.count():
-        up = _midpoint(x, math.nextafter(x, math.inf))
-        down = _midpoint(math.nextafter(x, -math.inf), x)
+        down, up = bracket.cell(x)
         for mid in (up, down):
             if bracket.lo < mid < bracket.hi and not bracket.narrow(mid, stats):
-                return float(mid)
+                return bracket.ends[0]
         if down <= bracket.lo and bracket.hi <= up:
             return x
         if moves < 2:
             x = math.nextafter(x, math.inf if bracket.lo >= up else -math.inf)
         else:
             x = bracket.middle()
-
-
-def _midpoint(a: float, b: float) -> Fraction:
-    """(a + b) / 2 exactly."""
-    (na, da), (nb, db) = a.as_integer_ratio(), b.as_integer_ratio()
-    scale = max(da, db)  # a power of two, as da and db are
-    return Fraction(na * (scale // da) + nb * (scale // db), 2 * scale)
 
 
 @dataclass(frozen=True)
@@ -544,8 +557,8 @@ def certify_cg(p: Poly) -> CgCertificate:
         stats.update(counts)
         brackets = _real_root_brackets(repeated.args[0], stats)
     for b in brackets:
-        signs = _sign_at(b.q, b.lo), _sign_at(b.q, b.hi)
+        signs = _sign_at(b.q, b.lo, b.k), _sign_at(b.q, b.hi, b.k)
         if not (b.lo <= b.hi <= 0 and signs == ((-b.right, b.right) if b.lo < b.hi else (0, 0))):
-            raise AssertionError(f"certifier witness [{b.lo}, {b.hi}] fails its exact check")
-    evidence = {"witnesses": [[str(b.lo), str(b.hi)] for b in brackets]}
+            raise AssertionError(f"witness [{b.lo}, {b.hi}] / 2**{b.k} fails its exact check")
+    evidence = {"witnesses": [[_dyadic_str(b.lo, b.k), _dyadic_str(b.hi, b.k)] for b in brackets]}
     return CgCertificate(gamma, len(brackets), not brackets, evidence, stats)

@@ -682,12 +682,46 @@ def test_real_iterates_stay_real_and_bracketed():
     # their brackets; the upper one converges to i
     b = Poly([1, 0, 1]) * Poly([-1, 1]) * Poly([3, 1]) * Poly([1, 1])
     ends = [(-4, -2, 1), (Fraction(-3, 2), 0, -1), (Fraction(1, 2), 2, 1)]
-    brackets = [_Bracket(b, Fraction(lo), Fraction(hi), sign) for lo, hi, sign in ends]
+    brackets = [_Bracket(b, int(lo * 2), int(hi * 2), 1, sign) for lo, hi, sign in ends]
     z, x, converged, _ = complexroots._aberth_iterate(b, 0, brackets, 1e-12, 100, Counter(), {})
     assert converged and abs(z[0] - 1j) < 1e-12
     assert x.dtype == float
     assert all(lo <= v <= hi for v, (lo, hi, _) in zip(x, ends))
     assert x.tolist() == pytest.approx([-3.0, -1.0, 1.0], abs=1e-12)
+
+
+def _round_half_even_shift(q: Poly) -> int:
+    """_centroid_shift by Fraction's round, apart from the module's."""
+    s = round(Fraction(-q.coefficient(q.degree - 1), q.degree * q.coeffs[-1]))
+    return 0 if s == 0 or q.eval_exact(s) == 0 else s
+
+
+class TestCentroidShift:
+    def test_path_3_rounds_minus_three_halves_to_even(self):
+        q = Poly([1, 3, 1])  # D(P_3) / x: centroid -3/2
+        assert complexroots._centroid_shift(q) == _round_half_even_shift(q) == -2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(-50, 50).filter(bool),
+        st.integers(-40, 40),
+        st.lists(st.integers(-9, 9), min_size=8, max_size=8),
+    )
+    def test_half_integer_centroids_round_to_even(self, d, lead, j, rest):
+        # centroid (2j + 1) / 2 = -a_(d-1) / (d lead), for even d lead
+        lead *= 1 if d * lead % 2 == 0 else 2
+        q = Poly([*rest[: d - 1], -(2 * j + 1) * d * lead // 2, lead])
+        assert complexroots._centroid_shift(q) == _round_half_even_shift(q)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=10),
+        st.integers(-(10**6), -1),
+    )
+    def test_negative_leading_coefficients(self, coeffs, lead):
+        q = Poly([*coeffs, lead])
+        assert complexroots._centroid_shift(q) == _round_half_even_shift(q)
 
 
 @pytest.mark.parametrize("n", [20, 42])
@@ -953,7 +987,7 @@ class TestNearestDouble:
         rs = find_roots(p)
         assert distinct_real_roots(rs) == [1.0]
         for start in (1.0, 1.0 + 2.0**-52):
-            bracket = _Bracket(p, Fraction(1, 2), Fraction(2), 1)
+            bracket = _Bracket(p, 1, 4, 1, 1)  # [1/2, 2]
             assert _nearest_double(bracket, start, Counter()) == 1.0
 
     @pytest.mark.parametrize("start", [0.9, 0.3333, 2.0**-40, 1.0 - 2.0**-53])
@@ -961,13 +995,12 @@ class TestNearestDouble:
         # (3x - 1)(x^2 + 1) on (0, 1): from any estimate the search ends on
         # the double nearest 1/3, bisecting (0, 1) after two moves
         p = Poly([-1, 3]) * Poly([1, 0, 1])
-        stats, bracket = Counter(), _Bracket(p, Fraction(0), Fraction(1), 1)
+        stats, bracket = Counter(), _Bracket(p, 0, 1, 0, 1)
         assert _nearest_double(bracket, start, stats) == 1 / 3
         assert stats["sign_evaluations"] <= 2 * 60
         # and leaves the bracket around the cell of the root
-        assert Fraction(math.nextafter(1 / 3, 0)) < bracket.lo < bracket.hi < Fraction(
-            math.nextafter(1 / 3, 1)
-        )
+        lo, hi = Fraction(bracket.lo, 1 << bracket.k), Fraction(bracket.hi, 1 << bracket.k)
+        assert Fraction(math.nextafter(1 / 3, 0)) < lo < hi < Fraction(math.nextafter(1 / 3, 1))
 
 
 class TestRepeatedRoots:

@@ -65,9 +65,16 @@ def test_module_runs_as_a_script(command, golden, tmp_path):
 
 
 #: The modules whose loading a fresh process reports: numpy (the solver's),
-#: fractions (the certifier's), and the three layers that cli imports only
-#: where a subcommand runs them.
-_WATCHED = ("numpy", "fractions", "dompoly.realroots", "dompoly.enumeration", "dompoly.plotting")
+#: fractions and decimal, which no command loads, and the three layers that
+#: cli imports only where a subcommand runs them.
+_WATCHED = (
+    "numpy",
+    "fractions",
+    "decimal",
+    "dompoly.realroots",
+    "dompoly.enumeration",
+    "dompoly.plotting",
+)
 
 #: Runs cli.main on its arguments, then reports on stderr, after everything
 #: the command wrote there, which of _WATCHED it loaded.
@@ -80,7 +87,7 @@ sys.exit(code)
 """
 
 _COUNTER = {"dompoly.enumeration"}
-_CERTIFIER = {"dompoly.realroots", "fractions"}
+_CERTIFIER = {"dompoly.realroots"}
 _SOLVER = {"numpy", *_CERTIFIER}
 
 #: What each command loads of _WATCHED: compute of a family with a closed

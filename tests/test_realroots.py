@@ -674,6 +674,11 @@ def _sign_by_fractions(p: Poly, x: Fraction) -> int:
     return (v > 0) - (v < 0)
 
 
+def _ends(b: realroots._Bracket) -> tuple[Fraction, Fraction]:
+    """The ends of a bracket, integers over 2**k, as Fractions."""
+    return Fraction(b.lo, 1 << b.k), Fraction(b.hi, 1 << b.k)
+
+
 class TestRealRootWitnesses:
     """_real_root_brackets: the certifier's isolation on both sides of 0."""
 
@@ -683,11 +688,12 @@ class TestRealRootWitnesses:
         brackets = realroots._real_root_brackets(s, Counter())
         assert len(brackets) == count_real_roots(s) == 2
         for b, root in zip(brackets, (-2, 3)):
-            assert b.lo <= root <= b.hi
-            if b.lo < b.hi:
-                assert realroots._sign_at(s, b.lo) * realroots._sign_at(s, b.hi) < 0
+            lo, hi = _ends(b)
+            assert lo <= root <= hi
+            if lo < hi:
+                assert _sign_by_fractions(s, lo) * _sign_by_fractions(s, hi) < 0
             else:
-                assert realroots._sign_at(s, b.lo) == 0
+                assert _sign_by_fractions(s, lo) == 0
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.lists(st.integers(-20, 20), min_size=2, max_size=12).filter(lambda c: c[0] and c[-1]))
@@ -716,14 +722,15 @@ class TestRealRootWitnesses:
         s = math.prod(f for f, _ in squarefree_factors(p))
         brackets = realroots._real_root_brackets(s, Counter())
         assert len(brackets) == count_real_roots(s)
-        assert brackets[0].lo < 0 < brackets[-1].hi
+        assert _ends(brackets[0])[0] < 0 < _ends(brackets[-1])[1]
         for b in brackets:
-            if b.lo == b.hi:
-                assert _sign_by_fractions(s, b.lo) == 0
+            lo, hi = _ends(b)
+            if lo == hi:
+                assert _sign_by_fractions(s, lo) == 0
             else:
-                assert b.lo < b.hi
-                assert _sign_by_fractions(s, b.lo) == -b.right
-                assert _sign_by_fractions(s, b.hi) == b.right
+                assert lo < hi
+                assert _sign_by_fractions(s, lo) == -b.right
+                assert _sign_by_fractions(s, hi) == b.right
 
     def test_certifier_rejects_a_flipped_sign_side(self, monkeypatch):
         p = poly_book(6)
@@ -786,3 +793,54 @@ class TestRealRootWitnesses:
         find_roots(p)
         certify_cg(p)
         assert searched == [_mirror(p.deflate_zero())] * 2
+
+
+class TestDyadicPoints:
+    """The certifier's exact points are integers over a power of two; each
+    operation on them agrees with Fraction arithmetic."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(-(2**80), 2**80), st.integers(0, 90))
+    @example(0, 0)
+    @example(0, 7)
+    @example(-12, 2)
+    @example(-64, 3)
+    @example(96, 0)
+    def test_witness_format_is_the_fraction_in_lowest_terms(self, m, k):
+        assert realroots._dyadic_str(m, k) == str(Fraction(m, 2**k))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=10),
+        st.integers(-(2**40), 2**40),
+        st.integers(0, 60),
+    )
+    @example([0, 1], 0, 5)  # x at its root 0
+    @example([-3, 2], 3, 1)  # 2x - 3 at its root 3/2
+    def test_sign_at_matches_exact_evaluation(self, coeffs, m, k):
+        p = Poly(coeffs)
+        v = p.eval_exact(Fraction(m, 2**k))
+        assert realroots._sign_at(p, m, k) == (v > 0) - (v < 0)
+
+    @pytest.mark.parametrize(
+        "p, lo, hi, k, right, below",
+        [
+            (Poly([1, 2]), -1, 0, 0, 1, False),  # 2x + 1 on [-1, 0]: root -1/2
+            (Poly([1, -3]) * Poly([1, 0, 1]), 0, 1, 0, -1, True),  # root 1/3 of 1 - 3x
+            (Poly([-5, 7]), 0, 3, 1, 1, True),  # root 5/7 in [0, 3/2]
+            (Poly([5, 7]), -3, 0, 1, 1, False),  # root -5/7 in [-3/2, 0]
+        ],
+    )
+    def test_crossing_from_an_end_at_zero_keeps_the_exponent_small(
+        self, p, lo, hi, k, right, below
+    ):
+        # the cell of 0 has the edge 2**-1075, which the bracket must not
+        # take on: every later sign would be taken at that exponent
+        bracket = realroots._Bracket(p, lo, hi, k, right)
+        assert (bracket.ends[0] if below else bracket.ends[1]) == 0.0
+        stats = Counter()
+        bracket.cross(below, stats)
+        assert bracket.k < 64 and stats["sign_evaluations"] < 64
+        lo, hi = _ends(bracket)
+        assert lo <= hi and (_sign_by_fractions(p, lo) in (0, -right))
+        assert _sign_by_fractions(p, hi) in (0, right)
