@@ -8,102 +8,57 @@ certifies, in exact integer arithmetic, which polynomials have no nonzero
 real roots, and locates the complex roots numerically for plotting and
 limit-curve analysis.
 
-These names are served on first access (PEP 562), each from the module
-that ``_SERVED`` gives it, so that importing the package, or the CLI, loads
-none of these modules until one of its names is used:
-
-    complexroots  CircleDeviation, RootSet, circle_deviation, find_roots
-                  (the root solver, the only module that imports numpy)
-    realroots     CgCertificate, certify_cg, squarefree_factors
-    enumeration   domination_polynomial
+``_SERVED`` is the package's one list of public names: it maps each name to
+the module that defines it, and ``__all__`` is its sorted keys.  A name is
+served on first access (PEP 562), by importing its module then, so
+``import dompoly`` loads none of the package's modules; only the root solver
+(``complexroots``) imports numpy.
 """
 
 import importlib
 
-from .errors import (
-    CapacityError,
-    EdgeListParseError,
-    NonConvergenceError,
-    OracleMismatchError,
-)
-from .formulas import (
-    build_family,
-    cg_family_factor,
-    closed_form,
-    poly_H,
-    poly_book,
-    poly_cocktail,
-    poly_complement_friendship,
-    poly_complete,
-    poly_corona,
-    poly_friendship,
-    poly_join,
-    poly_union,
-)
-from .graphs import (
-    MAX_VERTICES,
-    FamilySpec,
-    Graph,
-    complement,
-    corona,
-    disjoint_union,
-    join,
-    parse_edge_list,
-    to_edge_list,
-)
-from .polynomials import Poly, binomial_power
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityError",
-    "CgCertificate",
-    "CircleDeviation",
-    "EdgeListParseError",
-    "FamilySpec",
-    "Graph",
-    "MAX_VERTICES",
-    "NonConvergenceError",
-    "OracleMismatchError",
-    "Poly",
-    "RootSet",
-    "binomial_power",
-    "build_family",
-    "certify_cg",
-    "cg_family_factor",
-    "circle_deviation",
-    "closed_form",
-    "complement",
-    "corona",
-    "disjoint_union",
-    "domination_polynomial",
-    "find_roots",
-    "join",
-    "parse_edge_list",
-    "poly_H",
-    "poly_book",
-    "poly_cocktail",
-    "poly_complement_friendship",
-    "poly_complete",
-    "poly_corona",
-    "poly_friendship",
-    "poly_join",
-    "poly_union",
-    "squarefree_factors",
-    "to_edge_list",
-]
-
-#: The names served on first access, each with the module that holds it.
+#: Each public name, with the module that defines it.
 _SERVED = {
+    "CapacityError": "errors",
+    "EdgeListParseError": "errors",
+    "NonConvergenceError": "errors",
+    "OracleMismatchError": "errors",
+    "build_family": "formulas",
+    "cg_family_factor": "formulas",
+    "closed_form": "formulas",
+    "poly_H": "formulas",
+    "poly_book": "formulas",
+    "poly_cocktail": "formulas",
+    "poly_complement_friendship": "formulas",
+    "poly_complete": "formulas",
+    "poly_corona": "formulas",
+    "poly_friendship": "formulas",
+    "poly_join": "formulas",
+    "poly_union": "formulas",
+    "MAX_VERTICES": "graphs",
+    "FamilySpec": "graphs",
+    "Graph": "graphs",
+    "complement": "graphs",
+    "corona": "graphs",
+    "disjoint_union": "graphs",
+    "join": "graphs",
+    "parse_edge_list": "graphs",
+    "to_edge_list": "graphs",
+    "Poly": "polynomials",
+    "binomial_power": "polynomials",
+    "CgCertificate": "realroots",
+    "certify_cg": "realroots",
+    "squarefree_factors": "realroots",
     "CircleDeviation": "complexroots",
     "RootSet": "complexroots",
     "circle_deviation": "complexroots",
     "find_roots": "complexroots",
-    "CgCertificate": "realroots",
-    "certify_cg": "realroots",
-    "squarefree_factors": "realroots",
     "domination_polynomial": "enumeration",
 }
+
+__all__ = sorted(_SERVED)
 
 
 def __getattr__(name: str):

@@ -1,13 +1,16 @@
 """The package namespace: every exported name exists, so a removed symbol
-cannot leave a stale entry in ``__all__`` behind.  The names of the solver,
-the certifier and the counter are served on first access (a module
-``__getattr__``), and must behave as the others do."""
+cannot leave a stale entry in ``__all__`` behind.  ``dompoly._SERVED``, the
+one name → module table, serves every name on first access (a module
+``__getattr__``), so ``import dompoly`` loads none of the package's modules
+and each name loads only its own module and what that imports."""
 
 import importlib
+import inspect
 
 import pytest
 
 import dompoly
+from conftest import run_fresh
 
 
 def test_the_surface_is_pinned():
@@ -65,15 +68,50 @@ def test_star_import():
 
 
 def test_served_names_come_from_their_modules():
-    modules = {}
+    assert dompoly.__all__ == sorted(dompoly._SERVED)
     for name, module in dompoly._SERVED.items():
-        modules.setdefault(module, []).append(name)
-        assert getattr(dompoly, name) is getattr(importlib.import_module(f"dompoly.{module}"), name)
-    assert modules == {
-        "complexroots": ["CircleDeviation", "RootSet", "circle_deviation", "find_roots"],
-        "realroots": ["CgCertificate", "certify_cg", "squarefree_factors"],
-        "enumeration": ["domination_polynomial"],
-    }
+        home = importlib.import_module(f"dompoly.{module}")
+        obj = getattr(dompoly, name)
+        assert obj is getattr(home, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == home.__name__, name
+
+
+#: Imports dompoly, reads each name given as an argument, and prints the
+#: ``dompoly.*`` modules then loaded, and numpy if it is.
+_REPORT_LOADED = """import sys
+import dompoly
+for name in sys.argv[1:]:
+    getattr(dompoly, name)
+print(*sorted(m for m in sys.modules if m.startswith("dompoly.") or m == "numpy"))
+"""
+
+
+@pytest.mark.parametrize(
+    "names, loaded",
+    [
+        ([], []),
+        (["Poly"], ["dompoly.polynomials"]),
+        (["certify_cg"], ["dompoly.polynomials", "dompoly.realroots"]),
+        (
+            ["find_roots"],
+            [
+                "dompoly.complexroots",
+                "dompoly.errors",
+                "dompoly.polynomials",
+                "dompoly.realroots",
+                "numpy",
+            ],
+        ),
+    ],
+    ids=["import", "Poly", "certify_cg", "find_roots"],
+)
+def test_a_fresh_process_loads_only_the_modules_it_uses(tmp_path, names, loaded):
+    """``import dompoly`` loads none of the package's modules, and the first
+    access of a name loads its module and what that imports, nothing else."""
+    proc = run_fresh(["-c", _REPORT_LOADED, *names], tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().split() == loaded
 
 
 def test_dir_lists_every_exported_name():
