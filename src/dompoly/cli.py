@@ -13,8 +13,8 @@ or --oracle, the certifier (realroots) for certify and sweep, the solver
 (complexroots, with numpy) for roots and plot, and the SVG writer
 (plotting) for plot.  So compute of a family starts with none of them.
 
-Exit codes: 0 success, 1 usage or data error (argparse's own included), 2
-capacity exceeded, 3 solver non-convergence, 4 oracle mismatch.
+Exit codes: 0 success, 1 usage or data error (argparse's own too), 2 capacity
+exceeded or out of memory, 3 solver non-convergence, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -430,6 +430,7 @@ def _validate_source(args) -> None:
 #: specific first, since CapacityError is a ValueError.
 _FAILURES = (
     (CapacityError, 2, "capacity error"),
+    (MemoryError, 2, "capacity error"),
     (NonConvergenceError, 3, "solver error"),
     (OracleMismatchError, 4, "integrity error"),
     (ValueError, 1, "error"),
@@ -444,7 +445,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except tuple(kind for kind, _, _ in _FAILURES) as e:
         code, prefix = next((c, p) for kind, c, p in _FAILURES if isinstance(e, kind))
-        print(f"{prefix}: {e}", file=sys.stderr)
+        message = "memory ran out" if isinstance(e, MemoryError) else e  # str() is often ""
+        print(f"{prefix}: {message}", file=sys.stderr)
         return code
 
 

@@ -47,12 +47,16 @@ def _greedy_order(g: Graph) -> list[int]:
     touched = 0
     order = []
     while undecided:
-        # the vertices with one undecided member of N[u] left
-        last_open = sum(1 << u for u, m in enumerate(closed) if (m & undecided).bit_count() == 1)
-        v = min(
-            _bits(undecided),
-            key=lambda w: (closed[w] & ~touched).bit_count() - (closed[w] & last_open).bit_count(),
-        )
+        last_open = 0  # the vertices with one undecided member of N[u] left
+        for u, m in enumerate(closed):
+            if (m & undecided).bit_count() == 1:
+                last_open |= 1 << u
+        untouched = ~touched
+        best = v = g.n + 1  # every score is at most n
+        for w in _bits(undecided):
+            score = (closed[w] & untouched).bit_count() - (closed[w] & last_open).bit_count()
+            if score < best:
+                best, v = score, w
         undecided ^= 1 << v
         order.append(v)
         touched |= closed[v]
@@ -82,12 +86,10 @@ def _frontier_counts(g: Graph, order: list[int]) -> int | None:
     states = {0: 1}
     for t, v in enumerate(order):
         nv, k = closed[v], closes[t]
-        out: dict[int, int] = {}
+        # v left out: the states that cover every closing vertex, a key each
+        out = {c ^ k: p for c, p in states.items() if c & k == k} if k else dict(states)
         get = out.get
         for cover, packed in states.items():
-            if cover & k == k:  # v left out: every closing vertex already covered
-                key = cover ^ k
-                out[key] = get(key, 0) + packed
             key = (cover | nv) ^ k  # v taken: k lies inside N[v]
             out[key] = get(key, 0) + (packed << width)
         # A step at most doubles the states, so the frontier peaks at twice the

@@ -216,6 +216,23 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError("header must be two integers 'n m'", 1) from None
     if n < 0 or m < 0:
         raise EdgeListParseError("header counts must be nonnegative", 1)
+    # The whole body at once, if it is rows of two ASCII-digit fields and then
+    # blank lines: Graph checks ranges and self-loops, and the edge count a
+    # missing line or a duplicate.  Other text, and any ValueError (such as
+    # CapacityError or int()'s digit limit), goes to the line loop below.
+    rows = [line.split() for line in lines[1 : m + 1]]
+    ends = list(itertools.chain.from_iterable(rows))
+    digits = "".join(ends)
+    blank_after = not any(map(str.strip, lines[m + 1 :]))
+    if {*map(len, rows)} <= {2} and digits.isascii() and digits.isdigit() and blank_after:
+        pairs = map(int, ends)
+        try:
+            g = Graph(n, zip(pairs, pairs))
+        except ValueError:
+            pass
+        else:
+            if g.edge_count() == m:
+                return g
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     lineno = 1

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dompoly.errors import CapacityError
+from dompoly.errors import CapacityError, EdgeListParseError
 from dompoly.formulas import cg_family_factor, poly_H, poly_book, poly_join
 from dompoly.graphs import Graph
-from dompoly.polynomials import Poly
+from dompoly.polynomials import Poly, _decimal
 
 
 def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
@@ -122,10 +122,13 @@ def record_digests(path: Path, digests: dict[str, str]) -> None:
     print(f"recorded {len(digests)} digests in {path}")
 
 
-def run_fresh(args: list[str], cwd: Path, stdin: str = "") -> subprocess.CompletedProcess:
+def run_fresh(
+    args: list[str], cwd: Path, stdin: str = "", preexec_fn=None
+) -> subprocess.CompletedProcess:
     """Run `python -W error *args` in a fresh interpreter with src/ first on
     its path: a check of what a process imports needs one, since this module
-    has already imported numpy here."""
+    has already imported numpy here.  preexec_fn runs in the child before
+    Python starts, e.g. to set a resource limit for the child alone."""
     path = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     return subprocess.run(
@@ -135,6 +138,7 @@ def run_fresh(args: list[str], cwd: Path, stdin: str = "") -> subprocess.Complet
         cwd=cwd,
         env=env,
         timeout=120,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -280,6 +284,52 @@ def sturm_sequence(p: Poly) -> list[Poly]:
                 break
             chain.append(Poly(-k for k in _primitive_coeffs(r.coeffs)))
     return chain
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """``graphs.parse_edge_list`` as it was before its whole-body fast path:
+    one line at a time.  The reference whose graph, or exception type,
+    message and line number, the library's parser must give for every text.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise EdgeListParseError("missing 'n m' header", 1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise EdgeListParseError("header must be two integers 'n m'", 1)
+    try:
+        n, m = _decimal(header[0]), _decimal(header[1])
+    except ValueError:
+        raise EdgeListParseError("header must be two integers 'n m'", 1) from None
+    if n < 0 or m < 0:
+        raise EdgeListParseError("header counts must be nonnegative", 1)
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    lineno = 1
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if len(edges) == m:
+            if raw.strip():
+                raise EdgeListParseError(f"expected only {m} edge lines", lineno)
+            continue
+        fields = raw.split()
+        if len(fields) != 2:
+            raise EdgeListParseError("expected 'u v'", lineno)
+        try:
+            u, v = _decimal(fields[0]), _decimal(fields[1])
+        except ValueError:
+            raise EdgeListParseError("expected integer endpoints", lineno) from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise EdgeListParseError(f"vertex out of range 0..{n - 1}", lineno)
+        if u == v:
+            raise EdgeListParseError(f"self-loop at vertex {u}", lineno)
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise EdgeListParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
+        seen.add(key)
+        edges.append(key)
+    if len(edges) != m:
+        raise EdgeListParseError(f"expected {m} edges, found {len(edges)}", lineno + 1)
+    return Graph(n, edges)
 
 
 def _sturm_sign(p: Poly, x) -> int:

@@ -22,7 +22,7 @@ from dompoly.graphs import FamilySpec, join, to_edge_list
 from dompoly.polynomials import Poly
 from dompoly.realroots import certify_cg
 
-from conftest import random_graph
+from conftest import random_graph, run_fresh
 
 
 def run(capsys, *argv):
@@ -83,6 +83,19 @@ class TestCompute:
         code, out, err = run(capsys, "compute", "--edge-list", str(path))
         assert code == 2 and out == ""
         assert re.fullmatch(r"capacity error: 14 vertices: [^\n]*state budget[^\n]*\n", err)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_running_out_of_memory_exits_2(self, tmp_path):
+        # (1 + x)**3000000 takes far more than 256 MiB of address space
+        import resource
+
+        def cap() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+        argv = ["-m", "dompoly.cli", "compute", "--family", "complete:3000000"]
+        proc = run_fresh(argv, tmp_path, preexec_fn=cap)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert proc.stderr == b"capacity error: memory ran out\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -130,14 +130,16 @@ class TestGreedyOrder:
             ),
             ("h_witness:7", [12, 13, 14, 3, 4, 0, 5, 6, 1, 7, 8, 2, 9, 10, 11]),
             ("friendship:3", [1, 2, 0, 3, 4, 5, 6]),
+            # dense and full of ties: a drifted tie-break moves it
+            ("complete_bipartite:4,5", [4, 5, 6, 7, 0, 8, 1, 2, 3]),
         ],
     )
     def test_pinned_orders(self, name, expected):
         if name == "hill_climb_28":
             g = parse_edge_list(self.HILL_CLIMB_28.read_text())
         else:
-            family, _, n = name.partition(":")
-            g = fam(family, int(n))
+            family, _, params = name.partition(":")
+            g = fam(family, *map(int, params.split(",")))
         assert enumeration._greedy_order(g) == expected
 
 

@@ -6,22 +6,27 @@ subcommands, options and values below, malformed ones included, with an exit
 code from its failure table and a message on stderr, never a traceback.
 Indices stay at 8 or below so that every instance is cheap, and every path
 lies in a temporary directory.  ``parse_edge_list`` must return a graph or
-raise ``EdgeListParseError`` or ``CapacityError``, whatever the text.
+raise ``EdgeListParseError`` or ``CapacityError``, whatever the text, and
+give the same graph, or the same error, message and line number, as the
+line-by-line reference parser of ``conftest``.
 """
 
 import contextlib
 import io
+import itertools
 import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dompoly import cli
 from dompoly.errors import CapacityError, EdgeListParseError
 from dompoly.formulas import FAMILIES
 from dompoly.graphs import Graph, parse_edge_list
+
+from conftest import reference_parse_edge_list
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -151,24 +156,58 @@ _token = st.one_of(
     st.sampled_from(["", "x", "1.5", "0x3", "1_0", "4097", "99999999999999999999", "٣"]),
 )
 _junk = st.one_of(st.lists(_token, max_size=3).map(" ".join), st.text(max_size=8))
-_edge = st.tuples(st.integers(-1, 9), st.integers(-1, 9)).map(lambda e: f"{e[0]} {e[1]}")
+#: Odd endpoints: "-1", "-0" and "01" are decimal integers to the format;
+#: "+1", "1_0" and "٣" are not, though int() reads them; int() refuses
+#: 4,301 digits.
+_ODD = ("-1", "-0", "+1", "01", "1_0", "٣", "1" * 4301)
 
 
 @st.composite
 def edge_list_texts(draw) -> str:
-    """A header "n m" and m edge lines, some of them junk, or junk only."""
-    n, m = draw(st.integers(0, 9)), draw(st.integers(0, 5))
-    header = draw(st.one_of(st.just(f"{n} {m}"), st.just(f"{n} {m}"), _junk))
-    body = draw(st.lists(st.one_of(_edge, _edge, _edge, _junk), min_size=m, max_size=m))
-    body += draw(st.lists(st.one_of(st.just(""), _junk), max_size=2))
+    """A header "n m" and m edge lines, distinct edges as far as n allows,
+    then blank or non-blank lines; or junk only.  One edge line may be
+    spoiled: another line as "v u", blank, one or three fields, an odd
+    field, a self-loop, an endpoint n, or junk."""
+    n, m = draw(st.sampled_from([4097, *range(10)])), draw(st.integers(0, 5))
+    header = draw(st.one_of(st.just(f"{n} {m}"), st.just(f"{n} {m}"), st.just(f"{n} {m}"), _junk))
+    fit = st.integers(0, max(n - 1, 0)).map(str)  # in range, but for n = 0
+    edge = st.tuples(fit, fit).map(" ".join)
+    distinct = draw(st.permutations(list(itertools.combinations(range(min(n, 10)), 2))))[:m]
+    body = [" ".join(map(str, draw(st.permutations(e)))) for e in distinct]
+    body += draw(st.lists(edge, min_size=m - len(body), max_size=m - len(body)))
+    if body and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        (u, v), (x, y) = body[j].split(), body[i].split()
+        spoilt = [f"{y} {x}", "", " ", u, f"{u} {v} {x}", f"{u} {u}", f"{u} {n}", draw(_junk)]
+        body[j] = draw(st.sampled_from([*spoilt, *(f"{odd} {v}" for odd in _ODD)]))
+    body += draw(st.lists(st.one_of(st.just(""), edge, _junk), max_size=2))
     return draw(st.sampled_from(["\n", "\r\n", "\t\n"])).join([header, *body])
+
+
+def _parsed(parse, text: str):
+    """The graph parse gives for text, or its error's type, message and line."""
+    try:
+        return parse(text)
+    except (EdgeListParseError, CapacityError) as e:
+        return type(e), str(e), getattr(e, "line", None)
 
 
 @fuzz
 @given(edge_list_texts())
+@example("3 2\n0 1\n1 0\n")
+@example("3 1\n1 1\n")
+@example("3 1\n0 3\n")
+@example("3 2\n-0 1\n01 2\n")
+@example("3 1\n+1 2\n")
+@example("4 1\n٣ 0\n")
+@example("3 1\n" + "1" * 4301 + " 0\n")
+@example("3 2\n0 1\n\n1 2\n")
+@example("3 1\n0 1\n1 2\n")
+@example("4 2\n0 1 2\n3\n")
+@example("3 0\n\n \n")
+@example("4097 1\n0 x\n")
+@example("4097 1\n0 1\n")
 def test_edge_list_text_raises_only_parse_or_capacity_errors(text):
-    try:
-        g = parse_edge_list(text)
-    except (EdgeListParseError, CapacityError):
-        return
-    assert isinstance(g, Graph)
+    parsed = _parsed(parse_edge_list, text)
+    assert isinstance(parsed, (Graph, tuple))
+    assert parsed == _parsed(reference_parse_edge_list, text)
